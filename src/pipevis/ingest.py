@@ -112,29 +112,33 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
+def _load_json(data: bytes | bytearray | str, object_pairs_hook: Any = None) -> Any:
+    """Decode UTF-8 JSON, mapping every decoding failure to a DocumentError."""
+    try:
+        if isinstance(data, (bytes, bytearray)):
+            data = bytes(data).decode("utf-8")
+        return json.loads(data, object_pairs_hook=object_pairs_hook)
+    except UnicodeDecodeError as exc:
+        raise MalformedSyntaxError(
+            f"invalid UTF-8 at byte {exc.start}: {exc.reason}"
+        ) from None
+    except _DuplicateKeyError as exc:
+        raise SchemaViolationError([f"duplicate key: {exc.key}"]) from None
+    except json.JSONDecodeError as exc:
+        raise MalformedSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise MalformedSyntaxError("document nested too deeply") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise MalformedSyntaxError(str(exc).partition(";")[0]) from None
+
+
 def parse_document(data: bytes | bytearray | str, *, lenient: bool = False) -> Assessment:
     """Decode one assessment document into a validated Assessment.
 
     With ``lenient=True`` unknown fields are logged and ignored instead of
     rejected.
     """
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            text = bytes(data).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedSyntaxError(
-                f"invalid UTF-8 at byte {exc.start}: {exc.reason}"
-            ) from None
-    else:
-        text = data
-
-    try:
-        raw = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
-    except _DuplicateKeyError as exc:
-        raise SchemaViolationError([f"duplicate key: {exc.key}"]) from None
-    except json.JSONDecodeError as exc:
-        raise MalformedSyntaxError(exc.msg, exc.lineno, exc.colno) from None
-
+    raw = _load_json(data, object_pairs_hook=_reject_duplicate_keys)
     if not isinstance(raw, dict):
         raise SchemaViolationError(
             [f"document root must be an object, got {_type_name(raw)}"]
@@ -253,20 +257,7 @@ def serialize_rubric(rubric: Mapping[tuple[Criterion, int], str] = RUBRIC) -> by
 
 def parse_rubric(data: bytes | bytearray | str) -> dict[tuple[Criterion, int], str]:
     """Inverse of :func:`serialize_rubric`; raises the same classified errors."""
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            text = bytes(data).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedSyntaxError(
-                f"invalid UTF-8 at byte {exc.start}: {exc.reason}"
-            ) from None
-    else:
-        text = data
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedSyntaxError(exc.msg, exc.lineno, exc.colno) from None
-
+    raw = _load_json(data)
     errors: list[str] = []
     if not isinstance(raw, dict):
         raise SchemaViolationError(["rubric document root must be an object"])

@@ -25,6 +25,7 @@ from .model import (
     NodeKind,
     WeightScheme,
     InvalidAssessmentError,
+    _reaching_set,
     validate_assessment,
 )
 
@@ -195,6 +196,11 @@ def overall_visibility(assessment: Assessment) -> VisibilityReport:
     violation) if the assessment does not validate.
     """
     _require_valid(assessment)
+    return _score(assessment)
+
+
+def _score(assessment: Assessment) -> VisibilityReport:
+    """``overall_visibility`` of an assessment the caller has validated."""
     leaf_ids = assessment.graph.leaf_ids()
     weights = assessment.weights.resolve(leaf_ids)
     return _weighted_report(assessment, leaf_ids, weights, assessment.weights)
@@ -216,7 +222,7 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
     if node.kind not in (NodeKind.DERIVED_ASSET, NodeKind.OUTPUT_ASSET):
         raise LeafNodeError(node_id, node.kind)
 
-    ancestors = _ancestor_ids(graph.edges, node_id)
+    ancestors = _reaching_set(graph, node_id)
     leaf_ids = [nid for nid in graph.leaf_ids() if nid in ancestors]
 
     if assessment.weights.is_equal:
@@ -246,7 +252,7 @@ def rank(assessments: Sequence[Assessment]) -> list[RankEntry]:
     for assessment in assessments:
         subject = f"{assessment.asset_name} {assessment.asset_version}"
         _require_valid(assessment, subject=subject)
-        report = overall_visibility(assessment)
+        report = _score(assessment)
         min_vis = min(row.visibility_index for row in report.per_node)
         scored.append((assessment, report.overall, min_vis))
     scored.sort(
@@ -275,7 +281,6 @@ def sensitivity(
     Judgement changes must target existing leaf nodes; with only a weight
     change every node delta is zero.
     """
-    _require_valid(assessment)
     baseline = overall_visibility(assessment)
 
     leaf_ids = set(assessment.graph.leaf_ids())
@@ -298,7 +303,7 @@ def sensitivity(
     result = validate_assessment(modified_assessment)
     if not result.ok:
         raise InvalidWeightsError(result.violations)
-    modified = overall_visibility(modified_assessment)
+    modified = _score(modified_assessment)
 
     node_deltas = {
         after.node_id: after.visibility_index - before.visibility_index
@@ -310,21 +315,3 @@ def sensitivity(
         node_deltas=node_deltas,
         overall_delta=modified.overall - baseline.overall,
     )
-
-
-def _ancestor_ids(
-    edges: Iterable[tuple[str, str]], node_id: str
-) -> set[str]:
-    """Ids with a directed path to ``node_id``, excluding the node itself."""
-    reverse: dict[str, list[str]] = {}
-    for src, dst in edges:
-        reverse.setdefault(dst, []).append(src)
-    seen: set[str] = set()
-    frontier = list(reverse.get(node_id, ()))
-    while frontier:
-        nid = frontier.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        frontier.extend(reverse.get(nid, ()))
-    return seen

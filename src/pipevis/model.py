@@ -11,6 +11,11 @@ bound to the graph, a weight scheme, a date and an assessor, form an
 Validation here is collecting, not fail-fast: :func:`validate_graph` and
 :func:`validate_assessment` report *every* violation they find, in a
 deterministic order, so a document author can fix them in one pass.
+
+A :class:`PipelineGraph` is immutable, so its structure (reverse adjacency,
+leaf ids) and its violations are computed once per graph, on first use.
+Assessment checks are not cached: ``judgements`` and explicit ``weights``
+are plain mutable mappings, so :func:`validate_assessment` re-reads them.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime
+from functools import cached_property
 
 SCORE_MIN = 1
 SCORE_MAX = 4
@@ -100,6 +106,10 @@ class PipelineGraph:
     construction, so two graphs built from the same node/edge *sets* compare
     equal regardless of insertion order. Construction is permissive;
     structural invariants are checked by :func:`validate_graph`.
+
+    The reverse adjacency, leaf ids and violations are derived once, on
+    first use, and kept on the instance outside equality, hashing, repr and
+    pickling; :func:`dataclasses.replace` yields a graph that derives anew.
     """
 
     nodes: tuple[ContributionNode, ...]
@@ -115,6 +125,27 @@ class PipelineGraph:
             tuple(sorted({(str(src), str(dst)) for src, dst in self.edges})),
         )
 
+    def __getstate__(self) -> dict[str, object]:
+        return {"nodes": self.nodes, "edges": self.edges}
+
+    @cached_property
+    def _reverse(self) -> dict[str, list[str]]:
+        """Upstream ids per node with an incoming edge between known nodes."""
+        known = self.node_ids()
+        reverse: dict[str, list[str]] = {}
+        for src, dst in self.edges:
+            if src in known and dst in known:
+                reverse.setdefault(dst, []).append(src)
+        return reverse
+
+    @cached_property
+    def _leaves(self) -> tuple[str, ...]:
+        return tuple(sorted(self.node_ids() - self._reverse.keys()))
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        return _graph_violations(self)
+
     def node_ids(self) -> set[str]:
         return {node.id for node in self.nodes}
 
@@ -126,16 +157,11 @@ class PipelineGraph:
 
     def in_degree(self) -> dict[str, int]:
         """Incoming-edge count per node, over edges with known endpoints."""
-        known = self.node_ids()
-        degree = {node_id: 0 for node_id in known}
-        for src, dst in self.edges:
-            if src in known and dst in known:
-                degree[dst] += 1
-        return degree
+        return {nid: len(self._reverse.get(nid, ())) for nid in self.node_ids()}
 
     def leaf_ids(self) -> list[str]:
         """Ids of zero-in-degree nodes, sorted. No validity check."""
-        return sorted(nid for nid, deg in self.in_degree().items() if deg == 0)
+        return list(self._leaves)
 
 
 @dataclass(frozen=True)
@@ -234,8 +260,13 @@ def validate_graph(graph: PipelineGraph) -> ValidationResult:
     """Check every PipelineGraph invariant, reporting all violations.
 
     Violations are data, not failures: the result lists each problem with
-    the node/edge identifiers involved, in a deterministic order.
+    the node/edge identifiers involved, in a deterministic order. They are
+    computed on the first call for a graph and reused after it.
     """
+    return ValidationResult(graph._violations)
+
+
+def _graph_violations(graph: PipelineGraph) -> tuple[str, ...]:
     violations: list[str] = []
 
     ids_seen: set[str] = set()
@@ -264,9 +295,9 @@ def validate_graph(graph: PipelineGraph) -> ValidationResult:
     elif len(outputs) > 1:
         violations.append("multiple OutputAsset nodes: " + ",".join(outputs))
 
-    degree = graph.in_degree()
+    reverse = graph._reverse
     for node in graph.nodes:
-        if degree.get(node.id, 0) == 0:
+        if node.id not in reverse:
             if node.kind is NodeKind.DERIVED_ASSET:
                 violations.append(f"derived node {node.id} has no incoming edge")
             elif node.kind is NodeKind.OUTPUT_ASSET:
@@ -283,7 +314,7 @@ def validate_graph(graph: PipelineGraph) -> ValidationResult:
             if node.id not in reachable
         )
 
-    return ValidationResult(tuple(violations))
+    return tuple(violations)
 
 
 def leaf_nodes(graph: PipelineGraph) -> list[ContributionNode]:
@@ -349,22 +380,14 @@ def validate_assessment(assessment: Assessment) -> ValidationResult:
     return ValidationResult(tuple(violations))
 
 
-def _adjacency(graph: PipelineGraph) -> dict[str, list[str]]:
-    known = graph.node_ids()
-    adjacency: dict[str, list[str]] = {nid: [] for nid in sorted(known)}
-    for src, dst in graph.edges:
-        if src in known and dst in known:
-            adjacency[src].append(dst)
-    return adjacency
-
-
 def _cyclic_components(graph: PipelineGraph) -> list[list[str]]:
     """Strongly connected components with more than one node, sorted.
 
-    Iterative Tarjan over id-sorted adjacency; single-node self-loops are
-    excluded because the self-edge check already reports them.
+    Iterative Tarjan over the reverse adjacency, whose components are the
+    same; only nodes with an incoming edge can be in one. Single-node
+    self-loops are excluded because the self-edge check reports them.
     """
-    adjacency = _adjacency(graph)
+    reverse = graph._reverse
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -372,7 +395,7 @@ def _cyclic_components(graph: PipelineGraph) -> list[list[str]]:
     counter = 0
     components: list[list[str]] = []
 
-    for root in adjacency:
+    for root in reverse:
         if root in index:
             continue
         work: list[tuple[str, int]] = [(root, 0)]
@@ -384,7 +407,7 @@ def _cyclic_components(graph: PipelineGraph) -> list[list[str]]:
                 stack.append(node)
                 on_stack.add(node)
             advanced = False
-            children = adjacency[node]
+            children = reverse.get(node, ())
             while child_pos < len(children):
                 child = children[child_pos]
                 child_pos += 1
@@ -415,16 +438,11 @@ def _cyclic_components(graph: PipelineGraph) -> list[list[str]]:
 
 def _reaching_set(graph: PipelineGraph, target: str) -> set[str]:
     """Ids of nodes with a directed path to ``target`` (including itself)."""
-    known = graph.node_ids()
-    reverse: dict[str, list[str]] = {nid: [] for nid in known}
-    for src, dst in graph.edges:
-        if src in known and dst in known:
-            reverse[dst].append(src)
+    reverse = graph._reverse
     seen = {target}
     frontier = [target]
     while frontier:
-        nid = frontier.pop()
-        for upstream in reverse[nid]:
+        for upstream in reverse.get(frontier.pop(), ()):
             if upstream not in seen:
                 seen.add(upstream)
                 frontier.append(upstream)

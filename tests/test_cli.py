@@ -224,6 +224,17 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert result.stderr.startswith("violation: ")
 
+    @pytest.mark.parametrize(
+        "blob",
+        [b"[" * 100000, b'{"schema_version": ' + b"1" * 5000 + b"}"],
+        ids=["deep_nesting", "long_integer"],
+    )
+    def test_unparseable_json_is_data_error(self, blob):
+        result = invoke(["validate", "-"], input=blob)
+        assert result.exit_code == 1
+        assert result.stderr.startswith("violation: ")
+        assert "internal error" not in result.stderr
+
     def test_empty_stdin_is_data_error(self):
         result = invoke(["validate", "-"], input=b"")
         assert result.exit_code == 1

@@ -155,6 +155,24 @@ class TestSyntaxErrors:
         with pytest.raises(SchemaViolationError, match="duplicate key"):
             parse_document(doc)
 
+    @pytest.mark.parametrize("parse", [parse_document, parse_rubric])
+    def test_deep_nesting(self, parse):
+        with pytest.raises(MalformedSyntaxError, match="nested too deeply"):
+            parse("[" * 100000)
+        with pytest.raises(MalformedSyntaxError, match="nested too deeply"):
+            parse(b'{"schema_version": ' + b"[" * 100000)
+
+    @pytest.mark.parametrize("parse", [parse_document, parse_rubric])
+    def test_integer_past_the_digit_limit(self, parse):
+        text = dumps(valid_doc()).replace(
+            '"display_precision": 2', '"display_precision": ' + "1" * 5000
+        )
+        assert "1" * 5000 in text
+        with pytest.raises(MalformedSyntaxError, match="digits"):
+            parse(text)
+        with pytest.raises(MalformedSyntaxError, match="digits"):
+            parse(b"9" * 5000)
+
 
 class TestSchemaErrors:
     def test_root_must_be_object(self):

@@ -29,8 +29,11 @@ from pipevis import (
     quantity_index,
     rank,
     sensitivity,
+    parse_document,
+    serialize_document,
     visibility_index,
 )
+from pipevis import model
 
 scores = st.integers(min_value=1, max_value=4)
 
@@ -468,3 +471,29 @@ class TestSensitivity:
         before = dict(first_party.judgements)
         sensitivity(first_party, {"DS": helpers.THIRD_PARTY_MINIMAL})
         assert first_party.judgements == before
+
+
+class TestOneWalkPerGraph:
+    def test_review_walks_the_graph_once(self, samples_dir, monkeypatch):
+        calls = []
+        walk = model._cyclic_components
+
+        def counted(graph):
+            calls.append(graph)
+            return walk(graph)
+
+        monkeypatch.setattr(model, "_cyclic_components", counted)
+        data = (samples_dir / "first_party_later.json").read_bytes()
+        assessment = parse_document(data)
+        overall_visibility(assessment)
+        derived = [
+            n.id
+            for n in assessment.graph.nodes
+            if n.kind is model.NodeKind.DERIVED_ASSET
+        ]
+        assert derived
+        for node_id in derived:
+            derived_asset_visibility(assessment, node_id)
+        sensitivity(assessment, {"DS": helpers.THREES})
+        assert serialize_document(assessment) == data
+        assert len(calls) == 1

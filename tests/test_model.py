@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+from dataclasses import replace
 from datetime import date, datetime
 
 import networkx as nx
@@ -105,6 +107,55 @@ class TestPipelineGraph:
             expected = sorted(n for n, deg in dg.in_degree() if deg == 0)
             assert graph.leaf_ids() == expected
             assert validate_graph(graph).ok
+
+    def test_random_cyclic_graphs_agree_with_networkx(self):
+        rng = random.Random(3303)
+        for _ in range(100):
+            ids = [f"N{i}" for i in range(rng.randint(2, 12))]
+            loop = rng.sample(ids, rng.randint(2, len(ids)))
+            edges = set(zip(loop, loop[1:] + loop[:1]))
+            edges |= {
+                (rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 20))
+            }
+            graph = PipelineGraph(nodes=tuple(node(i) for i in ids), edges=edges)
+            dg = nx.DiGraph()
+            dg.add_nodes_from(ids)
+            dg.add_edges_from(edges)
+            expected = sorted(
+                sorted(c) for c in nx.strongly_connected_components(dg) if len(c) > 1
+            )
+            found = [
+                v.removeprefix("cycle detected: ").split(",")
+                for v in validate_graph(graph).violations
+                if v.startswith("cycle detected: ")
+            ]
+            assert expected
+            assert found == expected
+
+    def test_derived_structure_is_invisible(self, example_graph):
+        def fresh():
+            return PipelineGraph(nodes=example_graph.nodes, edges=example_graph.edges)
+
+        def observe(graph):
+            return graph, hash(graph), repr(graph), pickle.dumps(graph)
+
+        before = observe(example_graph)
+        assert before == observe(fresh())
+        assert pickle.loads(before[3]) == example_graph
+        validate_graph(example_graph)
+        example_graph.in_degree()
+        assert example_graph.leaf_ids() == ["DS", "H1", "H2"]
+        after = observe(example_graph)
+        assert after == before == observe(fresh())
+        copy = pickle.loads(after[3])
+        assert copy == example_graph
+        assert validate_graph(copy) == validate_graph(example_graph)
+
+    def test_replace_derives_its_own_violations(self, example_graph):
+        assert validate_graph(example_graph).ok
+        cyclic = replace(example_graph, edges=example_graph.edges + (("M", "LD"),))
+        assert "cycle detected: LD,M" in validate_graph(cyclic).violations
+        assert validate_graph(example_graph).ok
 
 
 class TestValidateGraph:
