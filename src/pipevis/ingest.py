@@ -8,6 +8,12 @@ below -- syntax problems are position-annotated, schema problems are
 gathered and reported together, and semantic problems carry the full
 violation list from :func:`~pipevis.model.validate_assessment`.
 
+One field table gives each object kind (top level, asset, node, edge,
+judgement) its keys and one check per key. The parser accepts what the schema
+accepts, except ``3.0`` as an integer; it rejects duplicate keys, lone
+surrogates (``"\\ud800"``), unknown keys and an explicit ``null`` for an
+optional key. ``lenient=True`` only downgrades unknown keys to warnings.
+
 Serialization is canonical: fixed key order, nodes and edges sorted by id,
 ``"equal"`` for equal weighting, 2-space indentation and a trailing
 newline. Two equal assessments serialize to identical bytes, and
@@ -18,9 +24,12 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Mapping
+import math
+import re
+from collections.abc import Callable, Mapping
 from datetime import date
-from typing import Any
+from operator import itemgetter
+from typing import Any, NamedTuple
 
 from .model import (
     Assessment,
@@ -40,22 +49,6 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "1.0"
-
-_TOP_LEVEL_FIELDS = (
-    "schema_version",
-    "asset",
-    "assessed_at",
-    "assessor",
-    "nodes",
-    "edges",
-    "judgements",
-    "weights",
-    "display_precision",
-)
-_NODE_FIELDS = ("id", "kind", "label", "description", "evidence_refs")
-_EDGE_FIELDS = ("from", "to")
-_JUDGEMENT_FIELDS = ("quantity", "accuracy", "freshness")
-_KIND_VALUES = {kind.value for kind in NodeKind}
 
 
 class DocumentError(ValueError):
@@ -97,33 +90,33 @@ class SemanticViolationError(DocumentError):
         super().__init__("; ".join(violations), tuple(violations))
 
 
-class _DuplicateKeyError(ValueError):
-    def __init__(self, key: str):
-        self.key = key
-        super().__init__(key)
-
-
 def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     obj: dict[str, Any] = {}
     for key, value in pairs:
         if key in obj:
-            raise _DuplicateKeyError(key)
+            raise SchemaViolationError([f"duplicate key: {key}"])
         obj[key] = value
     return obj
 
 
-def _load_json(data: bytes | bytearray | str, object_pairs_hook: Any = None) -> Any:
+def _load_json(data: bytes | bytearray | str) -> Any:
     """Decode UTF-8 JSON, mapping every decoding failure to a DocumentError."""
     try:
-        if isinstance(data, (bytes, bytearray)):
-            data = bytes(data).decode("utf-8")
-        return json.loads(data, object_pairs_hook=object_pairs_hook)
+        text = data if isinstance(data, str) else bytes(data).decode("utf-8")
+        value = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        # A lone surrogate, from a str argument or a \\u escape, fails to encode.
+        if isinstance(data, str) or re.search(r"\\u[dD][89a-fA-F]", text):
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        return value
     except UnicodeDecodeError as exc:
         raise MalformedSyntaxError(
             f"invalid UTF-8 at byte {exc.start}: {exc.reason}"
         ) from None
-    except _DuplicateKeyError as exc:
-        raise SchemaViolationError([f"duplicate key: {exc.key}"]) from None
+    except UnicodeEncodeError as exc:
+        surrogate = exc.object[exc.start]
+        raise MalformedSyntaxError(f"lone surrogate {surrogate!r} in a string") from None
+    except SchemaViolationError:  # a duplicate key, from the hook
+        raise
     except json.JSONDecodeError as exc:
         raise MalformedSyntaxError(exc.msg, exc.lineno, exc.colno) from None
     except RecursionError:
@@ -138,50 +131,36 @@ def parse_document(data: bytes | bytearray | str, *, lenient: bool = False) -> A
     With ``lenient=True`` unknown fields are logged and ignored instead of
     rejected.
     """
-    raw = _load_json(data, object_pairs_hook=_reject_duplicate_keys)
+    raw = _load_json(data)
     if not isinstance(raw, dict):
         raise SchemaViolationError(
             [f"document root must be an object, got {_type_name(raw)}"]
         )
 
-    if "schema_version" not in raw:
-        raise SchemaViolationError(["schema_version: required field missing"])
-    version = raw["schema_version"]
-    if not isinstance(version, str):
-        raise SchemaViolationError(
-            [f"schema_version: must be a string, got {_type_name(version)}"]
-        )
+    try:
+        if "schema_version" not in raw:
+            raise _Invalid("required field missing")
+        version = _string(raw["schema_version"])
+    except _Invalid as exc:
+        raise SchemaViolationError([f"schema_version: {exc}"]) from None
     if version != SCHEMA_VERSION:
         raise UnknownSchemaVersionError(version)
 
     errors: list[str] = []
-    for key in sorted(set(raw) - set(_TOP_LEVEL_FIELDS)):
-        if lenient:
-            logger.warning("ignoring unknown field: %s", key)
-        else:
-            errors.append(f"unknown field: {key}")
-
-    asset_name, asset_version = _parse_asset(raw, errors, lenient=lenient)
-    assessed_at = _parse_date(raw, errors)
-    assessor = _parse_str_field(raw, "assessor", errors)
-    nodes = _parse_nodes(raw, errors, lenient=lenient)
-    edges = _parse_edges(raw, errors, lenient=lenient)
-    judgements = _parse_judgements(raw, errors, lenient=lenient)
-    weights = _parse_weights(raw, errors)
-    precision = _parse_precision(raw, errors)
-
+    fields = _DOCUMENT.read(raw, "", errors, lenient)
     if errors:
         raise SchemaViolationError(errors)
 
+    graph = PipelineGraph(nodes=fields["nodes"].values(), edges=fields["edges"].values())
     assessment = Assessment(
-        graph=PipelineGraph(nodes=tuple(nodes), edges=tuple(edges)),
-        judgements=judgements,
-        weights=weights,
-        asset_name=asset_name,
-        asset_version=asset_version,
-        assessed_at=assessed_at,
-        assessor=assessor,
-        display_precision=precision,
+        graph=graph,
+        judgements=fields["judgements"],
+        weights=fields["weights"],
+        asset_name=fields["asset"]["name"],
+        asset_version=fields["asset"]["version"],
+        assessed_at=fields["assessed_at"],
+        assessor=fields["assessor"],
+        display_precision=fields["display_precision"],
     )
     result = validate_assessment(assessment)
     if not result.ok:
@@ -194,7 +173,7 @@ def serialize_document(assessment: Assessment) -> bytes:
     result = validate_assessment(assessment)
     if not result.ok:
         raise InvalidAssessmentError(result.violations)
-    return _encode(document_dict(assessment))
+    return canonical_json(document_dict(assessment)).encode("utf-8")
 
 
 def document_dict(assessment: Assessment) -> dict[str, Any]:
@@ -252,7 +231,8 @@ def serialize_rubric(rubric: Mapping[tuple[Criterion, int], str] = RUBRIC) -> by
         }
         for criterion in Criterion
     }
-    return _encode({"schema_version": SCHEMA_VERSION, "rubric": body})
+    document = {"schema_version": SCHEMA_VERSION, "rubric": body}
+    return canonical_json(document).encode("utf-8")
 
 
 def parse_rubric(data: bytes | bytearray | str) -> dict[tuple[Criterion, int], str]:
@@ -286,8 +266,9 @@ def parse_rubric(data: bytes | bytearray | str) -> dict[tuple[Criterion, int], s
     return cells
 
 
-def _encode(document: dict[str, Any]) -> bytes:
-    return (json.dumps(document, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+def canonical_json(document: Mapping[str, Any]) -> str:
+    """The canonical text of a JSON document: 2-space indent, trailing newline."""
+    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
 
 
 def _type_name(value: Any) -> str:
@@ -297,241 +278,187 @@ def _type_name(value: Any) -> str:
             list: "array", dict: "object"}.get(type(value), type(value).__name__)
 
 
-def _parse_str_field(raw: dict[str, Any], key: str, errors: list[str]) -> str:
-    if key not in raw:
-        errors.append(f"{key}: required field missing")
-        return ""
-    value = raw[key]
-    if not isinstance(value, str):
-        errors.append(f"{key}: must be a string, got {_type_name(value)}")
-        return ""
+class _Invalid(ValueError):
+    """A check's verdict on one value: the violation text after ``path: ``."""
+
+
+# How a row takes an absent key and an explicit null. Any other value is the
+# default of an optional key; its explicit null is "must be <expected>, got null".
+_REQUIRED = "absent or null: required field missing"
+_PRESENT = "absent: required field missing; null goes to the check"
+_CHECKED = "absent reads as null, which goes to the check"
+
+
+class _Object(NamedTuple):
+    """One object kind: a ``key -> (check, absent)`` row for each known key.
+
+    A check returns the converted value or raises _Invalid; a value with
+    violations of its own has a spec (_Object, _Each, _Weights) instead.
+    ``read`` alone judges unknown keys, absent keys and explicit nulls: it
+    returns ``build(values)``, or None after appending violations.
+    """
+
+    rows: dict[str, tuple[Any, Any]]
+    build: Callable[[dict[str, Any]], Any] = dict
+
+    def read(self, obj: Any, path: str, errors: list[str], lenient: bool) -> Any:
+        if not isinstance(obj, dict):
+            raise _Invalid(f"must be an object, got {_type_name(obj)}")
+        before = len(errors)
+        if not obj.keys() <= self.rows.keys():
+            for key in sorted(obj.keys() - self.rows.keys()):
+                name = f"{path}.{key}" if path else key
+                if lenient:
+                    logger.warning("ignoring unknown field: %s", name)
+                else:
+                    errors.append(
+                        f"{name}: unknown field" if path else f"unknown field: {key}"
+                    )
+        values: dict[str, Any] = {}
+        for key, (check, absent) in self.rows.items():
+            value = obj.get(key)
+            try:
+                if value is None:
+                    if absent is _REQUIRED or (absent is _PRESENT and key not in obj):
+                        raise _Invalid("required field missing")
+                    if absent is not _PRESENT and absent is not _CHECKED:
+                        if key in obj:
+                            raise _Invalid(f"must be {check.expected}, got null")
+                        values[key] = absent
+                        continue
+                if callable(check):
+                    value = check(value)
+                else:
+                    name = f"{path}.{key}" if path else key
+                    value = check.read(value, name, errors, lenient)
+            except _Invalid as exc:
+                errors.append(f"{path}.{key}: {exc}" if path else f"{key}: {exc}")
+            values[key] = value
+        return self.build(values) if len(errors) == before else None
+
+
+class _Each(NamedTuple):
+    """Items of one object kind, by index in an array or, ``keyed``, by node id."""
+
+    item: _Object
+    keyed: bool = False
+
+    def read(self, value: Any, path: str, errors: list[str], lenient: bool) -> Any:
+        shape, expected = (dict, "an object") if self.keyed else (list, "an array")
+        if not isinstance(value, shape):
+            raise _Invalid(f"must be {expected}, got {_type_name(value)}")
+        before = len(errors)
+        built = {}
+        for key, item in value.items() if self.keyed else enumerate(value):
+            name = f"{path}.{key}" if self.keyed else f"{path}[{key}]"
+            try:
+                built[key] = self.item.read(item, name, errors, lenient)
+            except _Invalid as exc:
+                errors.append(f"{name}: {exc}")
+        return None if len(errors) > before else built
+
+
+class _Weights:
+    """``"equal"``, or an object of numbers keyed by node id."""
+
+    def read(self, value: Any, path: str, errors: list[str], lenient: bool) -> Any:
+        if value == "equal":
+            return WeightScheme.equal()
+        if not isinstance(value, dict):
+            got = repr(value) if isinstance(value, str) else _type_name(value)
+            raise _Invalid(f'must be "equal" or an object, got {got}')
+        weights = {}
+        for node_id, weight in value.items():
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                got = _type_name(weight)
+                errors.append(f"{path}.{node_id}: must be a number, got {got}")
+                continue
+            try:
+                weights[node_id] = float(weight)
+            except OverflowError:  # an integer past the float range reads as 1e400 does
+                weights[node_id] = math.inf if weight > 0 else -math.inf
+        return WeightScheme.explicit(weights) if len(weights) == len(value) else None
+
+
+def _must(expected: str, test: Callable[[Any], bool],
+          got: Callable[[Any], str] | None = None) -> Callable[[Any], Any]:
+    """A check that returns a value ``test`` accepts, else says what it must be."""
+
+    def check(value: Any) -> Any:
+        if test(value):
+            return value
+        raise _Invalid(f"must be {expected}" + (f", got {got(value)}" if got else ""))
+
+    check.expected = expected  # type: ignore[attr-defined]  # for the null rule
+    return check
+
+
+def _is_integer(value: Any) -> bool:
+    """The one integer rule: not ``true``, not ``3.0``; both scales are discrete."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _score(value: Any) -> int:
+    if not _is_integer(value):
+        raise _Invalid(f"must be an integer, got {_type_name(value)}")
+    if not SCORE_MIN <= value <= SCORE_MAX:
+        raise _Invalid(f"must be between {SCORE_MIN} and {SCORE_MAX}, got {value}")
     return value
 
 
-def _parse_asset(
-    raw: dict[str, Any], errors: list[str], *, lenient: bool
-) -> tuple[str, str]:
-    asset = raw.get("asset")
-    if asset is None:
-        errors.append("asset: required field missing")
-        return "", ""
-    if not isinstance(asset, dict):
-        errors.append(f"asset: must be an object, got {_type_name(asset)}")
-        return "", ""
-    for key in sorted(set(asset) - {"name", "version"}):
-        if lenient:
-            logger.warning("ignoring unknown field: asset.%s", key)
-        else:
-            errors.append(f"asset.{key}: unknown field")
-    name = asset.get("name")
-    version = asset.get("version")
-    if not isinstance(name, str) or not name:
-        errors.append("asset.name: must be a non-empty string")
-        name = ""
-    if not isinstance(version, str):
-        errors.append("asset.version: must be a string")
-        version = ""
-    return name, version
+_KIND_VALUES = {kind.value for kind in NodeKind}
+_string = _must("a string", lambda v: isinstance(v, str), _type_name)
+_text = _must("a string", lambda v: isinstance(v, str))
+_name = _must("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_kind = _must(
+    "one of " + ", ".join(sorted(_KIND_VALUES)),
+    lambda v: isinstance(v, str) and v in _KIND_VALUES,
+    repr,
+)
+_strings = _must(
+    "an array of strings",
+    lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
+)
+_precision = _must(
+    "an integer between 0 and 12", lambda v: _is_integer(v) and 0 <= v <= 12, repr
+)
 
 
-def _parse_date(raw: dict[str, Any], errors: list[str]) -> date:
-    value = raw.get("assessed_at")
-    fallback = date(1970, 1, 1)
-    if value is None:
-        errors.append("assessed_at: required field missing")
-        return fallback
-    if not isinstance(value, str):
-        errors.append(f"assessed_at: must be a string, got {_type_name(value)}")
-        return fallback
+def _date(value: Any) -> date:
+    text = _string(value)
     # Day granularity only: exactly YYYY-MM-DD, no time component.
-    if len(value) != 10 or value[4] != "-" or value[7] != "-":
-        errors.append(f"assessed_at: must be an ISO-8601 date (YYYY-MM-DD), got {value!r}")
-        return fallback
+    if len(text) != 10 or text[4] != "-" or text[7] != "-":
+        raise _Invalid(f"must be an ISO-8601 date (YYYY-MM-DD), got {text!r}")
     try:
-        return date.fromisoformat(value)
+        return date.fromisoformat(text)
     except ValueError:
-        errors.append(f"assessed_at: not a valid calendar date: {value!r}")
-        return fallback
+        raise _Invalid(f"not a valid calendar date: {text!r}") from None
 
 
-def _parse_nodes(
-    raw: dict[str, Any], errors: list[str], *, lenient: bool
-) -> list[ContributionNode]:
-    value = raw.get("nodes")
-    if value is None:
-        errors.append("nodes: required field missing")
-        return []
-    if not isinstance(value, list):
-        errors.append(f"nodes: must be an array, got {_type_name(value)}")
-        return []
-    nodes: list[ContributionNode] = []
-    for i, item in enumerate(value):
-        path = f"nodes[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: must be an object, got {_type_name(item)}")
-            continue
-        for key in sorted(set(item) - set(_NODE_FIELDS)):
-            if lenient:
-                logger.warning("ignoring unknown field: %s.%s", path, key)
-            else:
-                errors.append(f"{path}.{key}: unknown field")
-        node_id = item.get("id")
-        kind = item.get("kind")
-        label = item.get("label")
-        description = item.get("description")
-        refs = item.get("evidence_refs")
-        ok = True
-        if not isinstance(node_id, str) or not node_id:
-            errors.append(f"{path}.id: must be a non-empty string")
-            ok = False
-        if not isinstance(kind, str) or kind not in _KIND_VALUES:
-            expected = ", ".join(sorted(_KIND_VALUES))
-            errors.append(f"{path}.kind: must be one of {expected}, got {kind!r}")
-            ok = False
-        if not isinstance(label, str):
-            errors.append(f"{path}.label: must be a string")
-            ok = False
-        if description is not None and not isinstance(description, str):
-            errors.append(f"{path}.description: must be a string")
-            ok = False
-        if refs is None:
-            refs = []
-        elif not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
-            errors.append(f"{path}.evidence_refs: must be an array of strings")
-            ok = False
-            refs = []
-        if ok:
-            nodes.append(
-                ContributionNode(
-                    id=node_id,
-                    kind=NodeKind(kind),
-                    label=label,
-                    description=description,
-                    evidence_refs=tuple(refs),
-                )
-            )
-    return nodes
-
-
-def _parse_edges(
-    raw: dict[str, Any], errors: list[str], *, lenient: bool
-) -> list[tuple[str, str]]:
-    value = raw.get("edges")
-    if value is None:
-        errors.append("edges: required field missing")
-        return []
-    if not isinstance(value, list):
-        errors.append(f"edges: must be an array, got {_type_name(value)}")
-        return []
-    edges: list[tuple[str, str]] = []
-    for i, item in enumerate(value):
-        path = f"edges[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: must be an object, got {_type_name(item)}")
-            continue
-        for key in sorted(set(item) - set(_EDGE_FIELDS)):
-            if lenient:
-                logger.warning("ignoring unknown field: %s.%s", path, key)
-            else:
-                errors.append(f"{path}.{key}: unknown field")
-        src = item.get("from")
-        dst = item.get("to")
-        ok = True
-        if not isinstance(src, str) or not src:
-            errors.append(f"{path}.from: must be a non-empty string")
-            ok = False
-        if not isinstance(dst, str) or not dst:
-            errors.append(f"{path}.to: must be a non-empty string")
-            ok = False
-        if ok:
-            edges.append((src, dst))
-    return edges
-
-
-def _parse_judgements(
-    raw: dict[str, Any], errors: list[str], *, lenient: bool
-) -> dict[str, Judgement]:
-    value = raw.get("judgements")
-    if value is None:
-        errors.append("judgements: required field missing")
-        return {}
-    if not isinstance(value, dict):
-        errors.append(f"judgements: must be an object, got {_type_name(value)}")
-        return {}
-    judgements: dict[str, Judgement] = {}
-    for node_id in value:
-        item = value[node_id]
-        path = f"judgements.{node_id}"
-        if not isinstance(item, dict):
-            errors.append(f"{path}: must be an object, got {_type_name(item)}")
-            continue
-        for key in sorted(set(item) - set(_JUDGEMENT_FIELDS)):
-            if lenient:
-                logger.warning("ignoring unknown field: %s.%s", path, key)
-            else:
-                errors.append(f"{path}.{key}: unknown field")
-        scores: dict[str, int] = {}
-        ok = True
-        for criterion in _JUDGEMENT_FIELDS:
-            score = item.get(criterion)
-            if score is None:
-                errors.append(f"{path}.{criterion}: required field missing")
-                ok = False
-            elif isinstance(score, bool) or not isinstance(score, int):
-                # 3.0 is rejected on purpose: the scale has four discrete levels.
-                errors.append(
-                    f"{path}.{criterion}: must be an integer, got {_type_name(score)}"
-                )
-                ok = False
-            elif not SCORE_MIN <= score <= SCORE_MAX:
-                errors.append(
-                    f"{path}.{criterion}: must be between {SCORE_MIN} and "
-                    f"{SCORE_MAX}, got {score}"
-                )
-                ok = False
-            else:
-                scores[criterion] = score
-        if ok:
-            judgements[node_id] = Judgement(**scores)
-    return judgements
-
-
-def _parse_weights(raw: dict[str, Any], errors: list[str]) -> WeightScheme:
-    value = raw.get("weights")
-    if value is None:
-        errors.append("weights: required field missing")
-        return WeightScheme.equal()
-    if value == "equal":
-        return WeightScheme.equal()
-    if isinstance(value, str):
-        errors.append(f'weights: must be "equal" or an object, got {value!r}')
-        return WeightScheme.equal()
-    if not isinstance(value, dict):
-        errors.append(
-            f'weights: must be "equal" or an object, got {_type_name(value)}'
-        )
-        return WeightScheme.equal()
-    weights: dict[str, float] = {}
-    ok = True
-    for node_id in value:
-        weight = value[node_id]
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-            errors.append(
-                f"weights.{node_id}: must be a number, got {_type_name(weight)}"
-            )
-            ok = False
-        else:
-            weights[node_id] = float(weight)
-    return WeightScheme.explicit(weights) if ok else WeightScheme.equal()
-
-
-def _parse_precision(raw: dict[str, Any], errors: list[str]) -> int:
-    value = raw.get("display_precision")
-    if value is None:
-        return 2
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= 12:
-        errors.append(
-            f"display_precision: must be an integer between 0 and 12, got {value!r}"
-        )
-        return 2
-    return value
+_ASSET = _Object({"name": (_name, _CHECKED), "version": (_text, _CHECKED)})
+_NODE = _Object({
+    "id": (_name, _CHECKED),
+    "kind": (_kind, _CHECKED),
+    "label": (_text, _CHECKED),
+    "description": (_text, None),
+    "evidence_refs": (_strings, ()),
+}, lambda fields: ContributionNode(**fields))
+_EDGE = _Object(
+    {"from": (_name, _CHECKED), "to": (_name, _CHECKED)}, itemgetter("from", "to")
+)
+_JUDGEMENT = _Object({
+    "quantity": (_score, _REQUIRED),
+    "accuracy": (_score, _REQUIRED),
+    "freshness": (_score, _REQUIRED),
+}, lambda fields: Judgement(**fields))
+_DOCUMENT = _Object({
+    "schema_version": (_string, _PRESENT),
+    "asset": (_ASSET, _REQUIRED),
+    "assessed_at": (_date, _REQUIRED),
+    "assessor": (_string, _PRESENT),
+    "nodes": (_Each(_NODE), _REQUIRED),
+    "edges": (_Each(_EDGE), _REQUIRED),
+    "judgements": (_Each(_JUDGEMENT, keyed=True), _REQUIRED),
+    "weights": (_Weights(), _REQUIRED),
+    "display_precision": (_precision, 2),
+})

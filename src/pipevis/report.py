@@ -18,12 +18,11 @@ every body ends with exactly one newline.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .ingest import document_dict
+from .ingest import canonical_json, document_dict
 from .metrics import (
     RankEntry,
     SensitivityResult,
@@ -224,7 +223,7 @@ def render_machine(
         ],
         "overall_visibility": _sig15(report.overall),
     }
-    body = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    body = canonical_json(document)
     return RenderedReport(
         format=MACHINE_DOCUMENT, body=body, precision=report.display_precision
     )

@@ -162,3 +162,15 @@ def random_assessment(rng: random.Random, max_leaves: int = 12) -> Assessment:
         assessor=rng.choice(("audit", "platform", "procurement")),
         display_precision=rng.choice((2, 2, 2, 3, 4)),
     )
+
+
+def slots(doc):
+    """Every (container, key) pair of a decoded JSON document, depth first."""
+    stack = [doc]
+    while stack:
+        container = stack.pop()
+        keys = range(len(container)) if isinstance(container, list) else container
+        for key in list(keys):
+            yield container, key
+            if isinstance(container[key], (dict, list)):
+                stack.append(container[key])

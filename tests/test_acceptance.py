@@ -217,6 +217,34 @@ def test_criterion_7_round_trip_and_fuzz():
                 continue  # classified, as required
             assert parsed.graph.nodes, f"fuzz case {i} produced an empty assessment"
 
+        # Further input classes, one per case in turn, planted at a random
+        # place in a pooled document: deep nesting, integers around the
+        # 4300-digit limit, lone and paired surrogates in keys and values,
+        # and explicit nulls.
+        marker = "@planted@"
+        planted = json.dumps(marker)
+        surrogates = ["\ud800", "x\udfff", "\ud83d\ude00"]
+        for i in range(2_000):
+            doc = json.loads(rng.choice(pool))
+            container, key = rng.choice(list(helpers.slots(doc)))
+            style = i % 4
+            if style == 2 and isinstance(container, dict) and rng.random() < 0.5:
+                container[rng.choice(surrogates)] = container.pop(key)
+            else:
+                container[key] = [marker, marker, rng.choice(surrogates), None][style]
+            blob = json.dumps(doc, ensure_ascii=rng.random() < 0.5)
+            if style == 0:
+                depth = rng.choice([2, 50, 999, 5000, 100_000])
+                blob = blob.replace(planted, "[" * depth + "]" * depth)
+            elif style == 1:
+                digits = "9" * rng.choice([4299, 4300, 4301, 6000])
+                blob = blob.replace(planted, rng.choice(["", "-"]) + digits)
+            try:
+                parsed = parse_document(blob)
+            except DocumentError:
+                continue  # classified, as required
+            assert parse_document(serialize_document(parsed)) == parsed, i
+
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"round-trip suite took {elapsed:.1f} s"
 

@@ -235,6 +235,15 @@ class TestExitCodes:
         assert result.stderr.startswith("violation: ")
         assert "internal error" not in result.stderr
 
+    def test_lone_surrogate_is_data_error(self, samples):
+        doc = json.loads(open(samples["first_party"], "rb").read())
+        doc["assessor"] = "\ud800"
+        result = invoke(["score", "-", "--format", "machine"], input=json.dumps(doc))
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("violation: ")
+        assert "lone surrogate" in result.stderr
+
     def test_empty_stdin_is_data_error(self):
         result = invoke(["validate", "-"], input=b"")
         assert result.exit_code == 1

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import random
+import re
 from pathlib import Path
 
 import jsonschema
@@ -173,6 +175,49 @@ class TestSyntaxErrors:
         with pytest.raises(MalformedSyntaxError, match="digits"):
             parse(b"9" * 5000)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(assessor="\ud800"),
+            lambda doc: doc["nodes"][0].update(label="x\udc00y"),
+            lambda doc: doc["nodes"][0].update(evidence_refs=["\udbff"]),
+            lambda doc: doc.update({"\ud800": 1}),
+            lambda doc: doc["judgements"].update({"\ud83d": doc["judgements"]["DS"]}),
+        ],
+        ids=["value", "inner", "array_item", "key", "id_key"],
+    )
+    @pytest.mark.parametrize("as_bytes", [True, False], ids=["escaped", "str"])
+    def test_lone_surrogate_rejected(self, edit, as_bytes):
+        doc = valid_doc()
+        edit(doc)
+        # Escaped in the bytes, or a raw surrogate in a str argument.
+        if as_bytes:
+            blob = json.dumps(doc).encode("ascii")
+        else:
+            blob = json.dumps(doc, ensure_ascii=False)
+        with pytest.raises(MalformedSyntaxError, match="lone surrogate"):
+            parse_document(blob)
+
+    def test_surrogate_pair_round_trips(self):
+        doc = valid_doc()
+        doc["assessor"] = "\U0001f600 audit"
+        escaped = json.dumps(doc).encode("ascii")
+        assert b"\\ud83d\\ude00" in escaped
+        assessment = parse_document(escaped)
+        assert assessment.assessor == "\U0001f600 audit"
+        assert parse_document(serialize_document(assessment)) == assessment
+        assert parse_document(json.dumps(doc, ensure_ascii=False)) == assessment
+
+    def test_escaped_backslash_is_not_a_surrogate(self):
+        doc = valid_doc()
+        doc["assessor"] = "\\ud800"
+        assert parse_document(dumps(doc)).assessor == "\\ud800"
+
+    def test_rubric_duplicate_keys_rejected(self):
+        with pytest.raises(SchemaViolationError) as excinfo:
+            parse_rubric('{"a": 1, "a": 2}')
+        assert excinfo.value.violations == ("duplicate key: a",)
+
 
 class TestSchemaErrors:
     def test_root_must_be_object(self):
@@ -254,12 +299,34 @@ class TestSchemaErrors:
         with pytest.raises(SchemaViolationError, match="weights.DS"):
             parse_document(dumps(doc))
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_weight_past_the_float_range_is_not_finite(self, sign):
+        doc = valid_doc()
+        doc["weights"] = {"DS": 0.5, "H1": 0.25, "H2": 0.25}
+        text = dumps(doc).replace("0.5", sign + "9" * 400)
+        with pytest.raises(SemanticViolationError) as excinfo:
+            parse_document(text)
+        assert "non-finite weight for DS" in excinfo.value.violations
+
     @pytest.mark.parametrize("value", [13, -1, True, "2"])
     def test_bad_display_precision(self, value):
         doc = valid_doc()
         doc["display_precision"] = value
         with pytest.raises(SchemaViolationError, match="display_precision"):
             parse_document(dumps(doc))
+
+    @pytest.mark.parametrize(
+        ("path", "violation"),
+        [
+            ("display_precision",
+             "display_precision: must be an integer between 0 and 12, got null"),
+            ("nodes/0/description", "nodes[0].description: must be a string, got null"),
+            ("nodes/0/evidence_refs",
+             "nodes[0].evidence_refs: must be an array of strings, got null"),
+        ],
+    )
+    def test_explicit_null_for_optional_field_rejected(self, path, violation):
+        assert violations_of(edited({path: None})) == (violation,)
 
     def test_display_precision_defaults_to_two(self):
         doc = valid_doc()
@@ -289,6 +356,359 @@ class TestSchemaErrors:
         doc["nodes"][0]["colour"] = "red"
         with pytest.raises(SchemaViolationError, match=r"nodes\[0\].colour"):
             parse_document(dumps(doc))
+
+
+DELETE = object()
+KINDS = "DataSource, DerivedAsset, HumanContributor, OutputAsset"
+
+# One small malformed document per violation class of the field parser: the
+# edits to valid_doc() ("a/0/b" is doc["a"][0]["b"]; DELETE drops the key)
+# and the full violation tuple, text and order, in strict mode.
+VIOLATION_CLASSES = {
+    "schema_version_missing": (
+        {"schema_version": DELETE}, ("schema_version: required field missing",)
+    ),
+    "schema_version_null": (
+        {"schema_version": None}, ("schema_version: must be a string, got null",)
+    ),
+    "schema_version_integer": (
+        {"schema_version": 1}, ("schema_version: must be a string, got integer",)
+    ),
+    "unknown_top_level_sorted": (
+        {"zeta": 1, "alpha": None}, ("unknown field: alpha", "unknown field: zeta")
+    ),
+    "asset_missing": ({"asset": DELETE}, ("asset: required field missing",)),
+    "asset_null": ({"asset": None}, ("asset: required field missing",)),
+    "asset_string": ({"asset": "model"}, ("asset: must be an object, got string",)),
+    "asset_unknown_field": ({"asset/sku": "A-17"}, ("asset.sku: unknown field",)),
+    "asset_name_missing": (
+        {"asset/name": DELETE}, ("asset.name: must be a non-empty string",)
+    ),
+    "asset_name_empty": ({"asset/name": ""}, ("asset.name: must be a non-empty string",)),
+    "asset_name_null": ({"asset/name": None}, ("asset.name: must be a non-empty string",)),
+    "asset_version_missing": (
+        {"asset/version": DELETE}, ("asset.version: must be a string",)
+    ),
+    "asset_version_integer": ({"asset/version": 1}, ("asset.version: must be a string",)),
+    "assessed_at_missing": (
+        {"assessed_at": DELETE}, ("assessed_at: required field missing",)
+    ),
+    "assessed_at_null": ({"assessed_at": None}, ("assessed_at: required field missing",)),
+    "assessed_at_integer": (
+        {"assessed_at": 20250217}, ("assessed_at: must be a string, got integer",)
+    ),
+    "assessed_at_datetime": (
+        {"assessed_at": "2025-02-17T10:00:00"},
+        ("assessed_at: must be an ISO-8601 date (YYYY-MM-DD), got '2025-02-17T10:00:00'",),
+    ),
+    "assessed_at_slashes": (
+        {"assessed_at": "2025/02/17"},
+        ("assessed_at: must be an ISO-8601 date (YYYY-MM-DD), got '2025/02/17'",),
+    ),
+    "assessed_at_impossible": (
+        {"assessed_at": "2025-13-40"},
+        ("assessed_at: not a valid calendar date: '2025-13-40'",),
+    ),
+    "assessor_missing": ({"assessor": DELETE}, ("assessor: required field missing",)),
+    "assessor_null": ({"assessor": None}, ("assessor: must be a string, got null",)),
+    "assessor_integer": ({"assessor": 5}, ("assessor: must be a string, got integer",)),
+    "nodes_missing": ({"nodes": DELETE}, ("nodes: required field missing",)),
+    "nodes_null": ({"nodes": None}, ("nodes: required field missing",)),
+    "nodes_object": ({"nodes": {}}, ("nodes: must be an array, got object",)),
+    "node_integer": ({"nodes/0": 5}, ("nodes[0]: must be an object, got integer",)),
+    "node_null": ({"nodes/0": None}, ("nodes[0]: must be an object, got null",)),
+    "node_unknown_fields": (
+        {"nodes/0/colour": "red", "nodes/0/ag": 1},
+        ("nodes[0].ag: unknown field", "nodes[0].colour: unknown field"),
+    ),
+    "node_id_missing": (
+        {"nodes/0/id": DELETE}, ("nodes[0].id: must be a non-empty string",)
+    ),
+    "node_id_empty": ({"nodes/0/id": ""}, ("nodes[0].id: must be a non-empty string",)),
+    "node_id_null": ({"nodes/0/id": None}, ("nodes[0].id: must be a non-empty string",)),
+    "node_kind_missing": (
+        {"nodes/0/kind": DELETE}, (f"nodes[0].kind: must be one of {KINDS}, got None",)
+    ),
+    "node_kind_unknown": (
+        {"nodes/0/kind": "Wizard"},
+        (f"nodes[0].kind: must be one of {KINDS}, got 'Wizard'",),
+    ),
+    "node_kind_integer": (
+        {"nodes/0/kind": 5}, (f"nodes[0].kind: must be one of {KINDS}, got 5",)
+    ),
+    "node_label_missing": (
+        {"nodes/0/label": DELETE}, ("nodes[0].label: must be a string",)
+    ),
+    "node_label_null": ({"nodes/0/label": None}, ("nodes[0].label: must be a string",)),
+    "node_description_integer": (
+        {"nodes/0/description": 5}, ("nodes[0].description: must be a string",)
+    ),
+    "node_evidence_refs_string": (
+        {"nodes/0/evidence_refs": "doc"},
+        ("nodes[0].evidence_refs: must be an array of strings",),
+    ),
+    "node_evidence_refs_integers": (
+        {"nodes/0/evidence_refs": ["a", 1]},
+        ("nodes[0].evidence_refs: must be an array of strings",),
+    ),
+    "node_every_field_bad": (
+        {
+            "nodes/0": {
+                "id": 1, "kind": None, "label": [], "description": {},
+                "evidence_refs": 2, "x": 0,
+            }
+        },
+        (
+            "nodes[0].x: unknown field",
+            "nodes[0].id: must be a non-empty string",
+            f"nodes[0].kind: must be one of {KINDS}, got None",
+            "nodes[0].label: must be a string",
+            "nodes[0].description: must be a string",
+            "nodes[0].evidence_refs: must be an array of strings",
+        ),
+    ),
+    "edges_missing": ({"edges": DELETE}, ("edges: required field missing",)),
+    "edges_null": ({"edges": None}, ("edges: required field missing",)),
+    "edges_string": ({"edges": "DS->LD"}, ("edges: must be an array, got string",)),
+    "edge_array": ({"edges/0": ["DS", "LD"]}, ("edges[0]: must be an object, got array",)),
+    "edge_unknown_field": ({"edges/0/weight": 1}, ("edges[0].weight: unknown field",)),
+    "edge_from_missing": (
+        {"edges/0/from": DELETE}, ("edges[0].from: must be a non-empty string",)
+    ),
+    "edge_from_empty": (
+        {"edges/0/from": ""}, ("edges[0].from: must be a non-empty string",)
+    ),
+    "edge_to_integer": ({"edges/0/to": 5}, ("edges[0].to: must be a non-empty string",)),
+    "judgements_missing": (
+        {"judgements": DELETE}, ("judgements: required field missing",)
+    ),
+    "judgements_null": ({"judgements": None}, ("judgements: required field missing",)),
+    "judgements_array": (
+        {"judgements": []}, ("judgements: must be an object, got array",)
+    ),
+    "judgement_integer": (
+        {"judgements/DS": 3}, ("judgements.DS: must be an object, got integer",)
+    ),
+    "judgement_null": (
+        {"judgements/DS": None}, ("judgements.DS: must be an object, got null",)
+    ),
+    "judgement_unknown_field": (
+        {"judgements/DS/notes": "x"}, ("judgements.DS.notes: unknown field",)
+    ),
+    "score_missing": (
+        {"judgements/DS/accuracy": DELETE},
+        ("judgements.DS.accuracy: required field missing",),
+    ),
+    "score_null": (
+        {"judgements/DS/accuracy": None},
+        ("judgements.DS.accuracy: required field missing",),
+    ),
+    "score_float": (
+        {"judgements/DS/freshness": 3.0},
+        ("judgements.DS.freshness: must be an integer, got number",),
+    ),
+    "score_boolean": (
+        {"judgements/DS/accuracy": True},
+        ("judgements.DS.accuracy: must be an integer, got boolean",),
+    ),
+    "score_string": (
+        {"judgements/DS/quantity": "3"},
+        ("judgements.DS.quantity: must be an integer, got string",),
+    ),
+    "score_too_high": (
+        {"judgements/DS/quantity": 5},
+        ("judgements.DS.quantity: must be between 1 and 4, got 5",),
+    ),
+    "score_too_low": (
+        {"judgements/DS/quantity": 0},
+        ("judgements.DS.quantity: must be between 1 and 4, got 0",),
+    ),
+    "weights_missing": ({"weights": DELETE}, ("weights: required field missing",)),
+    "weights_null": ({"weights": None}, ("weights: required field missing",)),
+    "weights_other_string": (
+        {"weights": "uniform"}, ("weights: must be \"equal\" or an object, got 'uniform'",)
+    ),
+    "weights_array": (
+        {"weights": [0.5, 0.5]}, ('weights: must be "equal" or an object, got array',)
+    ),
+    "weight_values": (
+        {"weights": {"DS": "heavy", "H1": None, "H2": True, "LD": 1}},
+        (
+            "weights.DS: must be a number, got string",
+            "weights.H1: must be a number, got null",
+            "weights.H2: must be a number, got boolean",
+        ),
+    ),
+    "display_precision_too_high": (
+        {"display_precision": 13},
+        ("display_precision: must be an integer between 0 and 12, got 13",),
+    ),
+    "display_precision_negative": (
+        {"display_precision": -1},
+        ("display_precision: must be an integer between 0 and 12, got -1",),
+    ),
+    "display_precision_boolean": (
+        {"display_precision": True},
+        ("display_precision: must be an integer between 0 and 12, got True",),
+    ),
+    "display_precision_string": (
+        {"display_precision": "2"},
+        ("display_precision: must be an integer between 0 and 12, got '2'",),
+    ),
+    "display_precision_float": (
+        {"display_precision": 3.0},
+        ("display_precision: must be an integer between 0 and 12, got 3.0",),
+    ),
+}
+
+# Every class at once, to pin the order across object kinds.
+EVERYTHING_AT_ONCE = {
+    "zz": 1, "aa": 2, "asset/name": "", "asset/q": 0, "assessed_at": "today",
+    "assessor": DELETE, "nodes/0/id": "", "nodes/0/colour": "red", "nodes/2": "H2",
+    "edges/0/to": None, "edges/1/w": 1, "judgements/DS/quantity": 9,
+    "judgements/DS/n": 1, "judgements/H1": [], "weights": {"DS": "x", "H1": 1},
+    "display_precision": 99,
+}
+AT_ONCE_VIOLATIONS = (
+    "unknown field: aa",
+    "unknown field: zz",
+    "asset.q: unknown field",
+    "asset.name: must be a non-empty string",
+    "assessed_at: must be an ISO-8601 date (YYYY-MM-DD), got 'today'",
+    "assessor: required field missing",
+    "nodes[0].colour: unknown field",
+    "nodes[0].id: must be a non-empty string",
+    "nodes[2]: must be an object, got string",
+    "edges[0].to: must be a non-empty string",
+    "edges[1].w: unknown field",
+    "judgements.DS.n: unknown field",
+    "judgements.DS.quantity: must be between 1 and 4, got 9",
+    "judgements.H1: must be an object, got array",
+    "weights.DS: must be a number, got string",
+    "display_precision: must be an integer between 0 and 12, got 99",
+)
+
+
+def edited(edits: dict) -> dict:
+    doc = valid_doc()
+    for path, value in edits.items():
+        *parents, last = [int(s) if s.isdigit() else s for s in path.split("/")]
+        target = doc
+        for step in parents:
+            target = target[step]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+    return doc
+
+
+def violations_of(doc: object, *, lenient: bool = False) -> tuple[str, ...]:
+    with pytest.raises(SchemaViolationError) as excinfo:
+        parse_document(dumps(doc), lenient=lenient)
+    return excinfo.value.violations
+
+
+class TestViolationCharacterization:
+    """The field parser's violations, text and order, for each class it emits."""
+
+    @pytest.mark.parametrize(
+        ("edits", "expected"),
+        list(VIOLATION_CLASSES.values()),
+        ids=list(VIOLATION_CLASSES),
+    )
+    def test_violation_class(self, edits, expected):
+        assert violations_of(edited(edits)) == expected
+
+    def test_root_must_be_an_object(self):
+        assert violations_of([1]) == ("document root must be an object, got array",)
+
+    def test_every_class_at_once_in_document_order(self):
+        assert violations_of(edited(EVERYTHING_AT_ONCE)) == AT_ONCE_VIOLATIONS
+
+    def test_lenient_logs_unknown_fields_in_document_order(self, caplog):
+        unknown = [v for v in AT_ONCE_VIOLATIONS if "unknown field" in v]
+        with caplog.at_level(logging.WARNING, logger="pipevis.ingest"):
+            assert violations_of(edited(EVERYTHING_AT_ONCE), lenient=True) == tuple(
+                v for v in AT_ONCE_VIOLATIONS if v not in unknown
+            )
+        assert [record.getMessage() for record in caplog.records] == [
+            "ignoring unknown field: "
+            + v.removeprefix("unknown field: ").removesuffix(": unknown field")
+            for v in unknown
+        ]
+
+
+# Values a mutation may put anywhere: every JSON type, integral and
+# fractional numbers, empty and enum-like strings, and impossible dates.
+RETYPES = (
+    None, True, False, 0, 1, 3, 5, -1, 3.0, 2.5, 12.0, "", "x", "equal",
+    "1.0", "DataSource", "2025-02-30", "2025-02-17", [], ["a"], [1], {}, {"a": 1},
+)
+# The one class the parser rejects and the schema accepts: an integral
+# number token such as 3.0 where an integer is expected.
+INTEGRAL_FLOAT = re.compile(
+    r"judgements\..+: must be an integer, got number"
+    r"|display_precision: must be an integer between 0 and 12, got -?\d+\.0"
+)
+
+
+def mutate(doc, rng):
+    """Drop, null, retype or add a field, put a surrogate in, or turn an
+    integer into an integral float, 1-3 times."""
+    for _ in range(rng.randrange(1, 4)):
+        pairs = list(helpers.slots(doc))
+        container, key = rng.choice(pairs)
+        integers = [(c, k) for c, k in pairs if type(c[k]) is int]
+        op = rng.randrange(6)
+        if op == 5 and integers:
+            container, key = rng.choice(integers)
+            container[key] = float(container[key])
+        elif op == 0 and isinstance(container, dict):
+            del container[key]
+        elif op == 1:
+            container[key] = None
+        elif op == 2:
+            container[key] = copy.deepcopy(rng.choice(RETYPES))
+        elif op == 3:
+            objects = [doc] + [c[k] for c, k in pairs if isinstance(c[k], dict)]
+            rng.choice(objects)[rng.choice(["extra", "x", "id"])] = 1
+        else:
+            container[key] = rng.choice(["\ud800", "a\udfff", "\U0001f600"])
+
+
+class TestSchemaDifferential:
+    def test_parser_agrees_with_schema_on_mutated_samples(
+        self, samples_dir, assessment_schema
+    ):
+        validator = jsonschema.Draft202012Validator(
+            assessment_schema,
+            format_checker=jsonschema.Draft202012Validator.FORMAT_CHECKER,
+        )
+        bases = [
+            json.loads(path.read_bytes()) for path in sorted(samples_dir.glob("*.json"))
+        ]
+        rng = random.Random(3301)
+        outcomes = {"accepted": 0, "schema": 0, "integral float": 0}
+        for i in range(1500):
+            doc = copy.deepcopy(rng.choice(bases))
+            mutate(doc, rng)
+            try:
+                parse_document(json.dumps(doc))
+            except (SchemaViolationError, UnknownSchemaVersionError) as exc:
+                if not validator.is_valid(doc):
+                    outcomes["schema"] += 1
+                    continue
+                assert all(INTEGRAL_FLOAT.fullmatch(v) for v in exc.violations), (
+                    i, exc.violations
+                )
+                outcomes["integral float"] += 1
+            except DocumentError:
+                continue
+            else:
+                assert validator.is_valid(doc), (i, doc)
+                outcomes["accepted"] += 1
+        assert all(outcomes.values()), outcomes
 
 
 class TestLenientMode:
