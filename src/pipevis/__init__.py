@@ -14,9 +14,7 @@ from .ingest import (
     SemanticViolationError,
     UnknownSchemaVersionError,
     parse_document,
-    parse_rubric,
     serialize_document,
-    serialize_rubric,
 )
 from .metrics import (
     DegenerateWeightsError,
@@ -41,14 +39,12 @@ from .model import (
     ContributionNode,
     Criterion,
     InvalidAssessmentError,
-    InvalidGraphError,
     Judgement,
     NodeKind,
     PipelineGraph,
     RUBRIC,
     ValidationResult,
     WeightScheme,
-    leaf_nodes,
     rubric_text,
     validate_assessment,
     validate_graph,
@@ -78,14 +74,12 @@ __all__ = [
     "ContributionNode",
     "Criterion",
     "InvalidAssessmentError",
-    "InvalidGraphError",
     "Judgement",
     "NodeKind",
     "PipelineGraph",
     "RUBRIC",
     "ValidationResult",
     "WeightScheme",
-    "leaf_nodes",
     "rubric_text",
     "validate_assessment",
     "validate_graph",
@@ -113,9 +107,7 @@ __all__ = [
     "SemanticViolationError",
     "UnknownSchemaVersionError",
     "parse_document",
-    "parse_rubric",
     "serialize_document",
-    "serialize_rubric",
     # report
     "EmptyInputError",
     "KeyMismatchError",

@@ -81,7 +81,7 @@ def _load(stream: IO[bytes], *, lenient: bool, label: str | None = None) -> Asse
 
 
 def _parse_set_spec(spec: str) -> tuple[str, Judgement]:
-    node_id, sep, scores = spec.partition(":")
+    node_id, sep, scores = spec.rpartition(":")
     if not sep or not node_id:
         raise click.UsageError(f"malformed --set {spec!r}: expected ID:Q,A,F")
     parts = scores.split(",")
@@ -104,7 +104,7 @@ def _parse_weights_spec(spec: str) -> WeightScheme:
         return WeightScheme.equal()
     weights: dict[str, float] = {}
     for item in spec.split(","):
-        key, sep, value = item.partition("=")
+        key, sep, value = item.rpartition("=")
         if not sep or not key:
             raise click.UsageError(
                 f"malformed --weights entry {item!r}: expected id=number"

@@ -11,8 +11,9 @@ violation list from :func:`~pipevis.model.validate_assessment`.
 One field table gives each object kind (top level, asset, node, edge,
 judgement) its keys and one check per key. The parser accepts what the schema
 accepts, except ``3.0`` as an integer; it rejects duplicate keys, lone
-surrogates (``"\\ud800"``), unknown keys and an explicit ``null`` for an
-optional key. ``lenient=True`` only downgrades unknown keys to warnings.
+surrogates (``"\\ud800"``), the non-JSON tokens ``NaN`` and ``Infinity``,
+unknown keys and an explicit ``null`` for an optional key. ``lenient=True``
+only downgrades unknown keys to warnings.
 
 Serialization is canonical: fixed key order, nodes and edges sorted by id,
 ``"equal"`` for equal weighting, 2-space indentation and a trailing
@@ -34,12 +35,10 @@ from typing import Any, NamedTuple
 from .model import (
     Assessment,
     ContributionNode,
-    Criterion,
     InvalidAssessmentError,
     Judgement,
     NodeKind,
     PipelineGraph,
-    RUBRIC,
     SCORE_MAX,
     SCORE_MIN,
     WeightScheme,
@@ -99,11 +98,19 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
+def _reject_constant(token: str) -> Any:
+    raise MalformedSyntaxError(f"{token} is not valid JSON")
+
+
 def _load_json(data: bytes | bytearray | str) -> Any:
     """Decode UTF-8 JSON, mapping every decoding failure to a DocumentError."""
     try:
         text = data if isinstance(data, str) else bytes(data).decode("utf-8")
-        value = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        value = json.loads(
+            text,
+            object_pairs_hook=_reject_duplicate_keys,
+            parse_constant=_reject_constant,
+        )
         # A lone surrogate, from a str argument or a \\u escape, fails to encode.
         if isinstance(data, str) or re.search(r"\\u[dD][89a-fA-F]", text):
             json.dumps(value, ensure_ascii=False).encode("utf-8")
@@ -115,7 +122,7 @@ def _load_json(data: bytes | bytearray | str) -> Any:
     except UnicodeEncodeError as exc:
         surrogate = exc.object[exc.start]
         raise MalformedSyntaxError(f"lone surrogate {surrogate!r} in a string") from None
-    except SchemaViolationError:  # a duplicate key, from the hook
+    except DocumentError:  # a duplicate key or NaN/Infinity, from the hooks
         raise
     except json.JSONDecodeError as exc:
         raise MalformedSyntaxError(exc.msg, exc.lineno, exc.colno) from None
@@ -220,50 +227,6 @@ def document_dict(assessment: Assessment) -> dict[str, Any]:
         "weights": weights,
         "display_precision": assessment.display_precision,
     }
-
-
-def serialize_rubric(rubric: Mapping[tuple[Criterion, int], str] = RUBRIC) -> bytes:
-    """Canonical JSON dump of the 12-cell judgement rubric."""
-    body = {
-        criterion.value: {
-            str(level): rubric[(criterion, level)]
-            for level in range(SCORE_MIN, SCORE_MAX + 1)
-        }
-        for criterion in Criterion
-    }
-    document = {"schema_version": SCHEMA_VERSION, "rubric": body}
-    return canonical_json(document).encode("utf-8")
-
-
-def parse_rubric(data: bytes | bytearray | str) -> dict[tuple[Criterion, int], str]:
-    """Inverse of :func:`serialize_rubric`; raises the same classified errors."""
-    raw = _load_json(data)
-    errors: list[str] = []
-    if not isinstance(raw, dict):
-        raise SchemaViolationError(["rubric document root must be an object"])
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise UnknownSchemaVersionError(raw.get("schema_version"))
-    body = raw.get("rubric")
-    if not isinstance(body, dict):
-        raise SchemaViolationError(["rubric: must be an object"])
-
-    cells: dict[tuple[Criterion, int], str] = {}
-    for criterion in Criterion:
-        levels = body.get(criterion.value)
-        if not isinstance(levels, dict):
-            errors.append(f"rubric.{criterion.value}: must be an object")
-            continue
-        for level in range(SCORE_MIN, SCORE_MAX + 1):
-            text_value = levels.get(str(level))
-            if not isinstance(text_value, str) or not text_value:
-                errors.append(
-                    f"rubric.{criterion.value}.{level}: must be a non-empty string"
-                )
-            else:
-                cells[(criterion, level)] = text_value
-    if errors:
-        raise SchemaViolationError(errors)
-    return cells
 
 
 def canonical_json(document: Mapping[str, Any]) -> str:

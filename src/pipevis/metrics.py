@@ -196,11 +196,6 @@ def overall_visibility(assessment: Assessment) -> VisibilityReport:
     violation) if the assessment does not validate.
     """
     _require_valid(assessment)
-    return _score(assessment)
-
-
-def _score(assessment: Assessment) -> VisibilityReport:
-    """``overall_visibility`` of an assessment the caller has validated."""
     leaf_ids = assessment.graph.leaf_ids()
     weights = assessment.weights.resolve(leaf_ids)
     return _weighted_report(assessment, leaf_ids, weights, assessment.weights)
@@ -252,7 +247,7 @@ def rank(assessments: Sequence[Assessment]) -> list[RankEntry]:
     for assessment in assessments:
         subject = f"{assessment.asset_name} {assessment.asset_version}"
         _require_valid(assessment, subject=subject)
-        report = _score(assessment)
+        report = overall_visibility(assessment)
         min_vis = min(row.visibility_index for row in report.per_node)
         scored.append((assessment, report.overall, min_vis))
     scored.sort(
@@ -303,7 +298,7 @@ def sensitivity(
     result = validate_assessment(modified_assessment)
     if not result.ok:
         raise InvalidWeightsError(result.violations)
-    modified = _score(modified_assessment)
+    modified = overall_visibility(modified_assessment)
 
     node_deltas = {
         after.node_id: after.visibility_index - before.visibility_index

@@ -13,9 +13,9 @@ Validation here is collecting, not fail-fast: :func:`validate_graph` and
 deterministic order, so a document author can fix them in one pass.
 
 A :class:`PipelineGraph` is immutable, so its structure (reverse adjacency,
-leaf ids) and its violations are computed once per graph, on first use.
-Assessment checks are not cached: ``judgements`` and explicit ``weights``
-are plain mutable mappings, so :func:`validate_assessment` re-reads them.
+leaf ids) and its violations are computed once per graph, on first use. An
+:class:`Assessment` is immutable too (its judgements and explicit weights are
+read-only mappings), so its violations are computed once per assessment.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime
 from functools import cached_property
+from types import MappingProxyType
 
 SCORE_MIN = 1
 SCORE_MAX = 4
@@ -164,16 +165,37 @@ class PipelineGraph:
         return list(self._leaves)
 
 
+def _init_args(instance: object) -> tuple[object, ...]:
+    """Field values to rebuild ``instance`` through ``__init__``.
+
+    Read-only mappings are passed as dicts: a ``MappingProxyType`` can be
+    neither pickled nor deep-copied.
+    """
+    values = (getattr(instance, field.name) for field in fields(instance))
+    return tuple(
+        dict(value) if isinstance(value, MappingProxyType) else value
+        for value in values
+    )
+
+
 @dataclass(frozen=True)
 class WeightScheme:
     """Per-leaf weighting for the overall index: equal, or an explicit map.
 
     Equal weighting is semantically an explicit ``1/M`` vector over the M
     leaves; :meth:`resolve` produces exactly those floats so both schemes
-    share one arithmetic path.
+    share one arithmetic path. Explicit weights are kept in a read-only
+    mapping over a private copy.
     """
 
     weights: Mapping[str, float] | None = None
+
+    def __post_init__(self) -> None:
+        if self.weights is not None:
+            object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+
+    def __reduce__(self) -> tuple[object, ...]:
+        return type(self), _init_args(self)
 
     @classmethod
     def equal(cls) -> WeightScheme:
@@ -197,7 +219,13 @@ class WeightScheme:
 
 @dataclass(frozen=True)
 class Assessment:
-    """A dated, attributed binding of a graph, its judgements and weights."""
+    """A dated, attributed binding of a graph, its judgements and weights.
+
+    Judgements are kept in a read-only mapping over a private copy. The
+    violations are derived once, on first use, and kept on the instance
+    outside equality, repr and pickling; :func:`dataclasses.replace` yields
+    an assessment that is checked anew.
+    """
 
     graph: PipelineGraph
     judgements: Mapping[str, Judgement]
@@ -209,7 +237,7 @@ class Assessment:
     display_precision: int = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "judgements", dict(self.judgements))
+        object.__setattr__(self, "judgements", MappingProxyType(dict(self.judgements)))
         if isinstance(self.assessed_at, datetime) or not isinstance(
             self.assessed_at, date
         ):
@@ -226,6 +254,13 @@ class Assessment:
                 f"got {self.display_precision!r}"
             )
 
+    def __reduce__(self) -> tuple[object, ...]:
+        return type(self), _init_args(self)
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        return validate_graph(self.graph).violations + _assessment_violations(self)
+
 
 @dataclass(frozen=True)
 class ValidationResult:
@@ -236,14 +271,6 @@ class ValidationResult:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-class InvalidGraphError(ValueError):
-    """A graph operation was called on a structurally invalid graph."""
-
-    def __init__(self, violations: Sequence[str]):
-        self.violations = tuple(violations)
-        super().__init__("invalid pipeline graph: " + "; ".join(self.violations))
 
 
 class InvalidAssessmentError(ValueError):
@@ -317,28 +344,22 @@ def _graph_violations(graph: PipelineGraph) -> tuple[str, ...]:
     return tuple(violations)
 
 
-def leaf_nodes(graph: PipelineGraph) -> list[ContributionNode]:
-    """The judged entities: nodes with no incoming edges, sorted by id.
-
-    Raises :class:`InvalidGraphError` if the graph fails validation.
-    """
-    result = validate_graph(graph)
-    if not result.ok:
-        raise InvalidGraphError(result.violations)
-    leaves = set(graph.leaf_ids())
-    return [node for node in graph.nodes if node.id in leaves]
-
-
 def validate_assessment(assessment: Assessment) -> ValidationResult:
     """Check graph validity, judgement coverage and the weight scheme.
 
     Judgements must be keyed by exactly the leaf-node ids (derived assets
     inherit their rating from their contributors, so giving them one would
     double count). Explicit weights must cover exactly the leaves and sum
-    to 1 within ``WEIGHT_SUM_TOLERANCE``.
+    to 1 within ``WEIGHT_SUM_TOLERANCE``. Violations are computed on the
+    first call for an assessment and reused after it.
     """
+    return ValidationResult(assessment._violations)
+
+
+def _assessment_violations(assessment: Assessment) -> tuple[str, ...]:
+    """Judgement coverage and weight checks, reported after the graph's."""
     graph = assessment.graph
-    violations = list(validate_graph(graph).violations)
+    violations: list[str] = []
 
     known = graph.node_ids()
     leaf_ids = set(graph.leaf_ids())
@@ -377,7 +398,7 @@ def validate_assessment(assessment: Assessment) -> ValidationResult:
         elif missing or extra:
             violations.append(f"weights sum {total!r} but key set incomplete")
 
-    return ValidationResult(tuple(violations))
+    return tuple(violations)
 
 
 def _cyclic_components(graph: PipelineGraph) -> list[list[str]]:

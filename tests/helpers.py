@@ -4,6 +4,8 @@ property and round-trip suites."""
 
 from __future__ import annotations
 
+import copy
+import json
 import random
 from datetime import date, timedelta
 
@@ -174,3 +176,11 @@ def slots(doc):
             yield container, key
             if isinstance(container[key], (dict, list)):
                 stack.append(container[key])
+
+
+def with_bare_token(doc: dict, field: str, token: str) -> str:
+    """``doc`` as JSON text with the unquoted ``token`` (such as ``NaN``) as
+    its ``schema_version``, or, for ``weights``, as the weight of node DS."""
+    doc = copy.deepcopy(doc)
+    doc[field] = {"DS": "@token"} if field == "weights" else "@token"
+    return json.dumps(doc).replace('"@token"', token)

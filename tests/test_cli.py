@@ -8,6 +8,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import helpers
 from pipevis.cli import main
 
 
@@ -196,6 +197,24 @@ class TestWhatif:
         assert result.exit_code == 0
         assert result.stdout.splitlines()[-1] == "Delta | 0.00"
 
+    def test_ids_with_colon_and_equals_are_addressable(self, tmp_path, samples):
+        text = open(samples["later"], encoding="utf-8").read()
+        renamed = text.replace('"DS"', '"src:a"').replace('"H1"', '"h=1"')
+        path = tmp_path / "renamed.json"
+        path.write_text(renamed, encoding="utf-8")
+        for flags, renamed_flags in [
+            (["--set", "DS:3,3,3"], ["--set", "src:a:3,3,3"]),
+            (["--set", "H1:1,1,1"], ["--set", "h=1:1,1,1"]),
+            (
+                ["--weights", "DS=0.8,H1=0.1,H2=0.1"],
+                ["--weights", "src:a=0.8,h=1=0.1,H2=0.1"],
+            ),
+        ]:
+            expected = invoke(["whatif", samples["later"], *flags])
+            result = invoke(["whatif", str(path), *renamed_flags])
+            assert expected.exit_code == result.exit_code == 0, result.stderr
+            assert result.stdout == expected.stdout
+
 
 class TestRubric:
     def test_contains_scale_text(self):
@@ -243,6 +262,16 @@ class TestExitCodes:
         assert result.stdout == ""
         assert result.stderr.startswith("violation: ")
         assert "lone surrogate" in result.stderr
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["weights", "schema_version"])
+    def test_non_json_token_is_data_error(self, samples, field, token):
+        doc = json.loads(open(samples["first_party"], "rb").read())
+        result = invoke(
+            ["validate", "-"], input=helpers.with_bare_token(doc, field, token)
+        )
+        assert result.exit_code == 1
+        assert result.stderr == f"violation: {token} is not valid JSON\n"
 
     def test_empty_stdin_is_data_error(self):
         result = invoke(["validate", "-"], input=b"")

@@ -17,15 +17,12 @@ from pipevis import (
     DocumentError,
     InvalidAssessmentError,
     MalformedSyntaxError,
-    RUBRIC,
     SchemaViolationError,
     SemanticViolationError,
     UnknownSchemaVersionError,
     overall_visibility,
     parse_document,
-    parse_rubric,
     serialize_document,
-    serialize_rubric,
 )
 
 
@@ -157,14 +154,14 @@ class TestSyntaxErrors:
         with pytest.raises(SchemaViolationError, match="duplicate key"):
             parse_document(doc)
 
-    @pytest.mark.parametrize("parse", [parse_document, parse_rubric])
+    @pytest.mark.parametrize("parse", [parse_document])
     def test_deep_nesting(self, parse):
         with pytest.raises(MalformedSyntaxError, match="nested too deeply"):
             parse("[" * 100000)
         with pytest.raises(MalformedSyntaxError, match="nested too deeply"):
             parse(b'{"schema_version": ' + b"[" * 100000)
 
-    @pytest.mark.parametrize("parse", [parse_document, parse_rubric])
+    @pytest.mark.parametrize("parse", [parse_document])
     def test_integer_past_the_digit_limit(self, parse):
         text = dumps(valid_doc()).replace(
             '"display_precision": 2', '"display_precision": ' + "1" * 5000
@@ -213,10 +210,13 @@ class TestSyntaxErrors:
         doc["assessor"] = "\\ud800"
         assert parse_document(dumps(doc)).assessor == "\\ud800"
 
-    def test_rubric_duplicate_keys_rejected(self):
-        with pytest.raises(SchemaViolationError) as excinfo:
-            parse_rubric('{"a": 1, "a": 2}')
-        assert excinfo.value.violations == ("duplicate key: a",)
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["weights", "schema_version"])
+    def test_non_json_token_rejected(self, field, token):
+        text = helpers.with_bare_token(valid_doc(), field, token)
+        with pytest.raises(MalformedSyntaxError) as excinfo:
+            parse_document(text)
+        assert excinfo.value.violations == (f"{token} is not valid JSON",)
 
 
 class TestSchemaErrors:
@@ -793,24 +793,3 @@ class TestFuzzSafety:
                 continue
             assert assessment.graph.nodes, f"case {i} produced a bogus assessment"
 
-
-class TestRubricDocuments:
-    def test_round_trip(self):
-        assert parse_rubric(serialize_rubric()) == RUBRIC
-
-    def test_serialized_rubric_is_stable(self):
-        assert serialize_rubric() == serialize_rubric()
-
-    def test_missing_cell_rejected(self):
-        doc = json.loads(serialize_rubric())
-        del doc["rubric"]["quantity"]["3"]
-        with pytest.raises(SchemaViolationError, match="rubric.quantity.3"):
-            parse_rubric(json.dumps(doc))
-
-    def test_malformed_rubric(self):
-        with pytest.raises(MalformedSyntaxError):
-            parse_rubric(b"not json")
-
-    def test_wrong_version(self):
-        with pytest.raises(UnknownSchemaVersionError):
-            parse_rubric(b'{"schema_version": "2.0", "rubric": {}}')

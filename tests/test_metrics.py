@@ -497,3 +497,31 @@ class TestOneWalkPerGraph:
         sensitivity(assessment, {"DS": helpers.THREES})
         assert serialize_document(assessment) == data
         assert len(calls) == 1
+
+
+class TestOneCheckPerAssessment:
+    def test_review_checks_each_assessment_once(self, samples_dir, monkeypatch):
+        checked = []
+        check = model._assessment_violations
+
+        def counted(assessment):
+            checked.append(assessment)
+            return check(assessment)
+
+        monkeypatch.setattr(model, "_assessment_violations", counted)
+        data = (samples_dir / "first_party_later.json").read_bytes()
+        assessment = parse_document(data)
+        overall_visibility(assessment)
+        derived = [
+            n.id
+            for n in assessment.graph.nodes
+            if n.kind is model.NodeKind.DERIVED_ASSET
+        ]
+        assert derived
+        for node_id in derived:
+            derived_asset_visibility(assessment, node_id)
+        sensitivity(assessment, {"DS": helpers.THREES})
+        assert serialize_document(assessment) == data
+        assert len(checked) == 2
+        assert checked[0] is assessment
+        assert checked[1].judgements["DS"] == helpers.THREES

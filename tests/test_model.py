@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import pickle
 import random
 from dataclasses import replace
@@ -15,13 +16,11 @@ from pipevis import (
     Assessment,
     ContributionNode,
     Criterion,
-    InvalidGraphError,
     Judgement,
     NodeKind,
     PipelineGraph,
     RUBRIC,
     WeightScheme,
-    leaf_nodes,
     rubric_text,
     validate_assessment,
     validate_graph,
@@ -271,22 +270,6 @@ class TestValidateGraph:
         assert not first.ok
 
 
-class TestLeafNodes:
-    def test_returns_sorted_leaf_nodes(self, example_graph):
-        leaves = leaf_nodes(example_graph)
-        assert [n.id for n in leaves] == ["DS", "H1", "H2"]
-        assert all(
-            n.kind in (NodeKind.DATA_SOURCE, NodeKind.HUMAN_CONTRIBUTOR)
-            for n in leaves
-        )
-
-    def test_raises_on_invalid_graph(self):
-        graph = PipelineGraph(nodes=(node("A"),), edges=())
-        with pytest.raises(InvalidGraphError) as excinfo:
-            leaf_nodes(graph)
-        assert "graph has no OutputAsset node" in excinfo.value.violations
-
-
 class TestValidateAssessment:
     def test_valid(self, first_party_later):
         assert validate_assessment(first_party_later).ok
@@ -413,6 +396,35 @@ class TestAssessment:
         judgements["DS"] = helpers.THIRD_PARTY_MINIMAL
         assert a.judgements["DS"] == helpers.ALL_FOUR
 
+    def test_judgements_are_read_only(self):
+        a = helpers.example_assessment()
+        with pytest.raises(TypeError):
+            a.judgements["DS"] = helpers.THREES  # type: ignore[index]
+
+    def test_verdict_is_invisible_and_copies_check_anew(self):
+        a = helpers.example_assessment(
+            weights=WeightScheme.explicit({"DS": 0.5, "H1": 0.25, "H2": 0.25})
+        )
+        before = repr(a)
+        assert validate_assessment(a).ok
+        assert "_violations" in vars(a)
+        assert repr(a) == before
+        for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+            assert twin == a
+            assert "_violations" not in vars(twin)
+            assert validate_assessment(twin).ok
+            with pytest.raises(TypeError):
+                twin.judgements["DS"] = helpers.THREES  # type: ignore[index]
+
+    def test_replace_checks_anew(self):
+        a = helpers.example_assessment()
+        assert validate_assessment(a).ok
+        partial = replace(
+            a, judgements={"DS": helpers.ALL_FOUR, "H1": helpers.ALL_FOUR}
+        )
+        assert validate_assessment(partial).violations == ("missing judgement for H2",)
+        assert validate_assessment(a).ok
+
 
 class TestWeightScheme:
     def test_equal_resolves_to_reciprocal_shares(self):
@@ -426,6 +438,17 @@ class TestWeightScheme:
 
     def test_equal_is_marked(self):
         assert WeightScheme.equal().is_equal
+
+    def test_explicit_weights_are_a_read_only_copy(self):
+        weights = {"a": 0.75, "b": 0.25}
+        scheme = WeightScheme(weights)
+        weights["a"] = 0.5
+        assert scheme.weights == {"a": 0.75, "b": 0.25}
+        with pytest.raises(TypeError):
+            scheme.weights["a"] = 0.5  # type: ignore[index]
+        assert pickle.loads(pickle.dumps(scheme)) == scheme
+        assert copy.deepcopy(scheme) == scheme
+        assert copy.deepcopy(WeightScheme.equal()).is_equal
 
 
 class TestRubric:
