@@ -29,7 +29,6 @@ from .metrics import (
     node_visibility,
     overall_visibility,
     quality_index,
-    quantity_index,
     rank,
     sensitivity,
     visibility_index,
@@ -45,13 +44,11 @@ from .model import (
     RUBRIC,
     ValidationResult,
     WeightScheme,
-    rubric_text,
     validate_assessment,
     validate_graph,
 )
 from .report import (
     EmptyInputError,
-    KeyMismatchError,
     MixedAssetError,
     RenderedReport,
     ReportError,
@@ -80,7 +77,6 @@ __all__ = [
     "RUBRIC",
     "ValidationResult",
     "WeightScheme",
-    "rubric_text",
     "validate_assessment",
     "validate_graph",
     # metrics
@@ -96,7 +92,6 @@ __all__ = [
     "node_visibility",
     "overall_visibility",
     "quality_index",
-    "quantity_index",
     "rank",
     "sensitivity",
     "visibility_index",
@@ -110,7 +105,6 @@ __all__ = [
     "serialize_document",
     # report
     "EmptyInputError",
-    "KeyMismatchError",
     "MixedAssetError",
     "RenderedReport",
     "ReportError",

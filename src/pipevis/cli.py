@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import logging
 import sys
+from collections.abc import Iterable
 from typing import IO, BinaryIO, Callable, TypeVar
 
 import click
@@ -39,6 +40,7 @@ from .report import (
 )
 
 F = TypeVar("F", bound=Callable[..., object])
+T = TypeVar("T")
 
 _lenient_option = click.option(
     "--lenient",
@@ -99,23 +101,35 @@ def _parse_set_spec(spec: str) -> tuple[str, Judgement]:
     return node_id, judgement
 
 
+def _parse_weight_item(item: str) -> tuple[str, float]:
+    key, sep, value = item.rpartition("=")
+    if not sep or not key:
+        raise click.UsageError(
+            f"malformed --weights entry {item!r}: expected id=number"
+        )
+    try:
+        return key, float(value)
+    except ValueError:
+        raise click.UsageError(
+            f"malformed --weights entry {item!r}: {value!r} is not a number"
+        ) from None
+
+
+def _by_id(pairs: Iterable[tuple[str, T]], option: str) -> dict[str, T]:
+    """Collect ``(id, value)`` pairs; an id given twice is a usage error."""
+    collected: dict[str, T] = {}
+    for key, value in pairs:
+        if key in collected:
+            raise click.UsageError(f"repeated id {key!r} in {option}")
+        collected[key] = value
+    return collected
+
+
 def _parse_weights_spec(spec: str) -> WeightScheme:
     if spec == "equal":
         return WeightScheme.equal()
-    weights: dict[str, float] = {}
-    for item in spec.split(","):
-        key, sep, value = item.rpartition("=")
-        if not sep or not key:
-            raise click.UsageError(
-                f"malformed --weights entry {item!r}: expected id=number"
-            )
-        try:
-            weights[key] = float(value)
-        except ValueError:
-            raise click.UsageError(
-                f"malformed --weights entry {item!r}: {value!r} is not a number"
-            ) from None
-    return WeightScheme.explicit(weights)
+    items = map(_parse_weight_item, spec.split(","))
+    return WeightScheme.explicit(_by_id(items, "--weights"))
 
 
 def _configure_logging() -> None:
@@ -183,11 +197,7 @@ def score(
     if fmt == "machine":
         rendered = render_machine(report, assessment, scope_node=node)
     else:
-        judgements = {
-            row.node_id: assessment.judgements[row.node_id]
-            for row in report.per_node
-        }
-        rendered = render_table(report, judgements, precision=precision)
+        rendered = render_table(report, assessment.judgements, precision=precision)
     click.echo(rendered.body, nl=False)
 
 
@@ -235,15 +245,15 @@ def whatif(
 ) -> None:
     """Re-score under hypothetical judgements or weights and show the delta."""
     assessment = _load(path, lenient=lenient)
-    changes = [_parse_set_spec(spec) for spec in set_specs]
+    changes = _by_id(map(_parse_set_spec, set_specs), "--set")
     weights = _parse_weights_spec(weights_spec) if weights_spec is not None else None
     try:
         result = sensitivity(assessment, changes, weights=weights)
     except UnknownNodeError as exc:
         raise click.UsageError(str(exc)) from None
-    except (InvalidWeightsError, DegenerateWeightsError) as exc:
+    except InvalidWeightsError as exc:
         # The weights came from the command line, so this is a usage error.
-        for violation in getattr(exc, "violations", (str(exc),)):
+        for violation in exc.violations:
             click.echo(f"violation: {violation}", err=True)
         raise click.UsageError("modified assessment is invalid") from None
     click.echo(render_sensitivity(result, precision).body, nl=False)

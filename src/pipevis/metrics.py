@@ -34,7 +34,6 @@ __all__ = [
     "VisibilityReport",
     "RankEntry",
     "SensitivityResult",
-    "quantity_index",
     "quality_index",
     "visibility_index",
     "node_visibility",
@@ -106,14 +105,7 @@ class VisibilityReport:
     per_node: tuple[NodeVisibility, ...]
     overall: float
     leaf_count: int
-    weight_scheme: WeightScheme
     display_precision: int = 2
-
-    def node(self, node_id: str) -> NodeVisibility:
-        for entry in self.per_node:
-            if entry.node_id == node_id:
-                return entry
-        raise UnknownNodeError(node_id)
 
 
 class RankEntry(NamedTuple):
@@ -124,17 +116,11 @@ class RankEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class SensitivityResult:
-    """Baseline and what-if reports, with full-precision deltas."""
+    """Baseline and what-if reports, with the full-precision overall delta."""
 
     baseline: VisibilityReport
     modified: VisibilityReport
-    node_deltas: Mapping[str, float]
     overall_delta: float
-
-
-def quantity_index(judgement: Judgement) -> float:
-    """The quantity score as a real number."""
-    return float(judgement.quantity)
 
 
 def quality_index(judgement: Judgement) -> float:
@@ -144,20 +130,18 @@ def quality_index(judgement: Judgement) -> float:
 
 def visibility_index(judgement: Judgement) -> float:
     """Geometric mean of the quantity and quality indices, in [1, 4]."""
-    return math.sqrt(quantity_index(judgement) * quality_index(judgement))
+    return math.sqrt(judgement.quantity * quality_index(judgement))
 
 
 def node_visibility(
     node_id: str, judgement: Judgement, weight: float = 0.0
 ) -> NodeVisibility:
     """All indices for one node at full precision; no intermediate rounding."""
-    quantity = quantity_index(judgement)
-    quality = quality_index(judgement)
     return NodeVisibility(
         node_id=node_id,
-        quantity_index=quantity,
-        quality_index=quality,
-        visibility_index=math.sqrt(quantity * quality),
+        quantity_index=float(judgement.quantity),
+        quality_index=quality_index(judgement),
+        visibility_index=visibility_index(judgement),
         weight=weight,
     )
 
@@ -169,21 +153,18 @@ def _require_valid(assessment: Assessment, subject: str | None = None) -> None:
 
 
 def _weighted_report(
-    assessment: Assessment,
-    leaf_ids: Sequence[str],
-    weights: Mapping[str, float],
-    scheme: WeightScheme,
+    assessment: Assessment, weights: Mapping[str, float]
 ) -> VisibilityReport:
+    """Rows in the key order of ``weights`` (sorted leaf ids) and their sum."""
     rows = tuple(
-        node_visibility(nid, assessment.judgements[nid], weights[nid])
-        for nid in leaf_ids
+        node_visibility(nid, assessment.judgements[nid], weight)
+        for nid, weight in weights.items()
     )
     overall = math.fsum(row.visibility_index * row.weight for row in rows)
     return VisibilityReport(
         per_node=rows,
         overall=overall,
         leaf_count=len(rows),
-        weight_scheme=scheme,
         display_precision=assessment.display_precision,
     )
 
@@ -196,9 +177,8 @@ def overall_visibility(assessment: Assessment) -> VisibilityReport:
     violation) if the assessment does not validate.
     """
     _require_valid(assessment)
-    leaf_ids = assessment.graph.leaf_ids()
-    weights = assessment.weights.resolve(leaf_ids)
-    return _weighted_report(assessment, leaf_ids, weights, assessment.weights)
+    weights = assessment.weights.resolve(assessment.graph.leaf_ids())
+    return _weighted_report(assessment, weights)
 
 
 def derived_asset_visibility(assessment: Assessment, node_id: str) -> VisibilityReport:
@@ -220,19 +200,13 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
     ancestors = _reaching_set(graph, node_id)
     leaf_ids = [nid for nid in graph.leaf_ids() if nid in ancestors]
 
-    if assessment.weights.is_equal:
-        share = 1.0 / len(leaf_ids)
-        weights = {nid: share for nid in leaf_ids}
-        scheme = WeightScheme.equal()
-    else:
-        raw = assessment.weights.resolve(leaf_ids)
-        total = math.fsum(raw.values())
+    weights = assessment.weights.resolve(leaf_ids)
+    if not assessment.weights.is_equal:
+        total = math.fsum(weights.values())
         if total <= 0:
             raise DegenerateWeightsError(node_id, leaf_ids)
-        weights = {nid: value / total for nid, value in raw.items()}
-        scheme = WeightScheme.explicit(weights)
-
-    return _weighted_report(assessment, leaf_ids, weights, scheme)
+        weights = {nid: value / total for nid, value in weights.items()}
+    return _weighted_report(assessment, weights)
 
 
 def rank(assessments: Sequence[Assessment]) -> list[RankEntry]:
@@ -272,9 +246,8 @@ def sensitivity(
     """What-if analysis: re-judge leaves and/or swap the weight scheme.
 
     The baseline assessment is untouched; the modified report is recomputed
-    from scratch. Deltas are modified minus baseline at full precision.
-    Judgement changes must target existing leaf nodes; with only a weight
-    change every node delta is zero.
+    from scratch. The delta is modified minus baseline at full precision.
+    Judgement changes must target existing leaf nodes.
     """
     baseline = overall_visibility(assessment)
 
@@ -299,14 +272,8 @@ def sensitivity(
     if not result.ok:
         raise InvalidWeightsError(result.violations)
     modified = overall_visibility(modified_assessment)
-
-    node_deltas = {
-        after.node_id: after.visibility_index - before.visibility_index
-        for before, after in zip(baseline.per_node, modified.per_node)
-    }
     return SensitivityResult(
         baseline=baseline,
         modified=modified,
-        node_deltas=node_deltas,
         overall_delta=modified.overall - baseline.overall,
     )

@@ -62,10 +62,6 @@ class NodeKind(str, enum.Enum):
     OUTPUT_ASSET = "OutputAsset"
 
 
-#: Kinds a zero-in-degree (judged) node may have.
-LEAF_KINDS = frozenset({NodeKind.DATA_SOURCE, NodeKind.HUMAN_CONTRIBUTOR})
-
-
 @dataclass(frozen=True)
 class Judgement:
     """Scores for one leaf contribution: quantity, accuracy, freshness.
@@ -155,10 +151,6 @@ class PipelineGraph:
             if node.id == node_id:
                 return node
         return None
-
-    def in_degree(self) -> dict[str, int]:
-        """Incoming-edge count per node, over edges with known endpoints."""
-        return {nid: len(self._reverse.get(nid, ())) for nid in self.node_ids()}
 
     def leaf_ids(self) -> list[str]:
         """Ids of zero-in-degree nodes, sorted. No validity check."""
@@ -486,11 +478,3 @@ RUBRIC: dict[tuple[Criterion, int], str] = {
     (Criterion.ACCURACY, 3): "Believed to be accurate",
     (Criterion.ACCURACY, 4): "Evidenced and verifiable",
 }
-
-
-def rubric_text(criterion: Criterion | str, level: int) -> str:
-    """Canonical description for one criterion at one score level."""
-    if isinstance(criterion, str):
-        criterion = Criterion(criterion.lower())
-    check_score_level(level, "level")
-    return RUBRIC[(criterion, level)]

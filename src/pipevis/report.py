@@ -41,7 +41,6 @@ from .model import (
 __all__ = [
     "RenderedReport",
     "ReportError",
-    "KeyMismatchError",
     "EmptyInputError",
     "MixedAssetError",
     "format_value",
@@ -66,10 +65,6 @@ RUBRIC_HEADER = "Score | Quantity | Freshness | Accuracy"
 
 class ReportError(ValueError):
     """Base class for rendering precondition failures."""
-
-
-class KeyMismatchError(ReportError):
-    """Report rows and judgement keys disagree."""
 
 
 class EmptyInputError(ReportError):
@@ -128,14 +123,10 @@ def render_table(
     """Per-node score table plus the overall row.
 
     Columns: Node, Quantity, Freshness, Accuracy, VISQuality, VIS; the last
-    row is labeled "Overall VIS for model".
+    row is labeled "Overall VIS for model". Each row reads its node's
+    judgement from ``judgements``; other keys are ignored, so a derived-asset
+    report takes the assessment's full mapping.
     """
-    report_ids = [row.node_id for row in report.per_node]
-    if set(report_ids) != set(judgements):
-        raise KeyMismatchError(
-            f"report nodes {sorted(report_ids)} do not match "
-            f"judgement keys {sorted(judgements)}"
-        )
     if precision is None:
         precision = report.display_precision
     lines = [TABLE_HEADER]

@@ -314,6 +314,21 @@ class TestExitCodes:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        ("flags", "option"),
+        [
+            (["--weights", "DS=0.9,H1=0.05,H2=0.05,DS=0.9"], "--weights"),
+            (["--weights", "DS=0.5,H1=0.25,H2=0.25,DS=0.5"], "--weights"),
+            (["--set", "DS:1,1,1", "--set", "DS:4,4,4"], "--set"),
+            (["--set", "DS:4,4,4", "--set", "H1:2,2,2", "--set", "DS:4,4,4"], "--set"),
+        ],
+    )
+    def test_repeated_id_is_usage_error(self, samples, flags, option):
+        result = invoke(["whatif", samples["later"], *flags])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"repeated id 'DS' in {option}" in result.stderr
+
     def test_unbalanced_weights_flag_is_usage_error(self, samples):
         result = invoke(
             ["whatif", samples["later"], "--weights", "DS=0.5,H1=0.2,H2=0.2"]

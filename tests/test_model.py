@@ -21,7 +21,6 @@ from pipevis import (
     PipelineGraph,
     RUBRIC,
     WeightScheme,
-    rubric_text,
     validate_assessment,
     validate_graph,
 )
@@ -83,13 +82,6 @@ class TestPipelineGraph:
 
     def test_fig1_leaves(self, example_graph):
         assert example_graph.leaf_ids() == ["DS", "H1", "H2"]
-        assert example_graph.in_degree() == {
-            "DS": 0,
-            "H1": 0,
-            "H2": 0,
-            "LD": 2,
-            "M": 2,
-        }
 
     def test_node_by_id(self, example_graph):
         assert example_graph.node_by_id("LD").kind is NodeKind.DERIVED_ASSET
@@ -142,7 +134,6 @@ class TestPipelineGraph:
         assert before == observe(fresh())
         assert pickle.loads(before[3]) == example_graph
         validate_graph(example_graph)
-        example_graph.in_degree()
         assert example_graph.leaf_ids() == ["DS", "H1", "H2"]
         after = observe(example_graph)
         assert after == before == observe(fresh())
@@ -468,11 +459,4 @@ class TestRubric:
         ],
     )
     def test_cell_text(self, criterion, level, expected):
-        assert rubric_text(criterion, level) == expected
-
-    def test_accepts_string_criterion(self):
-        assert rubric_text("quantity", 2) == "Some information missing"
-
-    def test_rejects_bad_level(self):
-        with pytest.raises(ValueError):
-            rubric_text(Criterion.QUANTITY, 0)
+        assert RUBRIC[(criterion, level)] == expected

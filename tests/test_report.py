@@ -12,7 +12,6 @@ import pytest
 import helpers
 from pipevis import (
     EmptyInputError,
-    KeyMismatchError,
     MixedAssetError,
     RankEntry,
     WeightScheme,
@@ -132,12 +131,15 @@ class TestRenderTable:
             "Overall VIS for model | 2.71",
         ]
 
-    def test_key_mismatch_raises(self, first_party_later):
-        report = overall_visibility(first_party_later)
-        judgements = dict(first_party_later.judgements)
-        del judgements["H2"]
-        with pytest.raises(KeyMismatchError):
-            render_table(report, judgements)
+    def test_derived_report_takes_the_full_judgements(self, first_party_later):
+        report = derived_asset_visibility(first_party_later, "LD")
+        body = render_table(report, first_party_later.judgements).body
+        assert [line.split(" | ")[0] for line in body.splitlines()] == [
+            "Node",
+            "DS",
+            "H1",
+            "Overall VIS for model",
+        ]
 
     def test_precision_override(self, first_party_later):
         report = overall_visibility(first_party_later)
