@@ -13,12 +13,23 @@ judgement) its keys and one check per key. The parser accepts what the schema
 accepts, except ``3.0`` as an integer; it rejects duplicate keys, lone
 surrogates (``"\\ud800"``), the non-JSON tokens ``NaN`` and ``Infinity``,
 unknown keys and an explicit ``null`` for an optional key. ``lenient=True``
-only downgrades unknown keys to warnings.
+only downgrades unknown keys to warnings. An object whose keys are all known,
+with no null, is checked in one pass; any other object, and one that fails a
+check, goes to the full walker, which alone writes violation text. A
+judgement is one of 64 shared instances, one per valid state.
 
 Serialization is canonical: fixed key order, nodes and edges sorted by id,
 ``"equal"`` for equal weighting, 2-space indentation and a trailing
 newline. Two equal assessments serialize to identical bytes, and
 ``parse_document(serialize_document(a)) == a``.
+
+The canonical text is that of ``json.dumps(indent=2, ensure_ascii=False)``,
+whose indenting encoder is pure Python. :func:`canonical_json` writes it
+faster: it walks the containers in Python, and hands each container of
+scalars, and each run of objects of scalars, to the C encoder in one call,
+with a line break and indent as item separator; it then puts the brackets on
+lines of their own. Without the C encoder (off CPython), or on a value of
+another type (a tuple, a subclass), it calls ``json.dumps`` itself.
 """
 
 from __future__ import annotations
@@ -29,6 +40,8 @@ import math
 import re
 from collections.abc import Callable, Mapping
 from datetime import date
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring
 from operator import itemgetter
 from typing import Any, NamedTuple
 
@@ -42,6 +55,7 @@ from .model import (
     SCORE_MAX,
     SCORE_MIN,
     WeightScheme,
+    _JUDGEMENTS,
     validate_assessment,
 )
 
@@ -90,11 +104,13 @@ class SemanticViolationError(DocumentError):
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    obj: dict[str, Any] = {}
-    for key, value in pairs:
-        if key in obj:
-            raise SchemaViolationError([f"duplicate key: {key}"])
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise SchemaViolationError([f"duplicate key: {key}"])
+            seen.add(key)
     return obj
 
 
@@ -189,7 +205,7 @@ def document_dict(assessment: Assessment) -> dict[str, Any]:
     for node in assessment.graph.nodes:
         entry: dict[str, Any] = {
             "id": node.id,
-            "kind": node.kind.value,
+            "kind": node.kind._value_,  # the enum `value` property is slow
             "label": node.label,
         }
         if node.description is not None:
@@ -218,11 +234,11 @@ def document_dict(assessment: Assessment) -> dict[str, Any]:
         "edges": [{"from": src, "to": dst} for src, dst in assessment.graph.edges],
         "judgements": {
             nid: {
-                "quantity": assessment.judgements[nid].quantity,
-                "accuracy": assessment.judgements[nid].accuracy,
-                "freshness": assessment.judgements[nid].freshness,
+                "quantity": judgement.quantity,
+                "accuracy": judgement.accuracy,
+                "freshness": judgement.freshness,
             }
-            for nid in sorted(assessment.judgements)
+            for nid, judgement in sorted(assessment.judgements.items())
         },
         "weights": weights,
         "display_precision": assessment.display_precision,
@@ -230,8 +246,102 @@ def document_dict(assessment: Assessment) -> dict[str, Any]:
 
 
 def canonical_json(document: Mapping[str, Any]) -> str:
-    """The canonical text of a JSON document: 2-space indent, trailing newline."""
+    """The canonical text of a JSON document: 2-space indent, trailing newline.
+
+    Byte-identical to ``json.dumps(document, indent=2, ensure_ascii=False)``
+    plus a newline, which it falls back to without the C encoder or on a
+    value of any type but dict, list, str, int, float, bool and None.
+    """
+    if c_make_encoder is not None:
+        try:
+            return _indented(document, 0) + "\n"
+        except _Irregular:
+            pass
     return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+
+
+class _Irregular(Exception):
+    """A value the C-encoded writer leaves to ``json.dumps``."""
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_KEYS = frozenset((str,))
+_OBJECTS = frozenset((dict,))
+_INDENT = "  "
+
+
+#: By depth, made on first use: a C encoder (its text comes in chunks) that
+#: puts each item of a container on a line of its own, the line break and
+#: indent before each item, and those before the closing bracket.
+_levels: list[tuple[Callable[[Any, int], list[str]], str, str]] = []
+
+
+def _level(depth: int) -> tuple[Callable[[Any, int], list[str]], str, str]:
+    while len(_levels) <= depth:
+        inner = "\n" + _INDENT * (len(_levels) + 1)
+        encode = c_make_encoder(
+            None, None, encode_basestring, None, ": ", "," + inner, False, False, True
+        )
+        _levels.append((encode, inner, "\n" + _INDENT * len(_levels)))
+    return _levels[depth]
+
+
+def _indented(value: Any, depth: int) -> str:
+    """The text of ``value``, its closing bracket at ``depth`` levels of indent.
+
+    A flat container (no container inside) is encoded in one C call, then its
+    brackets are moved onto lines of their own; so is a run of records (flat,
+    non-empty objects), see ``_records``. Any other container is walked here.
+    """
+    kind = type(value)
+    if kind is dict:
+        values = value.values()
+    elif kind is list:
+        values = value
+    elif kind in _SCALARS:
+        return "".join(_level(0)[0](value, 0))
+    else:
+        raise _Irregular
+    if not value:
+        return "{}" if kind is dict else "[]"
+    encode, inner, close = _level(depth)
+    if _SCALARS.issuperset(map(type, values)):
+        text = "".join(encode(value, 0))
+        return f"{text[0]}{inner}{text[1:-1]}{close}{text[-1]}"
+    if kind is dict and not _KEYS.issuperset(map(type, value)):
+        raise _Irregular
+    if _are_records(values):
+        items = _records(list(values), depth + 1)
+    else:
+        items = [_indented(item, depth + 1) for item in values]
+    if kind is dict:
+        keys = map(encode_basestring, value)
+        items = [f"{key}: {item}" for key, item in zip(keys, items)]
+        return f"{{{inner}{(',' + inner).join(items)}{close}}}"
+    return f"[{inner}{(',' + inner).join(items)}{close}]"
+
+
+def _are_records(values: Any) -> bool:
+    """Whether every value is a record: a non-empty object of scalars."""
+    fields = chain.from_iterable(map(dict.values, values))
+    return (
+        _OBJECTS.issuperset(map(type, values))
+        and all(values)
+        and _SCALARS.issuperset(map(type, fields))
+    )
+
+
+def _records(records: list[dict[str, Any]], depth: int) -> list[str]:
+    """The text of each record, a flat non-empty object at ``depth``.
+
+    All are encoded in one C call as a list, one field per line. An encoded
+    string holds no raw line break, so each ``"},\\n<indent>{"`` lies between
+    two records: splitting there gives each record's fields.
+    """
+    encode, inner, close = _level(depth)
+    text = "".join(encode(records, 0))
+    fields = text[2:-2].split("}," + inner + "{")
+    return [f"{{{inner}{body}{close}}}" for body in fields]
 
 
 def _type_name(value: Any) -> str:
@@ -259,12 +369,44 @@ class _Object(NamedTuple):
     violations of its own has a spec (_Object, _Each, _Weights) instead.
     ``read`` alone judges unknown keys, absent keys and explicit nulls: it
     returns ``build(values)``, or None after appending violations.
+
+    ``read`` first tries ``fast`` (by default ``_one_pass``), which returns
+    the built value of an object that has nothing to report, or None. Every
+    other object goes to the full walker, which writes all violation text.
     """
 
     rows: dict[str, tuple[Any, Any]]
     build: Callable[[dict[str, Any]], Any] = dict
+    fast: Callable[[Any], Any] | None = None
+
+    def _one_pass(self, obj: Any) -> Any:
+        """Each check once, for an object of known keys, no null and no spec.
+
+        Unknown keys, nulls, absent keys without a default and specs are left
+        to the full walker, whatever the checks would make of them.
+        """
+        if (type(obj) is not dict or not obj.keys() <= self.rows.keys()
+                or None in obj.values()):
+            return None
+        values: dict[str, Any] = {}
+        try:
+            for key, (check, absent) in self.rows.items():
+                if key in obj:
+                    if not callable(check):
+                        return None
+                    values[key] = check(obj[key])
+                elif absent is _REQUIRED or absent is _PRESENT or absent is _CHECKED:
+                    return None
+                else:
+                    values[key] = absent
+        except _Invalid:
+            return None
+        return self.build(values)
 
     def read(self, obj: Any, path: str, errors: list[str], lenient: bool) -> Any:
+        built = (self.fast or self._one_pass)(obj)
+        if built is not None:
+            return built
         if not isinstance(obj, dict):
             raise _Invalid(f"must be an object, got {_type_name(obj)}")
         before = len(errors)
@@ -409,11 +551,25 @@ _NODE = _Object({
 _EDGE = _Object(
     {"from": (_name, _CHECKED), "to": (_name, _CHECKED)}, itemgetter("from", "to")
 )
+_SCORES = itemgetter("quantity", "accuracy", "freshness")
+
+
+def _interned(obj: Any) -> Judgement | None:
+    """The shared judgement of an object of exactly three valid scores, or None."""
+    if type(obj) is not dict or obj.keys() != _JUDGEMENT.rows.keys():
+        return None
+    levels = _SCORES(obj)
+    quantity, accuracy, freshness = levels
+    if type(quantity) is int and type(accuracy) is int and type(freshness) is int:
+        return _JUDGEMENTS.get(levels)
+    return None
+
+
 _JUDGEMENT = _Object({
     "quantity": (_score, _REQUIRED),
     "accuracy": (_score, _REQUIRED),
     "freshness": (_score, _REQUIRED),
-}, lambda fields: Judgement(**fields))
+}, lambda fields: _JUDGEMENTS[_SCORES(fields)], _interned)
 _DOCUMENT = _Object({
     "schema_version": (_string, _PRESENT),
     "asset": (_ASSET, _REQUIRED),

@@ -25,6 +25,7 @@ from .model import (
     NodeKind,
     WeightScheme,
     InvalidAssessmentError,
+    _JUDGEMENTS,
     _reaching_set,
     validate_assessment,
 )
@@ -133,17 +134,24 @@ def visibility_index(judgement: Judgement) -> float:
     return math.sqrt(judgement.quantity * quality_index(judgement))
 
 
+def _indices(judgement: Judgement) -> tuple[float, float, float]:
+    """Quantity, quality and visibility index of one judgement."""
+    return (
+        float(judgement.quantity),
+        quality_index(judgement),
+        visibility_index(judgement),
+    )
+
+
+#: The indices of each of the 64 valid judgements, computed once.
+_INDEX_TABLE = {judgement: _indices(judgement) for judgement in _JUDGEMENTS.values()}
+
+
 def node_visibility(
     node_id: str, judgement: Judgement, weight: float = 0.0
 ) -> NodeVisibility:
     """All indices for one node at full precision; no intermediate rounding."""
-    return NodeVisibility(
-        node_id=node_id,
-        quantity_index=float(judgement.quantity),
-        quality_index=quality_index(judgement),
-        visibility_index=visibility_index(judgement),
-        weight=weight,
-    )
+    return NodeVisibility(node_id, *_indices(judgement), weight)
 
 
 def _require_valid(assessment: Assessment, subject: str | None = None) -> None:
@@ -155,14 +163,20 @@ def _require_valid(assessment: Assessment, subject: str | None = None) -> None:
 def _weighted_report(
     assessment: Assessment, weights: Mapping[str, float]
 ) -> VisibilityReport:
-    """Rows in the key order of ``weights`` (sorted leaf ids) and their sum."""
-    rows = tuple(
-        node_visibility(nid, assessment.judgements[nid], weight)
-        for nid, weight in weights.items()
-    )
+    """Rows in the key order of ``weights`` (sorted leaf ids) and their sum.
+
+    A judgement's indices come from the table; one outside it (a subclass,
+    say) has them computed.
+    """
+    judgements = assessment.judgements
+    rows = []
+    for nid, weight in weights.items():
+        judgement = judgements[nid]
+        indices = _INDEX_TABLE.get(judgement) or _indices(judgement)
+        rows.append(NodeVisibility(nid, *indices, weight))
     overall = math.fsum(row.visibility_index * row.weight for row in rows)
     return VisibilityReport(
-        per_node=rows,
+        per_node=tuple(rows),
         overall=overall,
         leaf_count=len(rows),
         display_precision=assessment.display_precision,

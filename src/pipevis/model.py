@@ -12,10 +12,11 @@ Validation here is collecting, not fail-fast: :func:`validate_graph` and
 :func:`validate_assessment` report *every* violation they find, in a
 deterministic order, so a document author can fix them in one pass.
 
-A :class:`PipelineGraph` is immutable, so its structure (reverse adjacency,
-leaf ids) and its violations are computed once per graph, on first use. An
-:class:`Assessment` is immutable too (its judgements and explicit weights are
-read-only mappings), so its violations are computed once per assessment.
+A :class:`PipelineGraph` is immutable, so its structure (id index, reverse
+adjacency, leaf ids) and its violations are computed once per graph, on first
+use. An :class:`Assessment` is immutable too (its judgements and explicit
+weights are read-only mappings), so its violations are computed once per
+assessment.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from functools import cached_property
+from itertools import chain, product, starmap
+from operator import attrgetter, eq
 from types import MappingProxyType
 
 SCORE_MIN = 1
@@ -80,6 +83,14 @@ class Judgement:
         check_score_level(self.freshness, "freshness")
 
 
+#: The 4**3 valid judgements, keyed by (quantity, accuracy, freshness). The
+#: parser hands out these instances and scoring keeps a table over them.
+_JUDGEMENTS: dict[tuple[int, int, int], Judgement] = {
+    levels: Judgement(*levels)
+    for levels in product(range(SCORE_MIN, SCORE_MAX + 1), repeat=3)
+}
+
+
 @dataclass(frozen=True)
 class ContributionNode:
     """One contribution to the pipeline: a source, a person, or an asset."""
@@ -104,9 +115,10 @@ class PipelineGraph:
     equal regardless of insertion order. Construction is permissive;
     structural invariants are checked by :func:`validate_graph`.
 
-    The reverse adjacency, leaf ids and violations are derived once, on
-    first use, and kept on the instance outside equality, hashing, repr and
-    pickling; :func:`dataclasses.replace` yields a graph that derives anew.
+    The id index, reverse adjacency, leaf ids and violations are derived
+    once, on first use, and kept on the instance outside equality, hashing,
+    repr and pickling; :func:`dataclasses.replace` yields a graph that
+    derives anew.
     """
 
     nodes: tuple[ContributionNode, ...]
@@ -114,7 +126,7 @@ class PipelineGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.id))
+            self, "nodes", tuple(sorted(self.nodes, key=attrgetter("id")))
         )
         object.__setattr__(
             self,
@@ -124,6 +136,15 @@ class PipelineGraph:
 
     def __getstate__(self) -> dict[str, object]:
         return {"nodes": self.nodes, "edges": self.edges}
+
+    @cached_property
+    def _by_id(self) -> dict[str, ContributionNode]:
+        """The first node with each id; later duplicates are validation's concern."""
+        return {node.id: node for node in reversed(self.nodes)}
+
+    @cached_property
+    def _ids(self) -> frozenset[str]:
+        return frozenset(self._by_id)
 
     @cached_property
     def _reverse(self) -> dict[str, list[str]]:
@@ -143,14 +164,11 @@ class PipelineGraph:
     def _violations(self) -> tuple[str, ...]:
         return _graph_violations(self)
 
-    def node_ids(self) -> set[str]:
-        return {node.id for node in self.nodes}
+    def node_ids(self) -> frozenset[str]:
+        return self._ids
 
     def node_by_id(self, node_id: str) -> ContributionNode | None:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        return None
+        return self._by_id.get(node_id)
 
     def leaf_ids(self) -> list[str]:
         """Ids of zero-in-degree nodes, sorted. No validity check."""
@@ -287,51 +305,61 @@ def validate_graph(graph: PipelineGraph) -> ValidationResult:
 
 def _graph_violations(graph: PipelineGraph) -> tuple[str, ...]:
     violations: list[str] = []
-
-    ids_seen: set[str] = set()
-    duplicates: set[str] = set()
-    for node in graph.nodes:
-        if not node.id:
-            violations.append("empty node id")
-        elif node.id in ids_seen:
-            duplicates.add(node.id)
-        else:
-            ids_seen.add(node.id)
-    violations.extend(f"duplicate node id: {nid}" for nid in sorted(duplicates))
-
     known = graph.node_ids()
-    for src, dst in graph.edges:
-        if src not in known:
-            violations.append(f"edge {src}->{dst} references unknown node {src}")
-        if dst not in known:
-            violations.append(f"edge {src}->{dst} references unknown node {dst}")
-        if src == dst:
-            violations.append(f"self-edge on {src}")
 
-    outputs = sorted(n.id for n in graph.nodes if n.kind is NodeKind.OUTPUT_ASSET)
+    if len(known) < len(graph.nodes) or "" in known:  # an id repeats or is empty
+        ids_seen: set[str] = set()
+        duplicates: set[str] = set()
+        for node in graph.nodes:
+            if not node.id:
+                violations.append("empty node id")
+            elif node.id in ids_seen:
+                duplicates.add(node.id)
+            else:
+                ids_seen.add(node.id)
+        violations.extend(f"duplicate node id: {nid}" for nid in sorted(duplicates))
+
+    # An edge names an unknown node or is a self-edge.
+    if not known.issuperset(chain.from_iterable(graph.edges)) or any(
+        starmap(eq, graph.edges)
+    ):
+        for src, dst in graph.edges:
+            if src not in known:
+                violations.append(f"edge {src}->{dst} references unknown node {src}")
+            if dst not in known:
+                violations.append(f"edge {src}->{dst} references unknown node {dst}")
+            if src == dst:
+                violations.append(f"self-edge on {src}")
+
+    reverse = graph._reverse
+    outputs: list[str] = []
+    unfed: list[str] = []
+    for node in graph.nodes:
+        kind = node.kind
+        if kind is NodeKind.OUTPUT_ASSET:
+            outputs.append(node.id)
+            if node.id not in reverse:
+                unfed.append(f"output node {node.id} has no incoming edge")
+        elif kind is NodeKind.DERIVED_ASSET and node.id not in reverse:
+            unfed.append(f"derived node {node.id} has no incoming edge")
+    outputs.sort()
     if not outputs:
         violations.append("graph has no OutputAsset node")
     elif len(outputs) > 1:
         violations.append("multiple OutputAsset nodes: " + ",".join(outputs))
-
-    reverse = graph._reverse
-    for node in graph.nodes:
-        if node.id not in reverse:
-            if node.kind is NodeKind.DERIVED_ASSET:
-                violations.append(f"derived node {node.id} has no incoming edge")
-            elif node.kind is NodeKind.OUTPUT_ASSET:
-                violations.append(f"output node {node.id} has no incoming edge")
+    violations.extend(unfed)
 
     for component in _cyclic_components(graph):
         violations.append("cycle detected: " + ",".join(component))
 
     if len(outputs) == 1:
         reachable = _reaching_set(graph, outputs[0])
-        violations.extend(
-            f"node {node.id} has no path to the output"
-            for node in graph.nodes
-            if node.id not in reachable
-        )
+        if len(reachable) < len(known):  # reachable holds known ids only
+            violations.extend(
+                f"node {node.id} has no path to the output"
+                for node in graph.nodes
+                if node.id not in reachable
+            )
 
     return tuple(violations)
 
@@ -397,7 +425,8 @@ def _cyclic_components(graph: PipelineGraph) -> list[list[str]]:
     """Strongly connected components with more than one node, sorted.
 
     Iterative Tarjan over the reverse adjacency, whose components are the
-    same; only nodes with an incoming edge can be in one. Single-node
+    same. Only nodes with an incoming edge can be in one, so the walk never
+    enters a node without one (a leaf, in a valid graph). Single-node
     self-loops are excluded because the self-edge check reports them.
     """
     reverse = graph._reverse
@@ -420,10 +449,12 @@ def _cyclic_components(graph: PipelineGraph) -> list[list[str]]:
                 stack.append(node)
                 on_stack.add(node)
             advanced = False
-            children = reverse.get(node, ())
+            children = reverse[node]
             while child_pos < len(children):
                 child = children[child_pos]
                 child_pos += 1
+                if child not in reverse:  # no incoming edge: on no cycle
+                    continue
                 if child not in index:
                     work.append((node, child_pos))
                     work.append((child, 0))
@@ -455,10 +486,10 @@ def _reaching_set(graph: PipelineGraph, target: str) -> set[str]:
     seen = {target}
     frontier = [target]
     while frontier:
-        for upstream in reverse.get(frontier.pop(), ()):
-            if upstream not in seen:
-                seen.add(upstream)
-                frontier.append(upstream)
+        fresh = set(reverse.get(frontier.pop(), ())).difference(seen)
+        seen |= fresh
+        # Only a node with an incoming edge has upstream nodes to add.
+        frontier.extend(filter(reverse.__contains__, fresh))
     return seen
 
 

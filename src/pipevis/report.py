@@ -18,9 +18,10 @@ every body ends with exactly one newline.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import Any
 
 from .ingest import canonical_json, document_dict
 from .metrics import (
@@ -129,6 +130,7 @@ def render_table(
     """
     if precision is None:
         precision = report.display_precision
+    cell = _Memo(lambda value: format_value(value, precision))
     lines = [TABLE_HEADER]
     for row in report.per_node:
         judgement = judgements[row.node_id]
@@ -139,8 +141,8 @@ def render_table(
                     str(judgement.quantity),
                     str(judgement.freshness),
                     str(judgement.accuracy),
-                    format_value(row.quality_index, precision),
-                    format_value(row.visibility_index, precision),
+                    cell[row.quality_index],
+                    cell[row.visibility_index],
                 )
             )
         )
@@ -199,16 +201,17 @@ def render_machine(
 ) -> RenderedReport:
     """Input document echoed back with a full-precision ``results`` block."""
     document = document_dict(assessment)
+    sig15 = _Memo(_sig15)
     document["results"] = {
         "scope": scope_node if scope_node is not None else "overall",
         "leaf_count": report.leaf_count,
         "per_node": [
             {
                 "node": row.node_id,
-                "quantity_index": _sig15(row.quantity_index),
-                "quality_index": _sig15(row.quality_index),
-                "visibility_index": _sig15(row.visibility_index),
-                "weight": _sig15(row.weight),
+                "quantity_index": sig15[row.quantity_index],
+                "quality_index": sig15[row.quality_index],
+                "visibility_index": sig15[row.visibility_index],
+                "weight": sig15[row.weight],
             }
             for row in report.per_node
         ],
@@ -255,3 +258,21 @@ def render_sensitivity(
 
 def _sig15(value: float) -> float:
     return float(f"{value:.15g}")
+
+
+class _Memo(dict):
+    """``fn`` of each float, computed once per distinct value in one render.
+
+    A leaf's indices take one of 64 values, so a large report repeats them.
+    Zero is never kept: 0.0 and -0.0 share a key but not a sign.
+    """
+
+    def __init__(self, fn: Callable[[float], Any]):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, value: float) -> Any:
+        result = self.fn(value)
+        if value:
+            self[value] = result
+        return result

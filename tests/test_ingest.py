@@ -8,9 +8,12 @@ import logging
 import random
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import helpers
 from pipevis import (
@@ -24,6 +27,7 @@ from pipevis import (
     parse_document,
     serialize_document,
 )
+from pipevis import ingest
 
 
 def valid_doc() -> dict:
@@ -54,6 +58,13 @@ class TestParseGoldenSamples:
         for path in sorted(samples_dir.glob("*.json")):
             raw = path.read_bytes()
             assert serialize_document(parse_document(raw)) == raw, path.name
+
+    def test_samples_are_canonical_bytes_without_the_c_encoder(
+        self, samples_dir: Path, monkeypatch
+    ):
+        monkeypatch.setattr(ingest, "c_make_encoder", None)
+        monkeypatch.setattr(ingest, "_indented", None)  # the writer must not run
+        self.test_samples_are_canonical_bytes(samples_dir)
 
     def test_samples_validate_against_schema(self, samples_dir, assessment_schema):
         for path in sorted(samples_dir.glob("*.json")):
@@ -124,6 +135,90 @@ class TestRoundTrip:
         again = parse_document(serialize_document(a))
         assert again == a
         assert not again.weights.is_equal
+
+
+def _unavailable(*args, **kwargs):
+    raise AssertionError("the C-encoded writer fell back to json.dumps")
+
+
+def written(value, c_encoder: bool) -> str:
+    """``canonical_json(value)`` on the C-encoded path alone, or on the fallback."""
+    with pytest.MonkeyPatch.context() as patch:
+        if c_encoder:
+            patch.setattr(ingest, "json", SimpleNamespace(dumps=_unavailable))
+        else:
+            patch.setattr(ingest, "c_make_encoder", None)
+        return ingest.canonical_json(value)
+
+
+# Text that looks like the writer's own separators and brackets, escapes and
+# non-ASCII, beside arbitrary characters.
+TRICKY_TEXT = st.text(
+    st.sampled_from('{}[],:" \\\n\t\x00\x1f\u2028é€😀') | st.characters(),
+    max_size=8,
+)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**29, max_value=10**31)
+    | st.floats()
+    | TRICKY_TEXT
+)
+# Non-empty objects of scalars, which the writer encodes in runs.
+RECORDS = st.dictionaries(TRICKY_TEXT, JSON_SCALARS, min_size=1, max_size=3)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(TRICKY_TEXT, children, max_size=4)
+        | st.lists(RECORDS, max_size=4)
+        | st.dictionaries(TRICKY_TEXT, RECORDS, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+class TestCanonicalWriter:
+    """``canonical_json`` is ``json.dumps(indent=2, ensure_ascii=False)`` + newline."""
+
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "fallback"])
+    @given(value=JSON_VALUES)
+    @example(value={})
+    @example(value=[])
+    @example(value=[[], {}, [[]], [{}], {"a": {}, "b": []}])
+    @example(value="x")
+    @example(value=-0.0)
+    @example(value=None)
+    @example(value={"n": [-0.0, 1e300, 123456789012345678901234567890, True, None]})
+    @example(value=[{"a": '},\n    {'}, {'b"': "\\", "c": "\x00\x1f"}])
+    @example(value={'k: {"': {"v": '}",'}, "é": {"😀": 1.5}})
+    @example(value=[{"a": 1}, {}, {"b": [1]}])
+    def test_matches_json_dumps(self, c_encoder, value):
+        expected = json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+        assert written(value, c_encoder) == expected
+
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "fallback"])
+    def test_large_containers_match_json_dumps(self, c_encoder):
+        # Large enough that the C encoder hands back its text in several chunks.
+        value = {
+            "flat": list(range(100_000)),
+            "weights": {f"L{i:05d}": i / 3 for i in range(20_000)},
+            "records": [{"id": f"L{i:05d}", "label": "x" * 40} for i in range(20_000)],
+        }
+        expected = json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+        assert written(value, c_encoder) == expected
+
+    def test_other_types_fall_back_to_json_dumps(self):
+        for value in (
+            {"pair": (1, [2, 3])},
+            {1: {"a": [1]}},
+            [True, {2.5: None, "b": []}],
+        ):
+            expected = json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+            assert ingest.canonical_json(value) == expected
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            ingest.canonical_json({"a": [object()]})
 
 
 class TestSyntaxErrors:
@@ -675,6 +770,88 @@ def mutate(doc, rng):
             rng.choice(objects)[rng.choice(["extra", "x", "id"])] = 1
         else:
             container[key] = rng.choice(["\ud800", "a\udfff", "\U0001f600"])
+
+
+# Objects the one-pass check declines: each goes to the full walker and gets
+# the same text in strict and in lenient mode.
+DECLINED = {
+    "score true": (
+        {"judgements/DS/quantity": True},
+        "judgements.DS.quantity: must be an integer, got boolean",
+    ),
+    "score 1.0": (
+        {"judgements/DS/quantity": 1.0},
+        "judgements.DS.quantity: must be an integer, got number",
+    ),
+    "score null": (
+        {"judgements/DS/quantity": None},
+        "judgements.DS.quantity: required field missing",
+    ),
+    "score missing": (
+        {"judgements/DS/accuracy": DELETE},
+        "judgements.DS.accuracy: required field missing",
+    ),
+    "null label": ({"nodes/0/label": None}, "nodes[0].label: must be a string"),
+    "edge to 7": ({"edges/0/to": 7}, "edges[0].to: must be a non-empty string"),
+}
+
+
+class TestFieldFastPath:
+    @pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+    @pytest.mark.parametrize(
+        ("edits", "expected"), list(DECLINED.values()), ids=list(DECLINED)
+    )
+    def test_declined_objects_get_the_full_walker_text(self, edits, expected, lenient):
+        assert violations_of(edited(edits), lenient=lenient) == (expected,)
+
+    @pytest.mark.parametrize(
+        ("edits", "expected"), list(DECLINED.values()), ids=list(DECLINED)
+    )
+    def test_one_pass_check_declines(self, edits, expected):
+        path, value = next(iter(edits.items()))
+        kind, index, _ = path.split("/", 2)
+        obj = edited(edits)[kind][index if kind == "judgements" else int(index)]
+        spec = {"judgements": ingest._JUDGEMENT, "nodes": ingest._NODE,
+                "edges": ingest._EDGE}[kind]
+        assert (spec.fast or spec._one_pass)(obj) is None
+
+    def test_extra_key_is_declined(self, caplog):
+        doc = valid_doc()
+        doc["judgements"]["DS"]["note"] = "x"
+        assert ingest._JUDGEMENT.fast(doc["judgements"]["DS"]) is None
+        assert violations_of(doc) == ("judgements.DS.note: unknown field",)
+        with caplog.at_level(logging.WARNING, logger="pipevis.ingest"):
+            assessment = parse_document(dumps(doc), lenient=True)
+        assert [r.getMessage() for r in caplog.records] == [
+            "ignoring unknown field: judgements.DS.note"
+        ]
+        clean = parse_document(dumps(valid_doc()))
+        assert assessment.judgements["DS"] is clean.judgements["DS"]
+
+    def test_parses_share_one_judgement_per_state(self):
+        blob = serialize_document(helpers.random_assessment(random.Random(704), 40))
+        first, second = parse_document(blob), parse_document(blob)
+        for nid, judgement in first.judgements.items():
+            assert second.judgements[nid] is judgement
+        states = {}
+        for judgement in first.judgements.values():
+            assert states.setdefault(judgement, judgement) is judgement
+
+    def test_duplicate_key_inside_a_judgement(self):
+        # Both quantity and accuracy repeat; quantity repeats first.
+        blob = dumps(valid_doc()).replace(
+            '"DS": {"quantity": 3,',
+            '"DS": {"quantity": 3, "accuracy": 2, "quantity": 2,',
+        )
+        assert blob.count('"quantity"') == 4
+        with pytest.raises(SchemaViolationError) as excinfo:
+            parse_document(blob)
+        assert excinfo.value.violations == ("duplicate key: quantity",)
+
+    def test_duplicate_key_names_the_first_repeated_key(self):
+        with pytest.raises(SchemaViolationError) as excinfo:
+            parse_document('{"a": 1, "b": 2, "b": 3, "a": 4}')
+        assert excinfo.value.violations == ("duplicate key: b",)
 
 
 class TestSchemaDifferential:

@@ -32,7 +32,7 @@ from pipevis import (
     serialize_document,
     visibility_index,
 )
-from pipevis import model
+from pipevis import metrics, model
 
 scores = st.integers(min_value=1, max_value=4)
 
@@ -109,6 +109,34 @@ class TestIndices:
         assert row.quality_index == pytest.approx(math.sqrt(6), abs=0)
         assert row.visibility_index == pytest.approx(helpers.VIS_DS_LATER, rel=1e-15)
         assert row.weight == 0.25
+
+    def test_every_state_is_tabled_by_the_formula(self):
+        assert len(metrics._INDEX_TABLE) == 64
+        for judgement, indices in metrics._INDEX_TABLE.items():
+            assert indices == (
+                float(judgement.quantity),
+                quality_index(judgement),
+                visibility_index(judgement),
+            )
+
+    def test_hand_built_judgements_score_as_the_parsed_ones(self):
+        class Tagged(Judgement):
+            """Equal fields, another class: outside the table."""
+
+        parsed = parse_document(serialize_document(helpers.uniform_assessment(
+            Judgement(2, 3, 4)
+        )))
+        shared = parsed.judgements["DS"]
+        assert shared is model._JUDGEMENTS[2, 3, 4]
+        for hand_built in (Judgement(2, 3, 4), Tagged(2, 3, 4)):
+            assert hand_built is not shared
+            rebuilt = replace(
+                parsed, judgements=dict.fromkeys(parsed.judgements, hand_built)
+            )
+            assert overall_visibility(rebuilt) == overall_visibility(parsed)
+            assert node_visibility("DS", hand_built, 0.5) == node_visibility(
+                "DS", shared, 0.5
+            )
 
 
 class TestOverallVisibility:

@@ -24,6 +24,7 @@ from pipevis import (
     validate_assessment,
     validate_graph,
 )
+from pipevis import model
 from pipevis.model import check_score_level
 
 
@@ -123,6 +124,90 @@ class TestPipelineGraph:
             assert expected
             assert found == expected
 
+    @staticmethod
+    def cycle_components(graph):
+        return [
+            v.removeprefix("cycle detected: ").split(",")
+            for v in validate_graph(graph).violations
+            if v.startswith("cycle detected: ")
+        ]
+
+    def test_cycles_fed_by_leaves_agree_with_networkx(self):
+        rng = random.Random(3304)
+        for trial in range(60):
+            size = rng.randint(2, 6)
+            derived = [f"D{i}" for i in range(size)]
+            loop = rng.sample(derived, rng.randint(2, size))
+            edges = set(zip(loop, loop[1:] + loop[:1])) | {(derived[0], "M")}
+            if trial % 2:  # every derived node fed by many leaves
+                leaves = [f"L{i}" for i in range(rng.randint(size, 60))]
+                edges |= {(leaf, rng.choice(derived)) for leaf in leaves}
+                edges |= {(leaf, d) for leaf, d in zip(leaves, derived)}
+            else:  # one leaf is the cycle's only way in
+                leaves = ["L0"]
+                edges.add(("L0", rng.choice(loop)))
+            nodes = [node(i) for i in leaves] + [
+                node(i, NodeKind.DERIVED_ASSET) for i in derived
+            ] + [node("M", NodeKind.OUTPUT_ASSET)]
+            graph = PipelineGraph(nodes=tuple(nodes), edges=edges)
+            dg = nx.DiGraph(list(edges))
+            expected = sorted(
+                sorted(c) for c in nx.strongly_connected_components(dg) if len(c) > 1
+            )
+            assert expected
+            assert self.cycle_components(graph) == expected
+
+    def test_cycle_search_enters_only_nodes_with_an_incoming_edge(self):
+        class Entered(dict):
+            """The reverse map, noting each node whose upstream ids are read."""
+
+            def __init__(self, reverse):
+                super().__init__(reverse)
+                self.entered = set()
+
+            def __getitem__(self, node_id):
+                self.entered.add(node_id)
+                return super().__getitem__(node_id)
+
+        derived = [node(f"D{i:02d}", NodeKind.DERIVED_ASSET) for i in range(20)]
+        leaves = [node(f"L{i:04d}") for i in range(2000)]
+        edges = [(leaf.id, derived[i % 20].id) for i, leaf in enumerate(leaves)]
+        edges += [(d.id, "M") for d in derived]
+        graph = PipelineGraph(
+            nodes=(*leaves, *derived, node("M", NodeKind.OUTPUT_ASSET)), edges=edges
+        )
+        reverse = Entered(graph._reverse)
+        vars(graph)["_reverse"] = reverse
+        assert model._cyclic_components(graph) == []
+        assert reverse.entered == set(reverse) == {d.id for d in derived} | {"M"}
+        assert reverse.entered.isdisjoint(graph.leaf_ids())
+
+    def test_id_index_is_invisible(self, example_graph):
+        def observe(graph):
+            return graph, hash(graph), repr(graph), pickle.dumps(graph)
+
+        before = observe(example_graph)
+        assert example_graph.node_ids() == {"DS", "H1", "H2", "LD", "M"}
+        assert isinstance(example_graph.node_ids(), frozenset)
+        assert example_graph.node_by_id("LD") is example_graph.nodes[3]
+        assert {"_by_id", "_ids"} <= vars(example_graph).keys()
+        assert observe(example_graph) == before
+        copy = pickle.loads(before[3])
+        assert not {"_by_id", "_ids"} & vars(copy).keys()
+        assert copy.node_by_id("LD") == example_graph.node_by_id("LD")
+
+        grown = replace(example_graph, nodes=example_graph.nodes + (node("X"),))
+        assert grown.node_by_id("X") == node("X")
+        assert "X" in grown.node_ids()
+        assert example_graph.node_by_id("X") is None
+        assert "X" not in example_graph.node_ids()
+
+    def test_node_by_id_returns_the_first_of_repeated_ids(self):
+        first = node("A")
+        second = ContributionNode(id="A", kind=NodeKind.DERIVED_ASSET, label="again")
+        graph = PipelineGraph(nodes=(first, second), edges=())
+        assert graph.node_by_id("A") is graph.nodes[0] == first
+
     def test_derived_structure_is_invisible(self, example_graph):
         def fresh():
             return PipelineGraph(nodes=example_graph.nodes, edges=example_graph.edges)
@@ -160,6 +245,12 @@ class TestValidateGraph:
             edges=(("A", "M"),),
         )
         assert "duplicate node id: A" in validate_graph(graph).violations
+
+    def test_empty_node_id(self):
+        graph = PipelineGraph(
+            nodes=(node(""), node("M", NodeKind.OUTPUT_ASSET)), edges=(("", "M"),)
+        )
+        assert validate_graph(graph).violations == ("empty node id",)
 
     def test_edge_referencing_unknown_node(self):
         graph = PipelineGraph(

@@ -273,6 +273,19 @@ class TestRenderMachine:
             "freshness": 3,
         }
 
+    def test_signed_zero_weights_keep_their_sign(self):
+        # 0.0 and -0.0 are equal floats; the weight column must not merge them.
+        for order in ((0.0, -0.0), (-0.0, 0.0)):
+            weights = {"DS": 1.0, "H1": order[0], "H2": order[1]}
+            assessment = helpers.later_assessment(
+                weights=helpers.WeightScheme.explicit(weights)
+            )
+            body = render_machine(overall_visibility(assessment), assessment).body
+            results = body[body.index('"results"'):]
+            assert [
+                line.strip() for line in results.splitlines() if '"weight"' in line
+            ] == ['"weight": 1.0', f'"weight": {order[0]!r}', f'"weight": {order[1]!r}']
+
 
 class TestRenderRubric:
     def test_exact_body(self):
