@@ -13,10 +13,10 @@ judgement) its keys and one check per key. The parser accepts what the schema
 accepts, except ``3.0`` as an integer; it rejects duplicate keys, lone
 surrogates (``"\\ud800"``), the non-JSON tokens ``NaN`` and ``Infinity``,
 unknown keys and an explicit ``null`` for an optional key. ``lenient=True``
-only downgrades unknown keys to warnings. An object whose keys are all known,
-with no null, is checked in one pass; any other object, and one that fails a
-check, goes to the full walker, which alone writes violation text. A
-judgement is one of 64 shared instances, one per valid state.
+only downgrades unknown keys to warnings. A judgement is one of 64 shared
+instances, one per valid state: an object of exactly its three keys, each an
+``int`` from 1 to 4, is read in one table lookup, and any other goes to the
+full walker, which alone writes violation text.
 
 Serialization is canonical: fixed key order, nodes and edges sorted by id,
 ``"equal"`` for equal weighting, 2-space indentation and a trailing
@@ -40,6 +40,7 @@ import math
 import re
 from collections.abc import Callable, Mapping
 from datetime import date
+from functools import cache
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring
 from operator import itemgetter
@@ -205,7 +206,7 @@ def document_dict(assessment: Assessment) -> dict[str, Any]:
     for node in assessment.graph.nodes:
         entry: dict[str, Any] = {
             "id": node.id,
-            "kind": node.kind._value_,  # the enum `value` property is slow
+            "kind": node.kind.value,
             "label": node.label,
         }
         if node.description is not None:
@@ -270,20 +271,19 @@ _OBJECTS = frozenset((dict,))
 _INDENT = "  "
 
 
-#: By depth, made on first use: a C encoder (its text comes in chunks) that
-#: puts each item of a container on a line of its own, the line break and
-#: indent before each item, and those before the closing bracket.
-_levels: list[tuple[Callable[[Any, int], list[str]], str, str]] = []
-
-
+@cache
 def _level(depth: int) -> tuple[Callable[[Any, int], list[str]], str, str]:
-    while len(_levels) <= depth:
-        inner = "\n" + _INDENT * (len(_levels) + 1)
-        encode = c_make_encoder(
-            None, None, encode_basestring, None, ": ", "," + inner, False, False, True
-        )
-        _levels.append((encode, inner, "\n" + _INDENT * len(_levels)))
-    return _levels[depth]
+    """The C encoder and the indents for a container at ``depth``.
+
+    The encoder (its text comes in chunks) puts each item on a line of its
+    own; the strings are the line break and indent before each item and
+    before the closing bracket.
+    """
+    inner = "\n" + _INDENT * (depth + 1)
+    encode = c_make_encoder(
+        None, None, encode_basestring, None, ": ", "," + inner, False, False, True
+    )
+    return encode, inner, "\n" + _INDENT * depth
 
 
 def _indented(value: Any, depth: int) -> str:
@@ -370,43 +370,20 @@ class _Object(NamedTuple):
     ``read`` alone judges unknown keys, absent keys and explicit nulls: it
     returns ``build(values)``, or None after appending violations.
 
-    ``read`` first tries ``fast`` (by default ``_one_pass``), which returns
-    the built value of an object that has nothing to report, or None. Every
-    other object goes to the full walker, which writes all violation text.
+    ``read`` first tries ``fast``, if given, which returns the built value of
+    an object that has nothing to report, or None. Every other object goes to
+    the full walker, which writes all violation text.
     """
 
     rows: dict[str, tuple[Any, Any]]
     build: Callable[[dict[str, Any]], Any] = dict
     fast: Callable[[Any], Any] | None = None
 
-    def _one_pass(self, obj: Any) -> Any:
-        """Each check once, for an object of known keys, no null and no spec.
-
-        Unknown keys, nulls, absent keys without a default and specs are left
-        to the full walker, whatever the checks would make of them.
-        """
-        if (type(obj) is not dict or not obj.keys() <= self.rows.keys()
-                or None in obj.values()):
-            return None
-        values: dict[str, Any] = {}
-        try:
-            for key, (check, absent) in self.rows.items():
-                if key in obj:
-                    if not callable(check):
-                        return None
-                    values[key] = check(obj[key])
-                elif absent is _REQUIRED or absent is _PRESENT or absent is _CHECKED:
-                    return None
-                else:
-                    values[key] = absent
-        except _Invalid:
-            return None
-        return self.build(values)
-
     def read(self, obj: Any, path: str, errors: list[str], lenient: bool) -> Any:
-        built = (self.fast or self._one_pass)(obj)
-        if built is not None:
-            return built
+        if self.fast is not None:
+            built = self.fast(obj)
+            if built is not None:
+                return built
         if not isinstance(obj, dict):
             raise _Invalid(f"must be an object, got {_type_name(obj)}")
         before = len(errors)

@@ -27,8 +27,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from functools import cached_property
-from itertools import chain, product, starmap
-from operator import attrgetter, eq
+from itertools import product
 from types import MappingProxyType
 
 SCORE_MIN = 1
@@ -126,7 +125,7 @@ class PipelineGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "nodes", tuple(sorted(self.nodes, key=attrgetter("id")))
+            self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.id))
         )
         object.__setattr__(
             self,
@@ -305,61 +304,51 @@ def validate_graph(graph: PipelineGraph) -> ValidationResult:
 
 def _graph_violations(graph: PipelineGraph) -> tuple[str, ...]:
     violations: list[str] = []
-    known = graph.node_ids()
 
-    if len(known) < len(graph.nodes) or "" in known:  # an id repeats or is empty
-        ids_seen: set[str] = set()
-        duplicates: set[str] = set()
-        for node in graph.nodes:
-            if not node.id:
-                violations.append("empty node id")
-            elif node.id in ids_seen:
-                duplicates.add(node.id)
-            else:
-                ids_seen.add(node.id)
-        violations.extend(f"duplicate node id: {nid}" for nid in sorted(duplicates))
-
-    # An edge names an unknown node or is a self-edge.
-    if not known.issuperset(chain.from_iterable(graph.edges)) or any(
-        starmap(eq, graph.edges)
-    ):
-        for src, dst in graph.edges:
-            if src not in known:
-                violations.append(f"edge {src}->{dst} references unknown node {src}")
-            if dst not in known:
-                violations.append(f"edge {src}->{dst} references unknown node {dst}")
-            if src == dst:
-                violations.append(f"self-edge on {src}")
-
-    reverse = graph._reverse
-    outputs: list[str] = []
-    unfed: list[str] = []
+    ids_seen: set[str] = set()
+    duplicates: set[str] = set()
     for node in graph.nodes:
-        kind = node.kind
-        if kind is NodeKind.OUTPUT_ASSET:
-            outputs.append(node.id)
-            if node.id not in reverse:
-                unfed.append(f"output node {node.id} has no incoming edge")
-        elif kind is NodeKind.DERIVED_ASSET and node.id not in reverse:
-            unfed.append(f"derived node {node.id} has no incoming edge")
-    outputs.sort()
+        if not node.id:
+            violations.append("empty node id")
+        elif node.id in ids_seen:
+            duplicates.add(node.id)
+        else:
+            ids_seen.add(node.id)
+    violations.extend(f"duplicate node id: {nid}" for nid in sorted(duplicates))
+
+    known = graph.node_ids()
+    for src, dst in graph.edges:
+        if src not in known:
+            violations.append(f"edge {src}->{dst} references unknown node {src}")
+        if dst not in known:
+            violations.append(f"edge {src}->{dst} references unknown node {dst}")
+        if src == dst:
+            violations.append(f"self-edge on {src}")
+
+    outputs = sorted(n.id for n in graph.nodes if n.kind is NodeKind.OUTPUT_ASSET)
     if not outputs:
         violations.append("graph has no OutputAsset node")
     elif len(outputs) > 1:
         violations.append("multiple OutputAsset nodes: " + ",".join(outputs))
-    violations.extend(unfed)
+
+    reverse = graph._reverse
+    for node in graph.nodes:
+        if node.id not in reverse:
+            if node.kind is NodeKind.DERIVED_ASSET:
+                violations.append(f"derived node {node.id} has no incoming edge")
+            elif node.kind is NodeKind.OUTPUT_ASSET:
+                violations.append(f"output node {node.id} has no incoming edge")
 
     for component in _cyclic_components(graph):
         violations.append("cycle detected: " + ",".join(component))
 
     if len(outputs) == 1:
         reachable = _reaching_set(graph, outputs[0])
-        if len(reachable) < len(known):  # reachable holds known ids only
-            violations.extend(
-                f"node {node.id} has no path to the output"
-                for node in graph.nodes
-                if node.id not in reachable
-            )
+        violations.extend(
+            f"node {node.id} has no path to the output"
+            for node in graph.nodes
+            if node.id not in reachable
+        )
 
     return tuple(violations)
 
@@ -449,7 +438,7 @@ def _cyclic_components(graph: PipelineGraph) -> list[list[str]]:
                 stack.append(node)
                 on_stack.add(node)
             advanced = False
-            children = reverse[node]
+            children = reverse.get(node, ())
             while child_pos < len(children):
                 child = children[child_pos]
                 child_pos += 1
@@ -486,10 +475,10 @@ def _reaching_set(graph: PipelineGraph, target: str) -> set[str]:
     seen = {target}
     frontier = [target]
     while frontier:
-        fresh = set(reverse.get(frontier.pop(), ())).difference(seen)
-        seen |= fresh
-        # Only a node with an incoming edge has upstream nodes to add.
-        frontier.extend(filter(reverse.__contains__, fresh))
+        for upstream in reverse.get(frontier.pop(), ()):
+            if upstream not in seen:
+                seen.add(upstream)
+                frontier.append(upstream)
     return seen
 
 

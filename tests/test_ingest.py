@@ -772,8 +772,8 @@ def mutate(doc, rng):
             container[key] = rng.choice(["\ud800", "a\udfff", "\U0001f600"])
 
 
-# Objects the one-pass check declines: each goes to the full walker and gets
-# the same text in strict and in lenient mode.
+# Objects with something to report: each gets the full walker's text in strict
+# and in lenient mode; the judgement lookup declines the bad judgements.
 DECLINED = {
     "score true": (
         {"judgements/DS/quantity": True},
@@ -805,15 +805,13 @@ class TestFieldFastPath:
         assert violations_of(edited(edits), lenient=lenient) == (expected,)
 
     @pytest.mark.parametrize(
-        ("edits", "expected"), list(DECLINED.values()), ids=list(DECLINED)
+        ("edits", "expected"),
+        [edit for name, edit in DECLINED.items() if name.startswith("score")],
+        ids=[name for name in DECLINED if name.startswith("score")],
     )
-    def test_one_pass_check_declines(self, edits, expected):
-        path, value = next(iter(edits.items()))
-        kind, index, _ = path.split("/", 2)
-        obj = edited(edits)[kind][index if kind == "judgements" else int(index)]
-        spec = {"judgements": ingest._JUDGEMENT, "nodes": ingest._NODE,
-                "edges": ingest._EDGE}[kind]
-        assert (spec.fast or spec._one_pass)(obj) is None
+    def test_judgement_lookup_declines(self, edits, expected):
+        judgement = edited(edits)["judgements"]["DS"]
+        assert ingest._JUDGEMENT.fast(judgement) is None
 
     def test_extra_key_is_declined(self, caplog):
         doc = valid_doc()

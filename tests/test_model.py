@@ -169,6 +169,10 @@ class TestPipelineGraph:
                 self.entered.add(node_id)
                 return super().__getitem__(node_id)
 
+            def get(self, node_id, default=None):
+                self.entered.add(node_id)
+                return super().get(node_id, default)
+
         derived = [node(f"D{i:02d}", NodeKind.DERIVED_ASSET) for i in range(20)]
         leaves = [node(f"L{i:04d}") for i in range(2000)]
         edges = [(leaf.id, derived[i % 20].id) for i, leaf in enumerate(leaves)]
