@@ -23,13 +23,15 @@ Serialization is canonical: fixed key order, nodes and edges sorted by id,
 newline. Two equal assessments serialize to identical bytes, and
 ``parse_document(serialize_document(a)) == a``.
 
-The canonical text is that of ``json.dumps(indent=2, ensure_ascii=False)``,
-whose indenting encoder is pure Python. :func:`canonical_json` writes it
-faster: it walks the containers in Python, and hands each container of
-scalars, and each run of objects of scalars, to the C encoder in one call,
-with a line break and indent as item separator; it then puts the brackets on
-lines of their own. Without the C encoder (off CPython), or on a value of
-another type (a tuple, a subclass), it calls ``json.dumps`` itself.
+:func:`document_text` writes the canonical text straight from the model: it
+alone holds the key order, the indentation and the node, edge and judgement
+templates, and the machine document of :func:`pipevis.report.render_machine`
+is its text with a ``results`` member added. Strings are escaped by
+``json.encoder.encode_basestring``, floats written by ``float.__repr__`` and
+ints as ints, which is what ``json.dumps(indent=2, ensure_ascii=False)``
+writes; each distinct judgement is formatted once per call.
+:func:`document_dict` builds the same document as a dict and is the writer's
+reference: the tests check that ``json.dumps`` of it gives the same text.
 """
 
 from __future__ import annotations
@@ -38,11 +40,9 @@ import json
 import logging
 import math
 import re
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from datetime import date
-from functools import cache
-from itertools import chain
-from json.encoder import c_make_encoder, encode_basestring
+from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Any, NamedTuple
 
@@ -197,11 +197,11 @@ def serialize_document(assessment: Assessment) -> bytes:
     result = validate_assessment(assessment)
     if not result.ok:
         raise InvalidAssessmentError(result.violations)
-    return canonical_json(document_dict(assessment)).encode("utf-8")
+    return document_text(assessment).encode("utf-8")
 
 
 def document_dict(assessment: Assessment) -> dict[str, Any]:
-    """The canonical document as a plain dict, keys in serialization order."""
+    """The canonical document as a dict, keys in order: the writer's reference."""
     nodes = []
     for node in assessment.graph.nodes:
         entry: dict[str, Any] = {
@@ -246,102 +246,73 @@ def document_dict(assessment: Assessment) -> dict[str, Any]:
     }
 
 
-def canonical_json(document: Mapping[str, Any]) -> str:
-    """The canonical text of a JSON document: 2-space indent, trailing newline.
+def document_text(assessment: Assessment, members: str = "") -> str:
+    """The canonical text of ``assessment``, written without a validity check.
 
-    Byte-identical to ``json.dumps(document, indent=2, ensure_ascii=False)``
-    plus a newline, which it falls back to without the C encoder or on a
-    value of any type but dict, list, str, int, float, bool and None.
+    ``members`` is the text of further top-level members, each ``,\n  "key":
+    value`` at one level of indent; it goes after ``display_precision``. A
+    ``NodeKind`` is a ``str``, so ``encode_basestring`` writes its value.
     """
-    if c_make_encoder is not None:
-        try:
-            return _indented(document, 0) + "\n"
-        except _Irregular:
-            pass
-    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
-
-
-class _Irregular(Exception):
-    """A value the C-encoded writer leaves to ``json.dumps``."""
-
-
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_KEYS = frozenset((str,))
-_OBJECTS = frozenset((dict,))
-_INDENT = "  "
-
-
-@cache
-def _level(depth: int) -> tuple[Callable[[Any, int], list[str]], str, str]:
-    """The C encoder and the indents for a container at ``depth``.
-
-    The encoder (its text comes in chunks) puts each item on a line of its
-    own; the strings are the line break and indent before each item and
-    before the closing bracket.
-    """
-    inner = "\n" + _INDENT * (depth + 1)
-    encode = c_make_encoder(
-        None, None, encode_basestring, None, ": ", "," + inner, False, False, True
+    text = encode_basestring
+    nodes = []
+    for node in assessment.graph.nodes:
+        entry = (
+            f'{{\n      "id": {text(node.id)},\n      "kind": {text(node.kind)},'
+            f'\n      "label": {text(node.label)}'
+        )
+        if node.description is not None:
+            entry += f',\n      "description": {text(node.description)}'
+        if node.evidence_refs:
+            refs = ",\n        ".join(map(text, node.evidence_refs))
+            entry += f',\n      "evidence_refs": [\n        {refs}\n      ]'
+        nodes.append(entry + "\n    }")
+    edges = [
+        f'{{\n      "from": {text(src)},\n      "to": {text(dst)}\n    }}'
+        for src, dst in assessment.graph.edges
+    ]
+    judged: dict[Judgement, str] = {}
+    judgements = []
+    for nid, judgement in sorted(assessment.judgements.items()):
+        scores = judged.get(judgement)
+        if scores is None:
+            scores = judged[judgement] = (
+                f'{{\n      "quantity": {int.__repr__(judgement.quantity)},'
+                f'\n      "accuracy": {int.__repr__(judgement.accuracy)},'
+                f'\n      "freshness": {int.__repr__(judgement.freshness)}\n    }}'
+            )
+        judgements.append(f"{text(nid)}: {scores}")
+    explicit = assessment.weights.weights
+    weights = '"equal"' if explicit is None else _block(
+        [f"{text(k)}: {float.__repr__(float(explicit[k]))}" for k in sorted(explicit)],
+        "{}",
+        1,
     )
-    return encode, inner, "\n" + _INDENT * depth
-
-
-def _indented(value: Any, depth: int) -> str:
-    """The text of ``value``, its closing bracket at ``depth`` levels of indent.
-
-    A flat container (no container inside) is encoded in one C call, then its
-    brackets are moved onto lines of their own; so is a run of records (flat,
-    non-empty objects), see ``_records``. Any other container is walked here.
-    """
-    kind = type(value)
-    if kind is dict:
-        values = value.values()
-    elif kind is list:
-        values = value
-    elif kind in _SCALARS:
-        return "".join(_level(0)[0](value, 0))
-    else:
-        raise _Irregular
-    if not value:
-        return "{}" if kind is dict else "[]"
-    encode, inner, close = _level(depth)
-    if _SCALARS.issuperset(map(type, values)):
-        text = "".join(encode(value, 0))
-        return f"{text[0]}{inner}{text[1:-1]}{close}{text[-1]}"
-    if kind is dict and not _KEYS.issuperset(map(type, value)):
-        raise _Irregular
-    if _are_records(values):
-        items = _records(list(values), depth + 1)
-    else:
-        items = [_indented(item, depth + 1) for item in values]
-    if kind is dict:
-        keys = map(encode_basestring, value)
-        items = [f"{key}: {item}" for key, item in zip(keys, items)]
-        return f"{{{inner}{(',' + inner).join(items)}{close}}}"
-    return f"[{inner}{(',' + inner).join(items)}{close}]"
-
-
-def _are_records(values: Any) -> bool:
-    """Whether every value is a record: a non-empty object of scalars."""
-    fields = chain.from_iterable(map(dict.values, values))
     return (
-        _OBJECTS.issuperset(map(type, values))
-        and all(values)
-        and _SCALARS.issuperset(map(type, fields))
+        f'{{\n  "schema_version": "{SCHEMA_VERSION}",'
+        f'\n  "asset": {{\n    "name": {text(assessment.asset_name)},'
+        f'\n    "version": {text(assessment.asset_version)}\n  }},'
+        f'\n  "assessed_at": {text(assessment.assessed_at.isoformat())},'
+        f'\n  "assessor": {text(assessment.assessor)},'
+        f'\n  "nodes": {_block(nodes, "[]", 1)},'
+        f'\n  "edges": {_block(edges, "[]", 1)},'
+        f'\n  "judgements": {_block(judgements, "{}", 1)},'
+        f'\n  "weights": {weights},'
+        f'\n  "display_precision": {int.__repr__(assessment.display_precision)}'
+        f"{members}\n}}\n"
     )
 
 
-def _records(records: list[dict[str, Any]], depth: int) -> list[str]:
-    """The text of each record, a flat non-empty object at ``depth``.
+def _block(items: list[str], brackets: str, depth: int) -> str:
+    """A JSON array or object (``brackets``) of formatted items at ``depth``.
 
-    All are encoded in one C call as a list, one field per line. An encoded
-    string holds no raw line break, so each ``"},\\n<indent>{"`` lies between
-    two records: splitting there gives each record's fields.
+    Each item is on a line of its own, one level of indent deeper; an item's
+    own later lines carry their full indent already.
     """
-    encode, inner, close = _level(depth)
-    text = "".join(encode(records, 0))
-    fields = text[2:-2].split("}," + inner + "{")
-    return [f"{{{inner}{body}{close}}}" for body in fields]
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{close}{brackets[1]}"
 
 
 def _type_name(value: Any) -> str:

@@ -247,6 +247,13 @@ class Assessment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "judgements", MappingProxyType(dict(self.judgements)))
+        # The document's rules: other values would serialize to a rejected document.
+        name = self.asset_name
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"asset_name must be a non-empty string, got {name!r}")
+        for field in ("asset_version", "assessor"):
+            if not isinstance(value := getattr(self, field), str):
+                raise ValueError(f"{field} must be a string, got {value!r}")
         if isinstance(self.assessed_at, datetime) or not isinstance(
             self.assessed_at, date
         ):

