@@ -13,10 +13,13 @@ judgement) its keys and one check per key. The parser accepts what the schema
 accepts, except ``3.0`` as an integer; it rejects duplicate keys, lone
 surrogates (``"\\ud800"``), the non-JSON tokens ``NaN`` and ``Infinity``,
 unknown keys and an explicit ``null`` for an optional key. ``lenient=True``
-only downgrades unknown keys to warnings. A judgement is one of 64 shared
-instances, one per valid state: an object of exactly its three keys, each an
-``int`` from 1 to 4, is read in one table lookup, and any other goes to the
-full walker, which alone writes violation text.
+only downgrades unknown keys to warnings.
+
+Nodes, edges and judgements each have a one-step reader, which builds the
+value of a plainly valid object (no unknown key, no null, every field of its
+type) or declines it. A node's kind is looked up by value, and a judgement is
+one of 64 shared instances, one per valid state. A declined object goes to
+the full walker, which alone writes violation text and handles ``lenient``.
 
 Serialization is canonical: fixed key order, nodes and edges sorted by id,
 ``"equal"`` for equal weighting, 2-space indentation and a trailing
@@ -137,8 +140,7 @@ def _load_json(data: bytes | bytearray | str) -> Any:
             f"invalid UTF-8 at byte {exc.start}: {exc.reason}"
         ) from None
     except UnicodeEncodeError as exc:
-        surrogate = exc.object[exc.start]
-        raise MalformedSyntaxError(f"lone surrogate {surrogate!r} in a string") from None
+        raise MalformedSyntaxError(_lone_surrogate(exc)) from None
     except DocumentError:  # a duplicate key or NaN/Infinity, from the hooks
         raise
     except json.JSONDecodeError as exc:
@@ -147,6 +149,10 @@ def _load_json(data: bytes | bytearray | str) -> Any:
         raise MalformedSyntaxError("document nested too deeply") from None
     except ValueError as exc:  # an integer literal past Python's digit limit
         raise MalformedSyntaxError(str(exc).partition(";")[0]) from None
+
+
+def _lone_surrogate(exc: UnicodeEncodeError) -> str:
+    return f"lone surrogate {exc.object[exc.start]!r} in a string"
 
 
 def parse_document(data: bytes | bytearray | str, *, lenient: bool = False) -> Assessment:
@@ -193,11 +199,18 @@ def parse_document(data: bytes | bytearray | str, *, lenient: bool = False) -> A
 
 
 def serialize_document(assessment: Assessment) -> bytes:
-    """Canonical UTF-8 JSON bytes for a valid assessment."""
+    """Canonical UTF-8 JSON bytes for a valid assessment.
+
+    A string with a lone surrogate has no UTF-8 form; validation does not look
+    for one, so it surfaces here, as the parser words it.
+    """
     result = validate_assessment(assessment)
     if not result.ok:
         raise InvalidAssessmentError(result.violations)
-    return document_text(assessment).encode("utf-8")
+    try:
+        return document_text(assessment).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidAssessmentError([_lone_surrogate(exc)]) from None
 
 
 def document_dict(assessment: Assessment) -> dict[str, Any]:
@@ -341,9 +354,10 @@ class _Object(NamedTuple):
     ``read`` alone judges unknown keys, absent keys and explicit nulls: it
     returns ``build(values)``, or None after appending violations.
 
-    ``read`` first tries ``fast``, if given, which returns the built value of
-    an object that has nothing to report, or None. Every other object goes to
-    the full walker, which writes all violation text.
+    ``fast``, which every item kind of an ``_Each`` has, reads an object in
+    one step: it returns the built value of an object that has nothing to
+    report, or None. Every other object goes to ``read``, the full walker,
+    which alone writes violation text and handles ``lenient``.
     """
 
     rows: dict[str, tuple[Any, Any]]
@@ -351,10 +365,6 @@ class _Object(NamedTuple):
     fast: Callable[[Any], Any] | None = None
 
     def read(self, obj: Any, path: str, errors: list[str], lenient: bool) -> Any:
-        if self.fast is not None:
-            built = self.fast(obj)
-            if built is not None:
-                return built
         if not isinstance(obj, dict):
             raise _Invalid(f"must be an object, got {_type_name(obj)}")
         before = len(errors)
@@ -391,7 +401,11 @@ class _Object(NamedTuple):
 
 
 class _Each(NamedTuple):
-    """Items of one object kind, by index in an array or, ``keyed``, by node id."""
+    """Items of one object kind, by index in an array or, ``keyed``, by node id.
+
+    Each item is first offered to the kind's one-step reader, ``fast``; the
+    item's path is formatted only for an item that goes to the walker.
+    """
 
     item: _Object
     keyed: bool = False
@@ -401,8 +415,13 @@ class _Each(NamedTuple):
         if not isinstance(value, shape):
             raise _Invalid(f"must be {expected}, got {_type_name(value)}")
         before = len(errors)
+        fast = self.item.fast
         built = {}
         for key, item in value.items() if self.keyed else enumerate(value):
+            got = fast(item)
+            if got is not None:
+                built[key] = got
+                continue
             name = f"{path}.{key}" if self.keyed else f"{path}[{key}]"
             try:
                 built[key] = self.item.read(item, name, errors, lenient)
@@ -459,15 +478,23 @@ def _score(value: Any) -> int:
     return value
 
 
-_KIND_VALUES = {kind.value for kind in NodeKind}
+#: Each kind's member by value: the parser looks a kind up instead of calling
+#: ``NodeKind`` on it.
+_KINDS = {kind.value: kind for kind in NodeKind}
 _string = _must("a string", lambda v: isinstance(v, str), _type_name)
 _text = _must("a string", lambda v: isinstance(v, str))
 _name = _must("a non-empty string", lambda v: isinstance(v, str) and v != "")
-_kind = _must(
-    "one of " + ", ".join(sorted(_KIND_VALUES)),
-    lambda v: isinstance(v, str) and v in _KIND_VALUES,
+_kind_value = _must(
+    "one of " + ", ".join(sorted(_KINDS)),
+    lambda v: isinstance(v, str) and v in _KINDS,
     repr,
 )
+
+
+def _kind(value: Any) -> NodeKind:
+    return _KINDS[_kind_value(value)]
+
+
 _strings = _must(
     "an array of strings",
     lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
@@ -488,6 +515,46 @@ def _date(value: Any) -> date:
         raise _Invalid(f"not a valid calendar date: {text!r}") from None
 
 
+def _plain_node(obj: Any) -> ContributionNode | None:
+    """The node of an object with valid fields and no unknown key, or None."""
+    if type(obj) is not dict or not obj.keys() <= _NODE.rows.keys():
+        return None
+    try:
+        node_id, kind, label = _NODE_REQUIRED(obj)
+        kind = _KINDS[kind]
+    except (KeyError, TypeError):  # a key missing, or a kind of another value
+        return None
+    if type(node_id) is not str or not node_id or type(label) is not str:
+        return None
+    description = obj.get("description")
+    if description is None:
+        if "description" in obj:
+            return None
+    elif type(description) is not str:
+        return None
+    refs = obj.get("evidence_refs", ())
+    if refs != ():  # present: a null, like any other non-list, is declined
+        if type(refs) is not list or not all(type(ref) is str for ref in refs):
+            return None
+        refs = tuple(refs)
+    return ContributionNode(node_id, kind, label, description, refs)
+
+
+def _plain_edge(obj: Any) -> tuple[str, str] | None:
+    """The ``(from, to)`` pair of an object of exactly two valid ids, or None."""
+    if type(obj) is not dict or len(obj) != 2:
+        return None
+    try:
+        src, dst = edge = _ENDS(obj)
+    except KeyError:
+        return None
+    if type(src) is str and src and type(dst) is str and dst:
+        return edge
+    return None
+
+
+_NODE_REQUIRED = itemgetter("id", "kind", "label")
+_ENDS = itemgetter("from", "to")
 _ASSET = _Object({"name": (_name, _CHECKED), "version": (_text, _CHECKED)})
 _NODE = _Object({
     "id": (_name, _CHECKED),
@@ -495,9 +562,9 @@ _NODE = _Object({
     "label": (_text, _CHECKED),
     "description": (_text, None),
     "evidence_refs": (_strings, ()),
-}, lambda fields: ContributionNode(**fields))
+}, lambda fields: ContributionNode(**fields), _plain_node)
 _EDGE = _Object(
-    {"from": (_name, _CHECKED), "to": (_name, _CHECKED)}, itemgetter("from", "to")
+    {"from": (_name, _CHECKED), "to": (_name, _CHECKED)}, _ENDS, _plain_edge
 )
 _SCORES = itemgetter("quantity", "accuracy", "freshness")
 

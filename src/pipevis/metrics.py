@@ -88,9 +88,12 @@ class InvalidWeightsError(ValueError):
         super().__init__("invalid weights: " + "; ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class NodeVisibility:
-    """Computed indices for one leaf node, plus its weight in the overall sum."""
+class NodeVisibility(NamedTuple):
+    """Computed indices for one leaf node, plus its weight in the overall sum.
+
+    A report holds one per leaf, so it is a tuple: it unpacks and compares
+    equal to a plain tuple, and ``_replace`` makes a changed copy.
+    """
 
     node_id: str
     quantity_index: float
@@ -169,11 +172,12 @@ def _weighted_report(
     say) has them computed.
     """
     judgements = assessment.judgements
+    make_row = NodeVisibility._make
     rows = []
     for nid, weight in weights.items():
         judgement = judgements[nid]
         indices = _INDEX_TABLE.get(judgement) or _indices(judgement)
-        rows.append(NodeVisibility(nid, *indices, weight))
+        rows.append(make_row((nid, *indices, weight)))
     overall = math.fsum(row.visibility_index * row.weight for row in rows)
     return VisibilityReport(
         per_node=tuple(rows),

@@ -90,9 +90,14 @@ _JUDGEMENTS: dict[tuple[int, int, int], Judgement] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContributionNode:
-    """One contribution to the pipeline: a source, a person, or an asset."""
+    """One contribution to the pipeline: a source, a person, or an asset.
+
+    A graph holds one per node, so the class keeps no ``__dict__``, and
+    ``kind`` and ``evidence_refs`` are coerced only when they are not already
+    a ``NodeKind`` and a ``tuple``.
+    """
 
     id: str
     kind: NodeKind
@@ -101,8 +106,10 @@ class ContributionNode:
     evidence_refs: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", NodeKind(self.kind))
-        object.__setattr__(self, "evidence_refs", tuple(self.evidence_refs))
+        if type(self.kind) is not NodeKind:
+            object.__setattr__(self, "kind", NodeKind(self.kind))
+        if type(self.evidence_refs) is not tuple:
+            object.__setattr__(self, "evidence_refs", tuple(self.evidence_refs))
 
 
 @dataclass(frozen=True)
@@ -201,7 +208,14 @@ class WeightScheme:
 
     def __post_init__(self) -> None:
         if self.weights is not None:
-            object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+            weights = dict(self.weights)
+            for node_id, weight in weights.items():
+                # The document's rule: a number, and not a boolean.
+                if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                    raise ValueError(
+                        f"weight for {node_id} must be a number, got {weight!r}"
+                    )
+            object.__setattr__(self, "weights", MappingProxyType(weights))
 
     def __reduce__(self) -> tuple[object, ...]:
         return type(self), _init_args(self)

@@ -1,13 +1,17 @@
-"""The pipevis names the benchmark in ``bench/`` calls and wraps still exist.
+"""The pipevis names the benchmark in ``bench/`` calls and wraps still exist,
+and its oracle accepts what pipevis writes.
 
 The benchmark reports a wrapped name that was renamed or moved only as a
-missing per-layer metric of a traced run; these tests fail at once instead.
-They import ``bench/tracing.py`` and ``bench/run.py`` and change nothing there.
+missing per-layer metric of a traced run, and an output drift only as failed
+operations of a long run; these tests fail at once instead. They import
+``bench/tracing.py``, ``bench/run.py``, ``bench/generate.py`` and
+``bench/oracle.py`` and change nothing there.
 """
 
 from __future__ import annotations
 
 import importlib
+import random
 import sys
 from pathlib import Path
 
@@ -18,13 +22,17 @@ import pipevis
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture(scope="module")
-def bench():
+def _bench_modules(*names: str) -> tuple:
     sys.path.insert(0, str(BENCH))
     try:
-        return importlib.import_module("tracing"), importlib.import_module("run")
+        return tuple(importlib.import_module(name) for name in names)
     finally:
         sys.path.remove(str(BENCH))
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return _bench_modules("tracing", "run")
 
 
 def test_every_traced_target_resolves(bench):
@@ -44,3 +52,17 @@ def test_every_in_process_api_name_is_exported(bench):
     names = run.ScoreLarge.API + run.ReviewDeep.API
     assert names
     assert [name for name in names if not hasattr(pipevis, name)] == []
+
+
+def test_oracle_accepts_a_scored_wide_document():
+    # What one ``score_large`` operation writes, on a tenth of its leaves.
+    generate, oracle = _bench_modules("generate", "oracle")
+    doc = generate.wide_document(random.Random(1), leaves=2000, derived=20)
+    expect = oracle.Expect(doc.document)
+    assessment = pipevis.parse_document(doc.data)
+    report = pipevis.overall_visibility(assessment)
+    machine = pipevis.render_machine(report, assessment).body
+    table = pipevis.render_table(report, assessment.judgements).body
+    assert report.leaf_count == 2000
+    assert oracle.check_machine(machine, expect) == []
+    assert oracle.check_table(table, expect) == []

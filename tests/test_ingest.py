@@ -301,6 +301,27 @@ class TestWriter:
             serialize_document(assessment)
 
 
+    @pytest.mark.parametrize("where", ["asset_name", "label"])
+    def test_lone_surrogate_is_an_invalid_assessment(self, where):
+        # Validation does not look for one; the writer reports it as the
+        # parser does, instead of raising UnicodeEncodeError.
+        if where == "asset_name":
+            assessment = helpers.later_assessment(asset_name="x\ud800")
+        else:
+            graph = helpers.example_graph()
+            nodes = tuple(
+                dataclasses.replace(node, label="x\ud800") if node.id == "H1" else node
+                for node in graph.nodes
+            )
+            assessment = helpers.later_assessment(
+                graph=PipelineGraph(nodes=nodes, edges=graph.edges)
+            )
+        assert validate_assessment(assessment).ok
+        with pytest.raises(InvalidAssessmentError) as excinfo:
+            serialize_document(assessment)
+        assert excinfo.value.violations == ("lone surrogate '\\ud800' in a string",)
+
+
 class TestSyntaxErrors:
     def test_empty_input(self):
         with pytest.raises(MalformedSyntaxError) as excinfo:
@@ -930,6 +951,130 @@ class TestFieldFastPath:
         with pytest.raises(SchemaViolationError) as excinfo:
             parse_document('{"a": 1, "b": 2, "b": 3, "a": 4}')
         assert excinfo.value.violations == ("duplicate key: b",)
+
+
+# Valid node and edge objects, and edits that each may or may not spoil.
+NODE_OBJECTS = st.fixed_dictionaries(
+    {
+        "id": TRICKY_TEXT.filter(bool),
+        "kind": st.sampled_from([kind.value for kind in NodeKind]),
+        "label": TRICKY_TEXT,
+    },
+    optional={
+        "description": TRICKY_TEXT,
+        "evidence_refs": st.lists(TRICKY_TEXT, max_size=3),
+    },
+)
+EDGE_OBJECTS = st.fixed_dictionaries(
+    {"from": TRICKY_TEXT.filter(bool), "to": TRICKY_TEXT.filter(bool)}
+)
+ODD_VALUES = ("", True, 1, 2.5, ["a"], {"a": 1}, "Wizard", "x")
+NODE_KEYS = ("id", "kind", "label", "description", "evidence_refs")
+EDGE_KEYS = ("from", "to")
+EDITS = [("drop",), ("null",)] + [("retype", value) for value in ODD_VALUES]
+
+
+def edit_object(obj: dict, key: str, edit: tuple) -> None:
+    """Drop, null or retype ``key``, or, for ``"ref"``, add a bad ref."""
+    op, *value = edit
+    if key == "ref":
+        refs = obj.get("evidence_refs")
+        obj["evidence_refs"] = (refs if isinstance(refs, list) else []) + value
+    elif op == "drop":
+        obj.pop(key, None)
+    else:
+        obj[key] = copy.deepcopy(value[0]) if value else None
+
+
+def single_edits(keys: tuple[str, ...]) -> list[tuple[str, tuple]]:
+    """Every edit of one known key, an unknown key, and each bad ref."""
+    edits = [(key, edit) for key in keys for edit in EDITS]
+    edits += [("note", ("retype", value)) for value in ODD_VALUES]
+    if "evidence_refs" in keys:
+        edits += [("ref", ("ref", value)) for value in (None, 1, True, ["a"], {})]
+    return edits
+
+
+def assert_reader_agrees(item: ingest._Object, obj: object) -> None:
+    """The one-step reader returns None or exactly the walker's clean value,
+    in strict and lenient mode, and never misses a plainly valid object."""
+    fast = item.fast(copy.deepcopy(obj))
+    if isinstance(fast, ingest.ContributionNode):
+        assert type(fast.kind) is NodeKind
+        assert type(fast.evidence_refs) is tuple
+    for lenient in (False, True):
+        errors: list[str] = []
+        try:
+            built = item.read(copy.deepcopy(obj), "items[0]", errors, lenient)
+        except ingest._Invalid as exc:  # not an object
+            built, errors = None, [str(exc)]
+        if fast is not None:
+            assert errors == []
+            assert built == fast
+            assert type(built) is type(fast)
+        elif not lenient:
+            assert errors != []
+
+
+class TestOneStepReaders:
+    """The node and edge readers against the full walker."""
+
+    @pytest.mark.parametrize("spec", ["_NODE", "_EDGE", "_JUDGEMENT"])
+    def test_every_item_kind_with_a_reader_is_read_in_one_step(self, spec):
+        assert getattr(ingest, spec).fast is not None
+
+    @pytest.mark.parametrize(
+        ("spec", "base", "keys"),
+        [
+            ("_NODE", {"id": "a", "kind": "DataSource", "label": "A"}, NODE_KEYS),
+            ("_NODE", {
+                "id": "a", "kind": "OutputAsset", "label": "", "description": "d",
+                "evidence_refs": ["r"],
+            }, NODE_KEYS),
+            ("_EDGE", {"from": "a", "to": "b"}, EDGE_KEYS),
+        ],
+        ids=["node", "full node", "edge"],
+    )
+    def test_every_single_edit(self, spec, base, keys):
+        item = getattr(ingest, spec)
+        assert item.fast(base) is not None
+        for key, edit in single_edits(keys):
+            obj = copy.deepcopy(base)
+            edit_object(obj, key, edit)
+            assert_reader_agrees(item, obj)
+        for value in ODD_VALUES + (None, [], 0):
+            assert_reader_agrees(item, value)
+
+    @given(
+        node=NODE_OBJECTS,
+        edits=st.lists(st.sampled_from(single_edits(NODE_KEYS)), max_size=3),
+    )
+    def test_edited_nodes(self, node, edits):
+        for key, edit in edits:
+            edit_object(node, key, edit)
+        assert_reader_agrees(ingest._NODE, node)
+
+    @given(
+        edge=EDGE_OBJECTS,
+        edits=st.lists(st.sampled_from(single_edits(EDGE_KEYS)), max_size=2),
+    )
+    def test_edited_edges(self, edge, edits):
+        for key, edit in edits:
+            edit_object(edge, key, edit)
+        assert_reader_agrees(ingest._EDGE, edge)
+
+    @pytest.mark.parametrize("extra", [False, True], ids=["read", "walked"])
+    def test_parsed_kinds_are_the_members_themselves(self, extra):
+        doc = valid_doc()
+        if extra:  # an unknown key sends every node to the lenient walker
+            for node in doc["nodes"]:
+                node["note"] = 1
+        assessment = parse_document(dumps(doc), lenient=True)
+        kinds = {node.id: node.kind for node in assessment.graph.nodes}
+        assert kinds["DS"] is NodeKind.DATA_SOURCE
+        assert kinds["H1"] is NodeKind.HUMAN_CONTRIBUTOR
+        assert kinds["LD"] is NodeKind.DERIVED_ASSET
+        assert kinds["M"] is NodeKind.OUTPUT_ASSET
 
 
 class TestSchemaDifferential:

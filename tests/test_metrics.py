@@ -139,6 +139,19 @@ class TestIndices:
             )
 
 
+class TestNodeVisibility:
+    def test_is_a_read_only_tuple_of_the_five_fields(self):
+        row = node_visibility("DS", helpers.THREES, 0.25)
+        assert row._fields == (
+            "node_id", "quantity_index", "quality_index", "visibility_index", "weight"
+        )
+        with pytest.raises(AttributeError):
+            row.weight = 0.5  # type: ignore[misc]
+        node_id, quantity, quality, vis, weight = row
+        assert row == (node_id, 3.0, quality, vis, 0.25)
+        assert row._replace(weight=0.5).weight == 0.5
+
+
 class TestOverallVisibility:
     def test_first_party_golden(self, first_party):
         report = overall_visibility(first_party)

@@ -72,6 +72,35 @@ class TestContributionNode:
         )
         assert n.evidence_refs == ("a", "b")
 
+    def test_typed_kind_and_refs_are_kept_as_given(self):
+        refs = ("a", "b")
+        n = ContributionNode(
+            id="DS", kind=NodeKind.DATA_SOURCE, label="x", evidence_refs=refs
+        )
+        assert n.evidence_refs is refs
+
+    def test_slotted_and_frozen(self):
+        n = node("DS")
+        assert not hasattr(n, "__dict__")
+        with pytest.raises(AttributeError):
+            n.label = "y"  # type: ignore[misc]
+        # A name that is no field: CPython's frozen slotted dataclasses raise
+        # TypeError (3.10-3.13), as the class has no __dict__ to take it.
+        with pytest.raises((AttributeError, TypeError)):
+            n.note = "y"  # type: ignore[attr-defined]
+
+    def test_survives_pickle_deepcopy_and_replace(self):
+        n = ContributionNode(
+            id="DS", kind=NodeKind.DATA_SOURCE, label="x", description="d",
+            evidence_refs=("a",),
+        )
+        for twin in (pickle.loads(pickle.dumps(n)), copy.deepcopy(n), copy.copy(n)):
+            assert twin == n
+            assert twin.kind is NodeKind.DATA_SOURCE
+        changed = replace(n, label="y")
+        assert (changed.id, changed.label, changed.evidence_refs) == ("DS", "y", ("a",))
+        assert n.label == "x"
+
 
 class TestPipelineGraph:
     def test_nodes_and_edges_are_canonicalised(self):
@@ -557,6 +586,17 @@ class TestWeightScheme:
         assert pickle.loads(pickle.dumps(scheme)) == scheme
         assert copy.deepcopy(scheme) == scheme
         assert copy.deepcopy(WeightScheme.equal()).is_equal
+
+    @pytest.mark.parametrize("weight", ["0.5", True, None], ids=repr)
+    def test_direct_construction_takes_numbers_only(self, weight):
+        # The document's rule: a number, and not a boolean.
+        with pytest.raises(ValueError, match="weight for DS must be a number"):
+            WeightScheme({"DS": weight, "H1": 0.25, "H2": 0.25})
+
+    def test_explicit_still_converts_to_float(self):
+        scheme = WeightScheme.explicit({"DS": "0.5", "H1": 1, "H2": 0.25})
+        assert dict(scheme.weights) == {"DS": 0.5, "H1": 1.0, "H2": 0.25}
+        assert all(type(value) is float for value in scheme.weights.values())
 
 
 class TestRubric:
