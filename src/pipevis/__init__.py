@@ -26,7 +26,6 @@ from .metrics import (
     UnknownNodeError,
     VisibilityReport,
     derived_asset_visibility,
-    node_visibility,
     overall_visibility,
     quality_index,
     rank,
@@ -89,7 +88,6 @@ __all__ = [
     "UnknownNodeError",
     "VisibilityReport",
     "derived_asset_visibility",
-    "node_visibility",
     "overall_visibility",
     "quality_index",
     "rank",

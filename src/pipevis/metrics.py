@@ -37,7 +37,6 @@ __all__ = [
     "SensitivityResult",
     "quality_index",
     "visibility_index",
-    "node_visibility",
     "overall_visibility",
     "derived_asset_visibility",
     "rank",
@@ -150,13 +149,6 @@ def _indices(judgement: Judgement) -> tuple[float, float, float]:
 _INDEX_TABLE = {judgement: _indices(judgement) for judgement in _JUDGEMENTS.values()}
 
 
-def node_visibility(
-    node_id: str, judgement: Judgement, weight: float = 0.0
-) -> NodeVisibility:
-    """All indices for one node at full precision; no intermediate rounding."""
-    return NodeVisibility(node_id, *_indices(judgement), weight)
-
-
 def _require_valid(assessment: Assessment, subject: str | None = None) -> None:
     result = validate_assessment(assessment)
     if not result.ok:
@@ -203,9 +195,9 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
     """Score a derived or output asset from its contributing leaves only.
 
     The report is ``overall_visibility`` restricted to the leaf ancestors of
-    ``node_id``, with weights renormalised over that set (equal weighting
-    becomes 1/m over the m ancestors). Scoring the output node is identical
-    to scoring the whole pipeline.
+    ``node_id``, with weights renormalised over that set when it is not all
+    the leaves (equal weighting becomes 1/m over the m ancestors). Scoring
+    the output node is identical to scoring the whole pipeline.
     """
     _require_valid(assessment)
     graph = assessment.graph
@@ -215,11 +207,12 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
     if node.kind not in (NodeKind.DERIVED_ASSET, NodeKind.OUTPUT_ASSET):
         raise LeafNodeError(node_id, node.kind)
 
-    ancestors = _reaching_set(graph, node_id)
-    leaf_ids = [nid for nid in graph.leaf_ids() if nid in ancestors]
+    all_leaves = graph.leaf_ids()
+    ancestors = _reaching_set(graph._index.reverse, node_id)
+    leaf_ids = [nid for nid in all_leaves if nid in ancestors]
 
     weights = assessment.weights.resolve(leaf_ids)
-    if not assessment.weights.is_equal:
+    if not assessment.weights.is_equal and len(leaf_ids) < len(all_leaves):
         total = math.fsum(weights.values())
         if total <= 0:
             raise DegenerateWeightsError(node_id, leaf_ids)

@@ -12,11 +12,11 @@ Validation here is collecting, not fail-fast: :func:`validate_graph` and
 :func:`validate_assessment` report *every* violation they find, in a
 deterministic order, so a document author can fix them in one pass.
 
-A :class:`PipelineGraph` is immutable, so its structure (id index, reverse
-adjacency, leaf ids) and its violations are computed once per graph, on first
-use. An :class:`Assessment` is immutable too (its judgements and explicit
-weights are read-only mappings), so its violations are computed once per
-assessment.
+A :class:`PipelineGraph` is immutable, so one index -- its id map, reverse
+adjacency, leaf ids and violations -- is derived once per graph, on first use,
+by one function. An :class:`Assessment` is immutable too (its judgements and
+explicit weights are read-only mappings), so its violations are computed once
+per assessment.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from datetime import date, datetime
 from functools import cached_property
 from itertools import product
 from types import MappingProxyType
+from typing import NamedTuple
 
 SCORE_MIN = 1
 SCORE_MAX = 4
@@ -121,10 +122,9 @@ class PipelineGraph:
     equal regardless of insertion order. Construction is permissive;
     structural invariants are checked by :func:`validate_graph`.
 
-    The id index, reverse adjacency, leaf ids and violations are derived
-    once, on first use, and kept on the instance outside equality, hashing,
-    repr and pickling; :func:`dataclasses.replace` yields a graph that
-    derives anew.
+    Its index (:class:`_GraphIndex`) is derived once, on first use, and kept
+    on the instance outside equality, hashing, repr and pickling;
+    :func:`dataclasses.replace` yields a graph that derives anew.
     """
 
     nodes: tuple[ContributionNode, ...]
@@ -134,51 +134,25 @@ class PipelineGraph:
         object.__setattr__(
             self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.id))
         )
-        object.__setattr__(
-            self,
-            "edges",
-            tuple(sorted({(str(src), str(dst)) for src, dst in self.edges})),
-        )
+        pairs = sorted((str(src), str(dst)) for src, dst in self.edges)
+        object.__setattr__(self, "edges", tuple(dict.fromkeys(pairs)))
 
     def __getstate__(self) -> dict[str, object]:
         return {"nodes": self.nodes, "edges": self.edges}
 
     @cached_property
-    def _by_id(self) -> dict[str, ContributionNode]:
-        """The first node with each id; later duplicates are validation's concern."""
-        return {node.id: node for node in reversed(self.nodes)}
-
-    @cached_property
-    def _ids(self) -> frozenset[str]:
-        return frozenset(self._by_id)
-
-    @cached_property
-    def _reverse(self) -> dict[str, list[str]]:
-        """Upstream ids per node with an incoming edge between known nodes."""
-        known = self.node_ids()
-        reverse: dict[str, list[str]] = {}
-        for src, dst in self.edges:
-            if src in known and dst in known:
-                reverse.setdefault(dst, []).append(src)
-        return reverse
-
-    @cached_property
-    def _leaves(self) -> tuple[str, ...]:
-        return tuple(sorted(self.node_ids() - self._reverse.keys()))
-
-    @cached_property
-    def _violations(self) -> tuple[str, ...]:
-        return _graph_violations(self)
+    def _index(self) -> _GraphIndex:
+        return _index_graph(self)
 
     def node_ids(self) -> frozenset[str]:
-        return self._ids
+        return self._index.ids
 
     def node_by_id(self, node_id: str) -> ContributionNode | None:
-        return self._by_id.get(node_id)
+        return self._index.by_id.get(node_id)
 
     def leaf_ids(self) -> list[str]:
         """Ids of zero-in-degree nodes, sorted. No validity check."""
-        return list(self._leaves)
+        return list(self._index.leaves)
 
 
 def _init_args(instance: object) -> tuple[object, ...]:
@@ -318,60 +292,83 @@ def validate_graph(graph: PipelineGraph) -> ValidationResult:
 
     Violations are data, not failures: the result lists each problem with
     the node/edge identifiers involved, in a deterministic order. They are
-    computed on the first call for a graph and reused after it.
+    computed with the graph's index, on its first use, and reused after it.
     """
-    return ValidationResult(graph._violations)
+    return ValidationResult(graph._index.violations)
 
 
-def _graph_violations(graph: PipelineGraph) -> tuple[str, ...]:
+class _GraphIndex(NamedTuple):
+    """What a graph's readers and its check need, derived together."""
+
+    #: The first node with each id, in id order; later duplicates are violations.
+    by_id: dict[str, ContributionNode]
+    ids: frozenset[str]
+    #: Upstream ids per node with an incoming edge between known nodes.
+    reverse: dict[str, list[str]]
+    #: Ids without an incoming edge between known nodes, sorted.
+    leaves: tuple[str, ...]
+    violations: tuple[str, ...]
+
+
+def _index_graph(graph: PipelineGraph) -> _GraphIndex:
+    """Index ``graph`` and check every invariant.
+
+    Two walks over the nodes and one over the edges. The nodes are in id
+    order, so ``by_id`` and the leaves are too.
+    """
     violations: list[str] = []
 
-    ids_seen: set[str] = set()
+    by_id: dict[str, ContributionNode] = {}
     duplicates: set[str] = set()
+    outputs: list[str] = []
     for node in graph.nodes:
-        if not node.id:
+        nid = node.id
+        if not nid:
             violations.append("empty node id")
-        elif node.id in ids_seen:
-            duplicates.add(node.id)
-        else:
-            ids_seen.add(node.id)
+        if nid not in by_id:
+            by_id[nid] = node
+        elif nid:
+            duplicates.add(nid)
+        if node.kind is NodeKind.OUTPUT_ASSET:
+            outputs.append(nid)
     violations.extend(f"duplicate node id: {nid}" for nid in sorted(duplicates))
 
-    known = graph.node_ids()
+    reverse: dict[str, list[str]] = {}
     for src, dst in graph.edges:
-        if src not in known:
-            violations.append(f"edge {src}->{dst} references unknown node {src}")
-        if dst not in known:
-            violations.append(f"edge {src}->{dst} references unknown node {dst}")
+        if src in by_id and dst in by_id:
+            reverse.setdefault(dst, []).append(src)
+        else:
+            if src not in by_id:
+                violations.append(f"edge {src}->{dst} references unknown node {src}")
+            if dst not in by_id:
+                violations.append(f"edge {src}->{dst} references unknown node {dst}")
         if src == dst:
             violations.append(f"self-edge on {src}")
 
-    outputs = sorted(n.id for n in graph.nodes if n.kind is NodeKind.OUTPUT_ASSET)
     if not outputs:
         violations.append("graph has no OutputAsset node")
     elif len(outputs) > 1:
         violations.append("multiple OutputAsset nodes: " + ",".join(outputs))
 
-    reverse = graph._reverse
+    # The path rule needs a single output; without one, every node counts as
+    # reached.
+    reached = _reaching_set(reverse, outputs[0]) if len(outputs) == 1 else by_id
+    unreached: list[str] = []
     for node in graph.nodes:
         if node.id not in reverse:
             if node.kind is NodeKind.DERIVED_ASSET:
                 violations.append(f"derived node {node.id} has no incoming edge")
             elif node.kind is NodeKind.OUTPUT_ASSET:
                 violations.append(f"output node {node.id} has no incoming edge")
+        if node.id not in reached:
+            unreached.append(f"node {node.id} has no path to the output")
 
-    for component in _cyclic_components(graph):
+    for component in _cyclic_components(reverse):
         violations.append("cycle detected: " + ",".join(component))
+    violations.extend(unreached)
 
-    if len(outputs) == 1:
-        reachable = _reaching_set(graph, outputs[0])
-        violations.extend(
-            f"node {node.id} has no path to the output"
-            for node in graph.nodes
-            if node.id not in reachable
-        )
-
-    return tuple(violations)
+    leaves = tuple(nid for nid in by_id if nid not in reverse)
+    return _GraphIndex(by_id, frozenset(by_id), reverse, leaves, tuple(violations))
 
 
 def validate_assessment(assessment: Assessment) -> ValidationResult:
@@ -431,7 +428,7 @@ def _assessment_violations(assessment: Assessment) -> tuple[str, ...]:
     return tuple(violations)
 
 
-def _cyclic_components(graph: PipelineGraph) -> list[list[str]]:
+def _cyclic_components(reverse: Mapping[str, list[str]]) -> list[list[str]]:
     """Strongly connected components with more than one node, sorted.
 
     Iterative Tarjan over the reverse adjacency, whose components are the
@@ -439,7 +436,6 @@ def _cyclic_components(graph: PipelineGraph) -> list[list[str]]:
     enters a node without one (a leaf, in a valid graph). Single-node
     self-loops are excluded because the self-edge check reports them.
     """
-    reverse = graph._reverse
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -490,9 +486,11 @@ def _cyclic_components(graph: PipelineGraph) -> list[list[str]]:
     return sorted(components)
 
 
-def _reaching_set(graph: PipelineGraph, target: str) -> set[str]:
-    """Ids of nodes with a directed path to ``target`` (including itself)."""
-    reverse = graph._reverse
+def _reaching_set(reverse: Mapping[str, list[str]], target: str) -> set[str]:
+    """Ids of nodes with a directed path to ``target`` (including itself).
+
+    ``reverse`` maps each node to its upstream ids.
+    """
     seen = {target}
     frontier = [target]
     while frontier:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,49 @@ def test_oracle_accepts_a_scored_wide_document():
     assert report.leaf_count == 2000
     assert oracle.check_machine(machine, expect) == []
     assert oracle.check_table(table, expect) == []
+
+
+def test_oracle_accepts_reviewed_deep_documents():
+    # What ``review_deep`` operations do, on the three smallest valid documents
+    # of its pool and on its first cycle and missing-judgement documents.
+    generate, oracle = _bench_modules("generate", "oracle")
+    pool = generate.review_pool(1)
+    valid = sorted((d for d in pool if not d.violations), key=lambda d: d.leaves)
+    invalid = {d.violations[0].split()[0]: d for d in reversed(pool) if d.violations}
+    assert sorted(invalid) == ["cycle", "missing"]
+    for doc in valid[:3]:
+        expect = oracle.Expect(doc.document)
+        changes = [(nid, pipevis.Judgement(*levels)) for nid, levels in doc.changes]
+        weights = (
+            pipevis.WeightScheme.equal()
+            if doc.new_weights is None
+            else pipevis.WeightScheme.explicit(doc.new_weights)
+        )
+        assessment = pipevis.parse_document(doc.data)
+        result = pipevis.sensitivity(assessment, changes, weights=weights)
+        values = oracle.whatif_values(expect, doc.changes, doc.new_weights)
+        actuals = (result.baseline.overall, result.modified.overall, result.overall_delta)
+        assert [
+            label
+            for (label, expected), actual in zip(values, actuals)
+            if not oracle.close(actual, expected)
+        ] == []
+        assert doc.derived
+        for nid in doc.derived:
+            report = pipevis.derived_asset_visibility(assessment, nid)
+            assert report.leaf_count == len(expect.scope(nid))
+            assert oracle.close(report.overall, expect.overall(nid))
+        modified = replace(
+            assessment,
+            judgements={**assessment.judgements, **dict(changes)},
+            weights=weights,
+        )
+        data = pipevis.serialize_document(modified)
+        judgements = {**expect.judgements, **dict(doc.changes)}
+        assert oracle.check_serialized(data, doc.document, judgements, doc.new_weights) == []
+        text = pipevis.render_sensitivity(result).body
+        assert oracle.check_trend(text, values, expect.precision) == []
+    for doc in invalid.values():
+        with pytest.raises(pipevis.SemanticViolationError) as excinfo:
+            pipevis.parse_document(doc.data)
+        assert tuple(excinfo.value.violations) == doc.violations

@@ -23,13 +23,13 @@ from pipevis import (
     UnknownNodeError,
     WeightScheme,
     derived_asset_visibility,
-    node_visibility,
     overall_visibility,
     quality_index,
     rank,
     sensitivity,
     parse_document,
     serialize_document,
+    validate_assessment,
     visibility_index,
 )
 from pipevis import metrics, model
@@ -102,8 +102,12 @@ class TestIndices:
         if f < 4:
             assert visibility_index(Judgement(q, a, f + 1)) > base
 
-    def test_node_visibility_bundles_all_indices(self):
-        row = node_visibility("DS", helpers.FIRST_PARTY_LATER_DS, weight=0.25)
+    def test_node_visibility_bundles_all_indices(self, first_party_later):
+        weighted = replace(
+            first_party_later,
+            weights=WeightScheme.explicit({"DS": 0.25, "H1": 0.5, "H2": 0.25}),
+        )
+        row = overall_visibility(weighted).per_node[0]
         assert row.node_id == "DS"
         assert row.quantity_index == 3.0
         assert row.quality_index == pytest.approx(math.sqrt(6), abs=0)
@@ -134,14 +138,12 @@ class TestIndices:
                 parsed, judgements=dict.fromkeys(parsed.judgements, hand_built)
             )
             assert overall_visibility(rebuilt) == overall_visibility(parsed)
-            assert node_visibility("DS", hand_built, 0.5) == node_visibility(
-                "DS", shared, 0.5
-            )
+            assert metrics._indices(hand_built) == metrics._INDEX_TABLE[shared]
 
 
 class TestNodeVisibility:
     def test_is_a_read_only_tuple_of_the_five_fields(self):
-        row = node_visibility("DS", helpers.THREES, 0.25)
+        row = metrics.NodeVisibility("DS", *metrics._indices(helpers.THREES), 0.25)
         assert row._fields == (
             "node_id", "quantity_index", "quality_index", "visibility_index", "weight"
         )
@@ -277,6 +279,17 @@ class TestDerivedAssetVisibility:
         scoped = derived_asset_visibility(first_party_later, "M")
         assert scoped.overall == overall_visibility(first_party_later).overall
         assert scoped.leaf_count == 3
+
+    def test_output_node_report_is_the_overall_report(self, first_party_later):
+        # Weights that sum to 1 only within the tolerance: renormalising them
+        # would move the last digits of every row and of the overall index.
+        weighted = replace(
+            first_party_later,
+            weights=WeightScheme.explicit({"DS": 0.5, "H1": 0.25, "H2": 0.25 + 4e-10}),
+        )
+        assert validate_assessment(weighted).ok
+        for a in (first_party_later, weighted):
+            assert derived_asset_visibility(a, "M") == overall_visibility(a)
 
     def test_explicit_weights_are_renormalised(self, first_party_later):
         weighted = replace(
@@ -508,9 +521,9 @@ class TestOneWalkPerGraph:
         calls = []
         walk = model._cyclic_components
 
-        def counted(graph):
-            calls.append(graph)
-            return walk(graph)
+        def counted(reverse):
+            calls.append(reverse)
+            return walk(reverse)
 
         monkeypatch.setattr(model, "_cyclic_components", counted)
         data = (samples_dir / "first_party_later.json").read_bytes()

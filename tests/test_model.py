@@ -211,9 +211,8 @@ class TestPipelineGraph:
         graph = PipelineGraph(
             nodes=(*leaves, *derived, node("M", NodeKind.OUTPUT_ASSET)), edges=edges
         )
-        reverse = Entered(graph._reverse)
-        vars(graph)["_reverse"] = reverse
-        assert model._cyclic_components(graph) == []
+        reverse = Entered(graph._index.reverse)
+        assert model._cyclic_components(reverse) == []
         assert reverse.entered == set(reverse) == {d.id for d in derived} | {"M"}
         assert reverse.entered.isdisjoint(graph.leaf_ids())
 
@@ -225,10 +224,10 @@ class TestPipelineGraph:
         assert example_graph.node_ids() == {"DS", "H1", "H2", "LD", "M"}
         assert isinstance(example_graph.node_ids(), frozenset)
         assert example_graph.node_by_id("LD") is example_graph.nodes[3]
-        assert {"_by_id", "_ids"} <= vars(example_graph).keys()
+        assert "_index" in vars(example_graph)
         assert observe(example_graph) == before
         copy = pickle.loads(before[3])
-        assert not {"_by_id", "_ids"} & vars(copy).keys()
+        assert "_index" not in vars(copy)
         assert copy.node_by_id("LD") == example_graph.node_by_id("LD")
 
         grown = replace(example_graph, nodes=example_graph.nodes + (node("X"),))
@@ -385,6 +384,102 @@ class TestValidateGraph:
         )
         assert first.violations == second.violations
         assert not first.ok
+
+
+#: Nodes and edges that break every graph rule but the output rules at once:
+#: two empty ids, repeated ids (the second ``B`` is a derived node without an
+#: incoming edge), a self-edge, unknown ends, and the cycle X, Y.
+_BROKEN_NODES = (
+    node(""), node("A"), node("A", NodeKind.DERIVED_ASSET), node("B"), node(""),
+    node("B", NodeKind.DERIVED_ASSET), node("D", NodeKind.DERIVED_ASSET),
+    node("X", NodeKind.DERIVED_ASSET), node("Y", NodeKind.DERIVED_ASSET), node("X"),
+)
+_BROKEN_EDGES = (
+    ("", "X"), ("A", "A"), ("A", "phantom"), ("ghost", "Y"),
+    ("X", "Y"), ("Y", "X"), ("B", "Y"), ("void", "void"),
+)
+_BROKEN_HEAD = (
+    "empty node id",
+    "empty node id",
+    "duplicate node id: A",
+    "duplicate node id: B",
+    "duplicate node id: X",
+    "self-edge on A",
+    "edge A->phantom references unknown node phantom",
+    "edge ghost->Y references unknown node ghost",
+)
+_VOID_EDGE = (
+    "edge void->void references unknown node void",
+    "edge void->void references unknown node void",
+    "self-edge on void",
+)
+
+
+class TestViolationsAtOnce:
+    """The whole of ``validate_graph``'s output, text and order, when every
+    rule fires at once."""
+
+    def test_two_outputs(self):
+        graph = PipelineGraph(
+            nodes=_BROKEN_NODES
+            + (node("M2", NodeKind.OUTPUT_ASSET), node("M1", NodeKind.OUTPUT_ASSET)),
+            edges=_BROKEN_EDGES + (("Y", "M2"),),
+        )
+        assert validate_graph(graph).violations == (
+            *_BROKEN_HEAD,
+            *_VOID_EDGE,
+            "multiple OutputAsset nodes: M1,M2",
+            "derived node B has no incoming edge",
+            "derived node D has no incoming edge",
+            "output node M1 has no incoming edge",
+            "cycle detected: X,Y",
+        )
+        assert graph.leaf_ids() == ["", "B", "D", "M1"]
+
+    def test_one_output_and_unreached_nodes(self):
+        graph = PipelineGraph(
+            nodes=_BROKEN_NODES + (node("U"), node("M", NodeKind.OUTPUT_ASSET)),
+            edges=_BROKEN_EDGES + (("nowhere", "M"),),
+        )
+        assert validate_graph(graph).violations == (
+            *_BROKEN_HEAD,
+            "edge nowhere->M references unknown node nowhere",
+            *_VOID_EDGE,
+            "derived node B has no incoming edge",
+            "derived node D has no incoming edge",
+            "output node M has no incoming edge",
+            "cycle detected: X,Y",
+            "node  has no path to the output",
+            "node  has no path to the output",
+            "node A has no path to the output",
+            "node A has no path to the output",
+            "node B has no path to the output",
+            "node B has no path to the output",
+            "node D has no path to the output",
+            "node U has no path to the output",
+            "node X has no path to the output",
+            "node X has no path to the output",
+            "node Y has no path to the output",
+        )
+        assert graph.leaf_ids() == ["", "B", "D", "M", "U"]
+
+    def test_reached_output_and_an_unreached_cycle(self):
+        graph = PipelineGraph(
+            nodes=(
+                node("S"), node("T"), node("P"), node("D", NodeKind.DERIVED_ASSET),
+                node("Q", NodeKind.DERIVED_ASSET), node("R", NodeKind.DERIVED_ASSET),
+                node("M", NodeKind.OUTPUT_ASSET),
+            ),
+            edges=(("S", "D"), ("D", "M"), ("P", "Q"), ("Q", "R"), ("R", "Q")),
+        )
+        assert validate_graph(graph).violations == (
+            "cycle detected: Q,R",
+            "node P has no path to the output",
+            "node Q has no path to the output",
+            "node R has no path to the output",
+            "node T has no path to the output",
+        )
+        assert graph.leaf_ids() == ["P", "S", "T"]
 
 
 class TestValidateAssessment:
