@@ -482,6 +482,49 @@ class TestViolationsAtOnce:
         assert graph.leaf_ids() == ["P", "S", "T"]
 
 
+class TestAssessmentViolationsAtOnce:
+    """The whole of ``validate_assessment``'s output on a valid graph, text
+    and order, when every judgement and weight rule fires at once."""
+
+    def test_sum_off(self):
+        a = helpers.example_assessment(
+            judgements={
+                "AA": helpers.ALL_FOUR,
+                "DS": helpers.ALL_FOUR,
+                "H1": helpers.ALL_FOUR,
+                "LD": helpers.ALL_FOUR,
+                "ZZ": helpers.ALL_FOUR,
+            },
+            weights=WeightScheme(
+                {"AA": 0.25, "H1": float("inf"), "H2": -0.5, "LD": 0.25, "ZZ": 0.25}
+            ),
+        )
+        assert validate_assessment(a).violations == (
+            "missing judgement for H2",
+            "judgement for unknown node AA",
+            "judgement on non-leaf node LD",
+            "judgement for unknown node ZZ",
+            "missing weight for DS",
+            "weight for unknown node AA",
+            "weight on non-leaf node LD",
+            "weight for unknown node ZZ",
+            "non-finite weight for H1",
+            "negative weight for H2",
+            "weights sum inf, expected 1 within 1e-9",
+        )
+
+    def test_sum_one_and_key_set_incomplete(self):
+        a = helpers.example_assessment(
+            weights=WeightScheme({"DS": 0.5, "H1": 0.25, "LD": 0.125, "ZZ": 0.125})
+        )
+        assert validate_assessment(a).violations == (
+            "missing weight for H2",
+            "weight on non-leaf node LD",
+            "weight for unknown node ZZ",
+            "weights sum 1.0 but key set incomplete",
+        )
+
+
 class TestValidateAssessment:
     def test_valid(self, first_party_later):
         assert validate_assessment(first_party_later).ok
