@@ -30,7 +30,7 @@ from .metrics import (
     rank,
     sensitivity,
 )
-from .model import Assessment, Judgement, WeightScheme
+from .model import PRECISION_MAX, Assessment, Judgement, WeightScheme
 from .report import (
     render_comparison,
     render_machine,
@@ -49,7 +49,7 @@ _lenient_option = click.option(
 )
 _precision_option = click.option(
     "--precision",
-    type=click.IntRange(0, 12),
+    type=click.IntRange(0, PRECISION_MAX),
     default=None,
     help="Display precision in decimals (default: the document's).",
 )

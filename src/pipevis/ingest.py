@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
 from collections.abc import Callable
 from datetime import date
@@ -55,11 +54,14 @@ from .model import (
     InvalidAssessmentError,
     Judgement,
     NodeKind,
+    PRECISION_MAX,
     PipelineGraph,
     SCORE_MAX,
     SCORE_MIN,
     WeightScheme,
     _JUDGEMENTS,
+    _is_integer,
+    _is_number,
     validate_assessment,
 )
 
@@ -296,7 +298,7 @@ def document_text(assessment: Assessment, members: str = "") -> str:
         judgements.append(f"{text(nid)}: {scores}")
     explicit = assessment.weights.weights
     weights = '"equal"' if explicit is None else _block(
-        [f"{text(k)}: {float.__repr__(float(explicit[k]))}" for k in sorted(explicit)],
+        [f"{text(k)}: {float.__repr__(explicit[k])}" for k in sorted(explicit)],
         "{}",
         1,
     )
@@ -439,17 +441,12 @@ class _Weights:
         if not isinstance(value, dict):
             got = repr(value) if isinstance(value, str) else _type_name(value)
             raise _Invalid(f'must be "equal" or an object, got {got}')
-        weights = {}
+        before = len(errors)
         for node_id, weight in value.items():
-            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            if not _is_number(weight):
                 got = _type_name(weight)
                 errors.append(f"{path}.{node_id}: must be a number, got {got}")
-                continue
-            try:
-                weights[node_id] = float(weight)
-            except OverflowError:  # an integer past the float range reads as 1e400 does
-                weights[node_id] = math.inf if weight > 0 else -math.inf
-        return WeightScheme.explicit(weights) if len(weights) == len(value) else None
+        return WeightScheme(value) if len(errors) == before else None
 
 
 def _must(expected: str, test: Callable[[Any], bool],
@@ -463,11 +460,6 @@ def _must(expected: str, test: Callable[[Any], bool],
 
     check.expected = expected  # type: ignore[attr-defined]  # for the null rule
     return check
-
-
-def _is_integer(value: Any) -> bool:
-    """The one integer rule: not ``true``, not ``3.0``; both scales are discrete."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _score(value: Any) -> int:
@@ -500,7 +492,9 @@ _strings = _must(
     lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
 )
 _precision = _must(
-    "an integer between 0 and 12", lambda v: _is_integer(v) and 0 <= v <= 12, repr
+    f"an integer between 0 and {PRECISION_MAX}",
+    lambda v: _is_integer(v) and 0 <= v <= PRECISION_MAX,
+    repr,
 )
 
 

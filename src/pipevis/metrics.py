@@ -267,7 +267,7 @@ def sensitivity(
     new_judgements = dict(assessment.judgements)
     for node_id, judgement in items:
         if node_id not in leaf_ids:
-            if node_id in assessment.graph.node_ids():
+            if assessment.graph.node_by_id(node_id) is not None:
                 raise UnknownNodeError(
                     node_id, f"node {node_id} is not a leaf and cannot be re-judged"
                 )

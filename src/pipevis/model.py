@@ -33,13 +33,24 @@ from typing import NamedTuple
 
 SCORE_MIN = 1
 SCORE_MAX = 4
+PRECISION_MAX = 12
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 
 
+def _is_integer(value: object) -> bool:
+    """The one integer rule: not ``True``, not ``3.0``; both scales are discrete."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    """The one weight-number rule: an int or a float, and not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_score_level(value: object, name: str = "score") -> int:
     """Validate a 1-4 rubric level, rejecting bools, floats and out-of-range ints."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if not SCORE_MIN <= value <= SCORE_MAX:
         raise ValueError(
@@ -145,7 +156,7 @@ class PipelineGraph:
         return _index_graph(self)
 
     def node_ids(self) -> frozenset[str]:
-        return self._index.ids
+        return frozenset(self._index.by_id)
 
     def node_by_id(self, node_id: str) -> ContributionNode | None:
         return self._index.by_id.get(node_id)
@@ -174,21 +185,25 @@ class WeightScheme:
 
     Equal weighting is semantically an explicit ``1/M`` vector over the M
     leaves; :meth:`resolve` produces exactly those floats so both schemes
-    share one arithmetic path. Explicit weights are kept in a read-only
-    mapping over a private copy.
+    share one arithmetic path. Explicit weights are kept as floats in a
+    read-only mapping over a private copy; an integer past the float range
+    reads as ``±inf``, as ``1e400`` does.
     """
 
     weights: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
         if self.weights is not None:
-            weights = dict(self.weights)
-            for node_id, weight in weights.items():
-                # The document's rule: a number, and not a boolean.
-                if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            weights: dict[str, float] = {}
+            for node_id, weight in self.weights.items():
+                if not _is_number(weight):
                     raise ValueError(
                         f"weight for {node_id} must be a number, got {weight!r}"
                     )
+                try:
+                    weights[node_id] = float(weight)
+                except OverflowError:
+                    weights[node_id] = math.inf if weight > 0 else -math.inf
             object.__setattr__(self, "weights", MappingProxyType(weights))
 
     def __reduce__(self) -> tuple[object, ...]:
@@ -211,7 +226,7 @@ class WeightScheme:
         if self.weights is None:
             share = 1.0 / len(leaf_ids)
             return {leaf_id: share for leaf_id in leaf_ids}
-        return {leaf_id: float(self.weights[leaf_id]) for leaf_id in leaf_ids}
+        return {leaf_id: self.weights[leaf_id] for leaf_id in leaf_ids}
 
 
 @dataclass(frozen=True)
@@ -234,7 +249,13 @@ class Assessment:
     display_precision: int = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "judgements", MappingProxyType(dict(self.judgements)))
+        judgements = dict(self.judgements)
+        for node_id, judgement in judgements.items():
+            if not isinstance(judgement, Judgement):
+                raise ValueError(
+                    f"judgement for {node_id} must be a Judgement, got {judgement!r}"
+                )
+        object.__setattr__(self, "judgements", MappingProxyType(judgements))
         # The document's rules: other values would serialize to a rejected document.
         name = self.asset_name
         if not isinstance(name, str) or not name:
@@ -248,14 +269,11 @@ class Assessment:
             raise ValueError(
                 f"assessed_at must be a calendar date, got {self.assessed_at!r}"
             )
-        if (
-            isinstance(self.display_precision, bool)
-            or not isinstance(self.display_precision, int)
-            or not 0 <= self.display_precision <= 12
-        ):
+        precision = self.display_precision
+        if not _is_integer(precision) or not 0 <= precision <= PRECISION_MAX:
             raise ValueError(
-                "display_precision must be an integer between 0 and 12, "
-                f"got {self.display_precision!r}"
+                f"display_precision must be an integer between 0 and {PRECISION_MAX}, "
+                f"got {precision!r}"
             )
 
     def __reduce__(self) -> tuple[object, ...]:
@@ -302,7 +320,6 @@ class _GraphIndex(NamedTuple):
 
     #: The first node with each id, in id order; later duplicates are violations.
     by_id: dict[str, ContributionNode]
-    ids: frozenset[str]
     #: Upstream ids per node with an incoming edge between known nodes.
     reverse: dict[str, list[str]]
     #: Ids without an incoming edge between known nodes, sorted.
@@ -368,7 +385,7 @@ def _index_graph(graph: PipelineGraph) -> _GraphIndex:
     violations.extend(unreached)
 
     leaves = tuple(nid for nid in by_id if nid not in reverse)
-    return _GraphIndex(by_id, frozenset(by_id), reverse, leaves, tuple(violations))
+    return _GraphIndex(by_id, reverse, leaves, tuple(violations))
 
 
 def validate_assessment(assessment: Assessment) -> ValidationResult:
@@ -385,47 +402,43 @@ def validate_assessment(assessment: Assessment) -> ValidationResult:
 
 def _assessment_violations(assessment: Assessment) -> tuple[str, ...]:
     """Judgement coverage and weight checks, reported after the graph's."""
-    graph = assessment.graph
-    violations: list[str] = []
+    index = assessment.graph._index
+    leaves = set(index.leaves)
+    violations = _coverage("judgement", set(assessment.judgements), leaves, index.by_id)
 
-    known = graph.node_ids()
-    leaf_ids = set(graph.leaf_ids())
-
-    judged = set(assessment.judgements)
-    violations.extend(
-        f"missing judgement for {nid}" for nid in sorted(leaf_ids - judged)
-    )
-    for nid in sorted(judged - leaf_ids):
-        if nid in known:
-            violations.append(f"judgement on non-leaf node {nid}")
-        else:
-            violations.append(f"judgement for unknown node {nid}")
-
-    scheme = assessment.weights
-    if not scheme.is_equal:
-        assert scheme.weights is not None
-        weighted = set(scheme.weights)
-        missing = sorted(leaf_ids - weighted)
-        extra = sorted(weighted - leaf_ids)
-        violations.extend(f"missing weight for {nid}" for nid in missing)
-        for nid in extra:
-            if nid in known:
-                violations.append(f"weight on non-leaf node {nid}")
-            else:
-                violations.append(f"weight for unknown node {nid}")
-        for nid in sorted(weighted):
-            value = scheme.weights[nid]
+    weights = assessment.weights.weights
+    if weights is not None:
+        uncovered = _coverage("weight", set(weights), leaves, index.by_id)
+        violations.extend(uncovered)
+        for nid in sorted(weights):
+            value = weights[nid]
             if not math.isfinite(value):
                 violations.append(f"non-finite weight for {nid}")
             elif value < 0:
                 violations.append(f"negative weight for {nid}")
-        total = math.fsum(scheme.weights.values())
+        try:
+            total = math.fsum(weights.values())
+        except (OverflowError, ValueError):  # a finite overflow, or inf + -inf
+            total = sum(weights.values())
         if not math.isfinite(total) or abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
             violations.append(f"weights sum {total!r}, expected 1 within 1e-9")
-        elif missing or extra:
+        elif uncovered:
             violations.append(f"weights sum {total!r} but key set incomplete")
 
     return tuple(violations)
+
+
+def _coverage(
+    what: str, keys: set[str], leaves: set[str], known: Mapping[str, object]
+) -> list[str]:
+    """Where ``keys`` miss a leaf or name a non-leaf or an unknown node."""
+    lines = [f"missing {what} for {nid}" for nid in sorted(leaves - keys)]
+    for nid in sorted(keys - leaves):
+        if nid in known:
+            lines.append(f"{what} on non-leaf node {nid}")
+        else:
+            lines.append(f"{what} for unknown node {nid}")
+    return lines
 
 
 def _cyclic_components(reverse: Mapping[str, list[str]]) -> list[list[str]]:

@@ -18,11 +18,11 @@ every body ends with exactly one newline.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from functools import cache, partial
 from json.encoder import encode_basestring
-from typing import Any
 
 from .ingest import _block, document_text
 # Unused here, but the benchmark's tracer wraps ``pipevis.report.document_dict``.
@@ -133,7 +133,8 @@ def render_table(
     """
     if precision is None:
         precision = report.display_precision
-    cell = _Memo(lambda value: format_value(value, precision))
+    # A leaf's indices take one of 64 values, so each is formatted once.
+    cell = cache(partial(format_value, precision=precision))
     lines = [TABLE_HEADER]
     for row in report.per_node:
         judgement = judgements[row.node_id]
@@ -144,8 +145,8 @@ def render_table(
                     str(judgement.quantity),
                     str(judgement.freshness),
                     str(judgement.accuracy),
-                    cell[row.quality_index],
-                    cell[row.visibility_index],
+                    cell(row.quality_index),
+                    cell(row.visibility_index),
                 )
             )
         )
@@ -231,9 +232,7 @@ def render_machine(
     )
 
 
-def render_rubric(
-    rubric: Mapping[tuple[Criterion, int], str] = RUBRIC
-) -> RenderedReport:
+def render_rubric() -> RenderedReport:
     """The judgement scale, one row per score level."""
     lines = [RUBRIC_HEADER]
     for level in range(SCORE_MIN, SCORE_MAX + 1):
@@ -241,9 +240,9 @@ def render_rubric(
             " | ".join(
                 (
                     str(level),
-                    rubric[(Criterion.QUANTITY, level)],
-                    rubric[(Criterion.FRESHNESS, level)],
-                    rubric[(Criterion.ACCURACY, level)],
+                    RUBRIC[(Criterion.QUANTITY, level)],
+                    RUBRIC[(Criterion.FRESHNESS, level)],
+                    RUBRIC[(Criterion.ACCURACY, level)],
                 )
             )
         )
@@ -266,21 +265,3 @@ def render_sensitivity(
 
 def _sig15(value: float) -> float:
     return float(f"{value:.15g}")
-
-
-class _Memo(dict):
-    """``fn`` of each float, computed once per distinct value in one render.
-
-    A leaf's indices take one of 64 values, so a large report repeats them.
-    Zero is never kept: 0.0 and -0.0 share a key but not a sign.
-    """
-
-    def __init__(self, fn: Callable[[float], Any]):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, value: float) -> Any:
-        result = self.fn(value)
-        if value:
-            self[value] = result
-        return result

@@ -366,6 +366,27 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "violation: weights sum" in result.stderr
 
+    @pytest.mark.parametrize(
+        ("weights", "total"),
+        [("DS=1e308,H1=1e308,H2=0", "inf"), ("DS=inf,H1=-inf,H2=0", "nan")],
+    )
+    def test_weights_flag_past_what_fsum_takes_is_usage_error(
+        self, samples, weights, total
+    ):
+        result = invoke(["whatif", samples["later"], "--weights", weights])
+        assert result.exit_code == 2
+        violation = f"violation: weights sum {total}, expected 1 within 1e-9"
+        assert violation in result.stderr
+
+    def test_overflowing_document_weights_are_data_error(self, tmp_path, samples):
+        doc = json.loads(open(samples["later"], "rb").read())
+        doc["weights"] = {"DS": 1e308, "H1": 1e308, "H2": 0}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        result = invoke(["score", str(path)])
+        assert result.exit_code == 1
+        assert result.stderr == "violation: weights sum inf, expected 1 within 1e-9\n"
+
     def test_compare_with_invalid_document_is_data_error(self, broken_doc, samples):
         assert invoke(["compare", samples["later"], broken_doc]).exit_code == 1
 

@@ -605,6 +605,19 @@ class TestValidateAssessment:
             for v in violations
         )
 
+    @pytest.mark.parametrize(
+        ("weights", "total"),
+        [
+            ({"DS": 1e308, "H1": 1e308, "H2": 0.0}, "inf"),
+            ({"DS": float("inf"), "H1": float("-inf"), "H2": 0.0}, "nan"),
+        ],
+        ids=["overflow", "opposite-infinities"],
+    )
+    def test_sum_past_what_fsum_takes_is_off(self, weights, total):
+        a = helpers.example_assessment(weights=WeightScheme(weights))
+        violations = validate_assessment(a).violations
+        assert violations[-1] == f"weights sum {total}, expected 1 within 1e-9"
+
     def test_sum_tolerance_accepts_tiny_drift(self):
         a = helpers.example_assessment(
             weights=WeightScheme.explicit(
@@ -660,6 +673,13 @@ class TestAssessment:
     def test_empty_version_and_assessor_are_accepted(self):
         a = helpers.example_assessment(asset_version="", assessor="")
         assert parse_document(serialize_document(a)) == a
+
+    def test_rejects_a_judgement_of_another_type(self):
+        a = helpers.example_assessment()
+        with pytest.raises(
+            ValueError, match=r"^judgement for DS must be a Judgement, got \(3, 2, 3\)$"
+        ):
+            replace(a, judgements={**a.judgements, "DS": (3, 2, 3)})
 
     def test_judgements_are_copied(self):
         judgements = {
@@ -730,6 +750,15 @@ class TestWeightScheme:
         # The document's rule: a number, and not a boolean.
         with pytest.raises(ValueError, match="weight for DS must be a number"):
             WeightScheme({"DS": weight, "H1": 0.25, "H2": 0.25})
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_weights_are_floats_and_a_huge_integer_is_infinite(self, sign):
+        scheme = WeightScheme({"DS": sign * 10**400, "H1": 1, "H2": 0.25})
+        infinity = sign * float("inf")
+        assert dict(scheme.weights) == {"DS": infinity, "H1": 1.0, "H2": 0.25}
+        assert all(type(value) is float for value in scheme.weights.values())
+        a = helpers.example_assessment(weights=scheme)
+        assert validate_assessment(a).violations[0] == "non-finite weight for DS"
 
     def test_explicit_still_converts_to_float(self):
         scheme = WeightScheme.explicit({"DS": "0.5", "H1": 1, "H2": 0.25})
