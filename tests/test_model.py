@@ -188,6 +188,47 @@ class TestPipelineGraph:
             assert expected
             assert self.cycle_components(graph) == expected
 
+    @staticmethod
+    def ring(size=100_000):
+        return [(f"N{i}", f"N{(i + 1) % size}") for i in range(size)]
+
+    @staticmethod
+    def pairs_chained_by_paths(pairs=300, path=200):
+        edges = []
+        for p in range(pairs):
+            a, b = f"A{p}", f"B{p}"
+            edges += [(a, b), (b, a)]
+            hops = [b, *(f"P{p}_{i}" for i in range(path)), f"A{p + 1}"]
+            edges += zip(hops, hops[1:])
+        return edges
+
+    @staticmethod
+    def cycle_fed_by_leaves(leaves=10_000):
+        edges = [(f"L{i}", f"D{i % 3}") for i in range(leaves)]
+        return edges + [("D0", "D1"), ("D1", "D2"), ("D2", "D0"), ("D0", "M")]
+
+    @pytest.mark.parametrize(
+        "shape", ["ring", "pairs_chained_by_paths", "cycle_fed_by_leaves"]
+    )
+    def test_cycle_search_at_scale_agrees_with_networkx(self, shape):
+        """A deep ring must not hit the recursion limit, and a chain of small
+        cycles must not take quadratic time.
+
+        The reverse map is built as the graph index builds it, without
+        indexing a whole graph, so the test stays fast.
+        """
+        edges = getattr(self, shape)()
+        reverse = {}
+        for src, dst in edges:
+            reverse.setdefault(dst, []).append(src)
+        expected = sorted(
+            sorted(c)
+            for c in nx.strongly_connected_components(nx.DiGraph(edges))
+            if len(c) > 1
+        )
+        assert expected
+        assert model._cyclic_components(reverse) == expected
+
     def test_cycle_search_enters_only_nodes_with_an_incoming_edge(self):
         class Entered(dict):
             """The reverse map, noting each node whose upstream ids are read."""
