@@ -470,23 +470,17 @@ def _score(value: Any) -> int:
     return value
 
 
-#: Each kind's member by value: the parser looks a kind up instead of calling
-#: ``NodeKind`` on it.
+#: Each kind's member by value: the one-step node reader looks a kind up
+#: instead of calling ``NodeKind`` on it.
 _KINDS = {kind.value: kind for kind in NodeKind}
 _string = _must("a string", lambda v: isinstance(v, str), _type_name)
 _text = _must("a string", lambda v: isinstance(v, str))
 _name = _must("a non-empty string", lambda v: isinstance(v, str) and v != "")
-_kind_value = _must(
+_kind = _must(
     "one of " + ", ".join(sorted(_KINDS)),
     lambda v: isinstance(v, str) and v in _KINDS,
     repr,
 )
-
-
-def _kind(value: Any) -> NodeKind:
-    return _KINDS[_kind_value(value)]
-
-
 _strings = _must(
     "an array of strings",
     lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),

@@ -26,7 +26,7 @@ from .model import (
     WeightScheme,
     InvalidAssessmentError,
     _JUDGEMENTS,
-    _reaching_set,
+    _flood,
     validate_assessment,
 )
 
@@ -208,7 +208,8 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
         raise LeafNodeError(node_id, node.kind)
 
     all_leaves = graph.leaf_ids()
-    ancestors = _reaching_set(graph._index.reverse, node_id)
+    ancestors: set[str] = set()
+    _flood(graph._index.reverse, node_id, ancestors)
     leaf_ids = [nid for nid in all_leaves if nid in ancestors]
 
     weights = assessment.weights.resolve(leaf_ids)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Container, Mapping, Sequence
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from functools import cached_property
@@ -154,9 +154,6 @@ class PipelineGraph:
     @cached_property
     def _index(self) -> _GraphIndex:
         return _index_graph(self)
-
-    def node_ids(self) -> frozenset[str]:
-        return frozenset(self._index.by_id)
 
     def node_by_id(self, node_id: str) -> ContributionNode | None:
         return self._index.by_id.get(node_id)
@@ -369,7 +366,10 @@ def _index_graph(graph: PipelineGraph) -> _GraphIndex:
 
     # The path rule needs a single output; without one, every node counts as
     # reached.
-    reached = _reaching_set(reverse, outputs[0]) if len(outputs) == 1 else by_id
+    reached: Container[str] = by_id
+    if len(outputs) == 1:
+        reached = set()
+        _flood(reverse, outputs[0], reached)
     unreached: list[str] = []
     for node in graph.nodes:
         if node.id not in reverse:
@@ -444,74 +444,67 @@ def _coverage(
 def _cyclic_components(reverse: Mapping[str, list[str]]) -> list[list[str]]:
     """Strongly connected components with more than one node, sorted.
 
-    Iterative Tarjan over the reverse adjacency, whose components are the
-    same. Only nodes with an incoming edge can be in one, so the walk never
-    enters a node without one (a leaf, in a valid graph). Single-node
-    self-loops are excluded because the self-edge check reports them.
+    Kosaraju over the reverse adjacency, whose components are the same. Only
+    nodes with an incoming edge can be in one, so an iterative depth-first
+    walk upstream lists those nodes in finish order and never enters a node
+    without one (a leaf, in a valid graph). Then :func:`_flood` downstream
+    among them, started from each node not yet flooded, latest-finished
+    first, adds exactly one component per start. Single-node self-loops are
+    excluded because the self-edge check reports them.
     """
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = 0
-    components: list[list[str]] = []
-
+    finished: list[str] = []
+    entered: set[str] = set()
     for root in reverse:
-        if root in index:
+        if root in entered:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            node, child_pos = work.pop()
-            if child_pos == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = reverse.get(node, ())
-            while child_pos < len(children):
-                child = children[child_pos]
-                child_pos += 1
-                if child not in reverse:  # no incoming edge: on no cycle
-                    continue
-                if child not in index:
-                    work.append((node, child_pos))
-                    work.append((child, 0))
-                    advanced = True
+        entered.add(root)
+        walk = [(root, iter(reverse[root]))]
+        while walk:
+            node, upstream = walk[-1]
+            for source in upstream:
+                if source in reverse and source not in entered:
+                    entered.add(source)
+                    walk.append((source, iter(reverse[source])))
                     break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            if lowlink[node] == index[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    components.append(sorted(component))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            else:
+                walk.pop()
+                finished.append(node)
+
+    forward: dict[str, list[str]] = {}
+    for node, upstream in reverse.items():
+        for source in upstream:
+            if source in reverse:
+                forward.setdefault(source, []).append(node)
+
+    flooded: set[str] = set()
+    components: list[list[str]] = []
+    for root in reversed(finished):
+        if root not in flooded:
+            component = _flood(forward, root, flooded)
+            if len(component) > 1:
+                components.append(sorted(component))
     return sorted(components)
 
 
-def _reaching_set(reverse: Mapping[str, list[str]], target: str) -> set[str]:
-    """Ids of nodes with a directed path to ``target`` (including itself).
+def _flood(edges: Mapping[str, list[str]], start: str, seen: set[str]) -> list[str]:
+    """Add to ``seen`` ``start`` and each node ``edges`` leads to from it
+    without passing a node already in ``seen``; return the nodes added.
 
-    ``reverse`` maps each node to its upstream ids.
+    The graph's one flood. Over the reverse map from a node it fills ``seen``
+    with the node's ancestors and itself, for the path-to-output rule and
+    derived-asset scoring; over a forward map it collects one component for
+    :func:`_cyclic_components`.
     """
-    seen = {target}
-    frontier = [target]
+    seen.add(start)
+    added = [start]
+    frontier = [start]
     while frontier:
-        for upstream in reverse.get(frontier.pop(), ()):
-            if upstream not in seen:
-                seen.add(upstream)
-                frontier.append(upstream)
-    return seen
+        for node in edges.get(frontier.pop(), ()):
+            if node not in seen:
+                seen.add(node)
+                added.append(node)
+                frontier.append(node)
+    return added
 
 
 #: Canonical 1-4 scale descriptions for judging documentation on each
