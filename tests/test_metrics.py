@@ -26,6 +26,8 @@ from pipevis import (
     overall_visibility,
     quality_index,
     rank,
+    render_machine,
+    render_table,
     sensitivity,
     parse_document,
     serialize_document,
@@ -139,6 +141,38 @@ class TestIndices:
             )
             assert overall_visibility(rebuilt) == overall_visibility(parsed)
             assert metrics._indices(hand_built) == metrics._INDEX_TABLE[shared]
+
+    def test_hand_built_judgements_render_and_write_as_the_parsed_ones(self):
+        class Tagged(Judgement):
+            """Equal fields, another class."""
+
+        class Level(int):
+            """A plain int subclass: equal and hashed as its int."""
+
+        parsed = parse_document(serialize_document(helpers.uniform_assessment(
+            Judgement(2, 3, 4)
+        )))
+
+        def outputs(assessment):
+            report = overall_visibility(assessment)
+            return (
+                render_table(report, assessment.judgements).body,
+                render_machine(report, assessment).body,
+                serialize_document(assessment),
+            )
+
+        expected = outputs(parsed)
+        levels = (Level(2), Level(3), Level(4))
+        for hand_built in (
+            Judgement(2, 3, 4),
+            Tagged(2, 3, 4),
+            Judgement(*levels),
+            Tagged(*levels),
+        ):
+            rebuilt = replace(
+                parsed, judgements=dict.fromkeys(parsed.judgements, hand_built)
+            )
+            assert outputs(rebuilt) == expected
 
 
 class TestNodeVisibility:

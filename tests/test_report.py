@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from datetime import date
 
 import jsonschema
@@ -19,6 +20,7 @@ from pipevis import (
     format_fixed,
     format_value,
     overall_visibility,
+    parse_document,
     rank,
     render_comparison,
     render_machine,
@@ -326,3 +328,35 @@ class TestRenderSensitivity:
             weights=WeightScheme.explicit({"DS": 0.8, "H1": 0.1, "H2": 0.1}),
         )
         assert "Modified | 2.77" in render_sensitivity(result).body
+
+
+class TestBodyEnding:
+    @pytest.mark.parametrize("precision", [0, 2, 12])
+    def test_every_body_ends_with_exactly_one_newline(self, samples_dir, precision):
+        samples = {
+            path.stem: replace(
+                parse_document(path.read_bytes()), display_precision=precision
+            )
+            for path in sorted(samples_dir.glob("*.json"))
+        }
+        later = samples["first_party_later"]
+        bodies = [render_rubric().body]
+        for assessment in samples.values():
+            overall = overall_visibility(assessment)
+            derived = derived_asset_visibility(assessment, "LD")
+            bodies += [
+                render_table(overall, assessment.judgements).body,
+                render_table(derived, assessment.judgements).body,
+                render_machine(overall, assessment).body,
+                render_machine(derived, assessment, "LD").body,
+                render_sensitivity(
+                    sensitivity(assessment, {"DS": helpers.THREES})
+                ).body,
+            ]
+        bodies += [
+            render_comparison(rank(list(samples.values())), precision).body,
+            render_series([samples["first_party"], later]).body,
+        ]
+        assert len(bodies) == 23
+        for body in bodies:
+            assert body.endswith("\n") and not body.endswith("\n\n"), body
