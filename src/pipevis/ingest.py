@@ -32,7 +32,7 @@ templates, and the machine document of :func:`pipevis.report.render_machine`
 is its text with a ``results`` member added. Strings are escaped by
 ``json.encoder.encode_basestring``, floats written by ``float.__repr__`` and
 ints as ints, which is what ``json.dumps(indent=2, ensure_ascii=False)``
-writes; each distinct judgement is formatted once per call.
+writes; the texts of the 64 valid judgements are formatted once, at import.
 :func:`document_dict` builds the same document as a dict and is the writer's
 reference: the tests check that ``json.dumps`` of it gives the same text.
 """
@@ -261,6 +261,16 @@ def document_dict(assessment: Assessment) -> dict[str, Any]:
     }
 
 
+#: The text of each of the 64 valid judgements, keyed by its levels.
+_SCORES_TEXT = {
+    (q, a, f): (
+        f'{{\n      "quantity": {q},\n      "accuracy": {a},'
+        f'\n      "freshness": {f}\n    }}'
+    )
+    for q, a, f in _JUDGEMENTS
+}
+
+
 def document_text(assessment: Assessment, members: str = "") -> str:
     """The canonical text of ``assessment``, written without a validity check.
 
@@ -285,17 +295,10 @@ def document_text(assessment: Assessment, members: str = "") -> str:
         f'{{\n      "from": {text(src)},\n      "to": {text(dst)}\n    }}'
         for src, dst in assessment.graph.edges
     ]
-    judged: dict[Judgement, str] = {}
-    judgements = []
-    for nid, judgement in sorted(assessment.judgements.items()):
-        scores = judged.get(judgement)
-        if scores is None:
-            scores = judged[judgement] = (
-                f'{{\n      "quantity": {int.__repr__(judgement.quantity)},'
-                f'\n      "accuracy": {int.__repr__(judgement.accuracy)},'
-                f'\n      "freshness": {int.__repr__(judgement.freshness)}\n    }}'
-            )
-        judgements.append(f"{text(nid)}: {scores}")
+    judgements = [
+        f"{text(nid)}: {_SCORES_TEXT[j.quantity, j.accuracy, j.freshness]}"
+        for nid, j in sorted(assessment.judgements.items())
+    ]
     explicit = assessment.weights.weights
     weights = '"equal"' if explicit is None else _block(
         [f"{text(k)}: {float.__repr__(explicit[k])}" for k in sorted(explicit)],

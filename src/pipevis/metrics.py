@@ -145,8 +145,9 @@ def _indices(judgement: Judgement) -> tuple[float, float, float]:
     )
 
 
-#: The indices of each of the 64 valid judgements, computed once.
-_INDEX_TABLE = {judgement: _indices(judgement) for judgement in _JUDGEMENTS.values()}
+#: The indices of each of the 64 valid judgements, computed once and keyed
+#: by (quantity, accuracy, freshness), as ``_JUDGEMENTS`` is.
+_INDEX_TABLE = {levels: _indices(j) for levels, j in _JUDGEMENTS.items()}
 
 
 def _require_valid(assessment: Assessment, subject: str | None = None) -> None:
@@ -160,15 +161,17 @@ def _weighted_report(
 ) -> VisibilityReport:
     """Rows in the key order of ``weights`` (sorted leaf ids) and their sum.
 
-    A judgement's indices come from the table; one outside it (a subclass,
-    say) has them computed.
+    Each leaf's indices are read from the table by its three levels, so a
+    hand-built judgement or a subclass reads the same row as the parsed one.
     """
     judgements = assessment.judgements
     make_row = NodeVisibility._make
     rows = []
     for nid, weight in weights.items():
         judgement = judgements[nid]
-        indices = _INDEX_TABLE.get(judgement) or _indices(judgement)
+        indices = _INDEX_TABLE[
+            judgement.quantity, judgement.accuracy, judgement.freshness
+        ]
         rows.append(make_row((nid, *indices, weight)))
     overall = math.fsum(row.visibility_index * row.weight for row in rows)
     return VisibilityReport(

@@ -118,7 +118,8 @@ class TestIndices:
 
     def test_every_state_is_tabled_by_the_formula(self):
         assert len(metrics._INDEX_TABLE) == 64
-        for judgement, indices in metrics._INDEX_TABLE.items():
+        for levels, indices in metrics._INDEX_TABLE.items():
+            judgement = Judgement(*levels)
             assert indices == (
                 float(judgement.quantity),
                 quality_index(judgement),
@@ -127,7 +128,7 @@ class TestIndices:
 
     def test_hand_built_judgements_score_as_the_parsed_ones(self):
         class Tagged(Judgement):
-            """Equal fields, another class: outside the table."""
+            """Equal fields, another class: not equal to the shared one."""
 
         parsed = parse_document(serialize_document(helpers.uniform_assessment(
             Judgement(2, 3, 4)
@@ -140,7 +141,7 @@ class TestIndices:
                 parsed, judgements=dict.fromkeys(parsed.judgements, hand_built)
             )
             assert overall_visibility(rebuilt) == overall_visibility(parsed)
-            assert metrics._indices(hand_built) == metrics._INDEX_TABLE[shared]
+            assert metrics._indices(hand_built) == metrics._INDEX_TABLE[2, 3, 4]
 
     def test_hand_built_judgements_render_and_write_as_the_parsed_ones(self):
         class Tagged(Judgement):
