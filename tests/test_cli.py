@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -31,7 +32,7 @@ def samples(samples_dir):
 
 @pytest.fixture()
 def broken_doc(tmp_path, samples):
-    doc = json.loads(open(samples["first_party"], "rb").read())
+    doc = json.loads(Path(samples["first_party"]).read_bytes())
     doc["judgements"]["DS"]["quantity"] = 5
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -55,7 +56,7 @@ class TestValidate:
         )
 
     def test_lenient_downgrades_unknown_fields(self, tmp_path, samples):
-        doc = json.loads(open(samples["first_party"], "rb").read())
+        doc = json.loads(Path(samples["first_party"]).read_bytes())
         doc["vendor_extra"] = 1
         path = tmp_path / "extra.json"
         path.write_text(json.dumps(doc))
@@ -68,7 +69,7 @@ class TestValidate:
         assert "violation:" not in lenient.stderr
 
     def test_reads_standard_input(self, samples):
-        blob = open(samples["later"], "rb").read()
+        blob = Path(samples["later"]).read_bytes()
         result = invoke(["validate", "-"], input=blob)
         assert result.exit_code == 0
 
@@ -157,7 +158,7 @@ class TestScore:
         assert result.stdout.splitlines()[-1] == "Overall VIS for model | 2.9036"
 
     def test_reads_standard_input(self, samples):
-        blob = open(samples["minimal"], "rb").read()
+        blob = Path(samples["minimal"]).read_bytes()
         result = invoke(["score", "-"], input=blob)
         assert result.exit_code == 0
         assert "Overall VIS for model | 1.19" in result.stdout
@@ -228,7 +229,7 @@ class TestWhatif:
         assert result.stdout.splitlines()[-1] == "Delta | 0.00"
 
     def test_ids_with_colon_and_equals_are_addressable(self, tmp_path, samples):
-        text = open(samples["later"], encoding="utf-8").read()
+        text = Path(samples["later"]).read_text("utf-8")
         renamed = text.replace('"DS"', '"src:a"').replace('"H1"', '"h=1"')
         path = tmp_path / "renamed.json"
         path.write_text(renamed, encoding="utf-8")
@@ -285,7 +286,7 @@ class TestExitCodes:
         assert "internal error" not in result.stderr
 
     def test_lone_surrogate_is_data_error(self, samples):
-        doc = json.loads(open(samples["first_party"], "rb").read())
+        doc = json.loads(Path(samples["first_party"]).read_bytes())
         doc["assessor"] = "\ud800"
         result = invoke(["score", "-", "--format", "machine"], input=json.dumps(doc))
         assert result.exit_code == 1
@@ -296,7 +297,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("field", ["weights", "schema_version"])
     def test_non_json_token_is_data_error(self, samples, field, token):
-        doc = json.loads(open(samples["first_party"], "rb").read())
+        doc = json.loads(Path(samples["first_party"]).read_bytes())
         result = invoke(
             ["validate", "-"], input=helpers.with_bare_token(doc, field, token)
         )
@@ -379,7 +380,7 @@ class TestExitCodes:
         assert violation in result.stderr
 
     def test_overflowing_document_weights_are_data_error(self, tmp_path, samples):
-        doc = json.loads(open(samples["later"], "rb").read())
+        doc = json.loads(Path(samples["later"]).read_bytes())
         doc["weights"] = {"DS": 1e308, "H1": 1e308, "H2": 0}
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(doc))
@@ -404,7 +405,7 @@ class TestExitCodes:
         )
 
     def test_semantic_violation_is_data_error(self, tmp_path, samples):
-        doc = json.loads(open(samples["first_party"], "rb").read())
+        doc = json.loads(Path(samples["first_party"]).read_bytes())
         doc["judgements"]["LD"] = {"quantity": 3, "accuracy": 3, "freshness": 3}
         path = tmp_path / "nonleaf.json"
         path.write_text(json.dumps(doc))
