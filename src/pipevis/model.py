@@ -327,8 +327,9 @@ class _GraphIndex(NamedTuple):
 def _index_graph(graph: PipelineGraph) -> _GraphIndex:
     """Index ``graph`` and check every invariant.
 
-    Two walks over the nodes and one over the edges. The nodes are in id
-    order, so ``by_id`` and the leaves are too.
+    Two walks over the nodes, one over the edges and a third walk, over
+    ``by_id``, for the leaves. The nodes are in id order, so ``by_id`` and
+    the leaves are too.
     """
     violations: list[str] = []
 

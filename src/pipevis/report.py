@@ -57,9 +57,6 @@ __all__ = [
     "render_sensitivity",
 ]
 
-TEXT_TABLE = "text-table"
-MACHINE_DOCUMENT = "machine-document"
-
 TABLE_HEADER = "Node | Quantity | Freshness | Accuracy | VISQuality | VIS"
 OVERALL_LABEL = "Overall VIS for model"
 COMPARISON_HEADER = "Asset | Version | VIS"
@@ -81,15 +78,7 @@ class MixedAssetError(ReportError):
 
 @dataclass(frozen=True)
 class RenderedReport:
-    format: str
     body: str
-    precision: int
-
-    def __post_init__(self) -> None:
-        if self.format not in (TEXT_TABLE, MACHINE_DOCUMENT):
-            raise ValueError(f"unknown report format: {self.format!r}")
-        if not self.body.endswith("\n") or self.body.endswith("\n\n"):
-            raise ValueError("report body must end with exactly one newline")
 
 
 def _quantize(value: float, precision: int) -> Decimal:
@@ -113,10 +102,8 @@ def format_fixed(value: float, precision: int = 2) -> str:
     return str(_quantize(value, precision))
 
 
-def _report(body_lines: list[str], precision: int) -> RenderedReport:
-    return RenderedReport(
-        format=TEXT_TABLE, body="\n".join(body_lines) + "\n", precision=precision
-    )
+def _report(body_lines: list[str]) -> RenderedReport:
+    return RenderedReport("\n".join(body_lines) + "\n")
 
 
 def render_table(
@@ -151,7 +138,7 @@ def render_table(
             )
         )
     lines.append(f"{OVERALL_LABEL} | {format_value(report.overall, precision)}")
-    return _report(lines, precision)
+    return _report(lines)
 
 
 def render_comparison(
@@ -171,7 +158,7 @@ def render_comparison(
                 )
             )
         )
-    return _report(lines, precision)
+    return _report(lines)
 
 
 def render_series(
@@ -195,7 +182,7 @@ def render_series(
         )
     net = overalls[-1] - overalls[0]
     lines.append(f"Net change | {format_fixed(net, precision)}")
-    return _report(lines, precision)
+    return _report(lines)
 
 
 def render_machine(
@@ -226,10 +213,7 @@ def render_machine(
         f'\n    "per_node": {_block(rows, "[]", 2)},'
         f'\n    "overall_visibility": {_sig15(report.overall)!r}\n  }}'
     )
-    body = document_text(assessment, results)
-    return RenderedReport(
-        format=MACHINE_DOCUMENT, body=body, precision=report.display_precision
-    )
+    return RenderedReport(document_text(assessment, results))
 
 
 def render_rubric() -> RenderedReport:
@@ -246,7 +230,7 @@ def render_rubric() -> RenderedReport:
                 )
             )
         )
-    return _report(lines, precision=0)
+    return _report(lines)
 
 
 def render_sensitivity(
@@ -260,7 +244,7 @@ def render_sensitivity(
         f"Modified | {format_fixed(result.modified.overall, precision)}",
         f"Delta | {format_fixed(result.overall_delta, precision)}",
     ]
-    return _report(lines, precision)
+    return _report(lines)
 
 
 def _sig15(value: float) -> float:

@@ -84,8 +84,6 @@ class TestRenderTable:
             "H2 | 3 | 3 | 3 | 3 | 3\n"
             "Overall VIS for model | 2.90\n"
         )
-        assert rendered.format == "text-table"
-        assert rendered.precision == 2
 
     def test_first_party_golden_body(self, first_party):
         report = overall_visibility(first_party)
@@ -147,7 +145,6 @@ class TestRenderTable:
         report = overall_visibility(first_party_later)
         rendered = render_table(report, first_party_later.judgements, precision=4)
         assert "Overall VIS for model | 2.9036" in rendered.body
-        assert rendered.precision == 4
 
     def test_every_numeral_matches_full_precision_value(self):
         rng = random.Random(800)
@@ -242,7 +239,6 @@ class TestRenderMachine:
     def test_results_block(self, first_party_later, result_schema):
         report = overall_visibility(first_party_later)
         rendered = render_machine(report, first_party_later)
-        assert rendered.format == "machine-document"
         doc = json.loads(rendered.body)
         jsonschema.validate(doc, result_schema)
         results = doc["results"]
