@@ -130,50 +130,33 @@ class TestIndices:
         class Tagged(Judgement):
             """Equal fields, another class: not equal to the shared one."""
 
-        parsed = parse_document(serialize_document(helpers.uniform_assessment(
-            Judgement(2, 3, 4)
-        )))
-        shared = parsed.judgements["DS"]
-        assert shared is model._JUDGEMENTS[2, 3, 4]
-        for hand_built in (Judgement(2, 3, 4), Tagged(2, 3, 4)):
-            assert hand_built is not shared
-            rebuilt = replace(
-                parsed, judgements=dict.fromkeys(parsed.judgements, hand_built)
-            )
-            assert overall_visibility(rebuilt) == overall_visibility(parsed)
-            assert metrics._indices(hand_built) == metrics._INDEX_TABLE[2, 3, 4]
-
-    def test_hand_built_judgements_render_and_write_as_the_parsed_ones(self):
-        class Tagged(Judgement):
-            """Equal fields, another class."""
-
         class Level(int):
-            """A plain int subclass: equal and hashed as its int."""
-
-        parsed = parse_document(serialize_document(helpers.uniform_assessment(
-            Judgement(2, 3, 4)
-        )))
+            """A plain int subclass: equal to and hashed as its int."""
 
         def outputs(assessment):
             report = overall_visibility(assessment)
             return (
+                report,
                 render_table(report, assessment.judgements).body,
                 render_machine(report, assessment).body,
                 serialize_document(assessment),
             )
 
-        expected = outputs(parsed)
+        parsed = parse_document(serialize_document(helpers.uniform_assessment(
+            Judgement(2, 3, 4)
+        )))
+        shared = parsed.judgements["DS"]
+        assert shared is model._JUDGEMENTS[2, 3, 4]
         levels = (Level(2), Level(3), Level(4))
         for hand_built in (
-            Judgement(2, 3, 4),
-            Tagged(2, 3, 4),
-            Judgement(*levels),
-            Tagged(*levels),
+            Judgement(2, 3, 4), Tagged(2, 3, 4), Judgement(*levels), Tagged(*levels)
         ):
+            assert hand_built is not shared
             rebuilt = replace(
                 parsed, judgements=dict.fromkeys(parsed.judgements, hand_built)
             )
-            assert outputs(rebuilt) == expected
+            assert outputs(rebuilt) == outputs(parsed)
+            assert metrics._indices(hand_built) == metrics._INDEX_TABLE[2, 3, 4]
 
 
 class TestNodeVisibility:
