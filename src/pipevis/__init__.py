@@ -5,113 +5,23 @@ bill-of-materials style assessment document: each leaf contribution
 (data sources, human contributors) carries 1-4 judgements on quantity,
 accuracy and freshness of its documentation, and the package aggregates
 them into per-node and overall visibility indices.
+
+Each submodule's ``__all__`` is its one list of public names; the package
+re-exports all four.
 """
 
-from .ingest import (
-    DocumentError,
-    MalformedSyntaxError,
-    SchemaViolationError,
-    SemanticViolationError,
-    UnknownSchemaVersionError,
-    parse_document,
-    serialize_document,
-)
-from .metrics import (
-    DegenerateWeightsError,
-    InvalidWeightsError,
-    LeafNodeError,
-    NodeVisibility,
-    RankEntry,
-    SensitivityResult,
-    UnknownNodeError,
-    VisibilityReport,
-    derived_asset_visibility,
-    overall_visibility,
-    quality_index,
-    rank,
-    sensitivity,
-    visibility_index,
-)
-from .model import (
-    Assessment,
-    ContributionNode,
-    Criterion,
-    InvalidAssessmentError,
-    Judgement,
-    NodeKind,
-    PipelineGraph,
-    RUBRIC,
-    ValidationResult,
-    WeightScheme,
-    validate_assessment,
-    validate_graph,
-)
-from .report import (
-    EmptyInputError,
-    MixedAssetError,
-    RenderedReport,
-    ReportError,
-    format_fixed,
-    format_value,
-    render_comparison,
-    render_machine,
-    render_rubric,
-    render_sensitivity,
-    render_series,
-    render_table,
-)
+from . import ingest, metrics, model, report
+from .ingest import *
+from .metrics import *
+from .model import *
+from .report import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # model
-    "Assessment",
-    "ContributionNode",
-    "Criterion",
-    "InvalidAssessmentError",
-    "Judgement",
-    "NodeKind",
-    "PipelineGraph",
-    "RUBRIC",
-    "ValidationResult",
-    "WeightScheme",
-    "validate_assessment",
-    "validate_graph",
-    # metrics
-    "DegenerateWeightsError",
-    "InvalidWeightsError",
-    "LeafNodeError",
-    "NodeVisibility",
-    "RankEntry",
-    "SensitivityResult",
-    "UnknownNodeError",
-    "VisibilityReport",
-    "derived_asset_visibility",
-    "overall_visibility",
-    "quality_index",
-    "rank",
-    "sensitivity",
-    "visibility_index",
-    # ingest
-    "DocumentError",
-    "MalformedSyntaxError",
-    "SchemaViolationError",
-    "SemanticViolationError",
-    "UnknownSchemaVersionError",
-    "parse_document",
-    "serialize_document",
-    # report
-    "EmptyInputError",
-    "MixedAssetError",
-    "RenderedReport",
-    "ReportError",
-    "format_fixed",
-    "format_value",
-    "render_comparison",
-    "render_machine",
-    "render_rubric",
-    "render_sensitivity",
-    "render_series",
-    "render_table",
+    *model.__all__,
+    *metrics.__all__,
+    *ingest.__all__,
+    *report.__all__,
 ]

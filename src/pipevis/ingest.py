@@ -65,6 +65,16 @@ from .model import (
     validate_assessment,
 )
 
+__all__ = [
+    "DocumentError",
+    "MalformedSyntaxError",
+    "SchemaViolationError",
+    "SemanticViolationError",
+    "UnknownSchemaVersionError",
+    "parse_document",
+    "serialize_document",
+]
+
 logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "1.0"

@@ -31,20 +31,20 @@ from .model import (
 )
 
 __all__ = [
-    "NodeVisibility",
-    "VisibilityReport",
-    "RankEntry",
-    "SensitivityResult",
-    "quality_index",
-    "visibility_index",
-    "overall_visibility",
-    "derived_asset_visibility",
-    "rank",
-    "sensitivity",
-    "UnknownNodeError",
-    "LeafNodeError",
     "DegenerateWeightsError",
     "InvalidWeightsError",
+    "LeafNodeError",
+    "NodeVisibility",
+    "RankEntry",
+    "SensitivityResult",
+    "UnknownNodeError",
+    "VisibilityReport",
+    "derived_asset_visibility",
+    "overall_visibility",
+    "quality_index",
+    "rank",
+    "sensitivity",
+    "visibility_index",
 ]
 
 

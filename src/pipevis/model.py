@@ -31,6 +31,21 @@ from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
+__all__ = [
+    "Assessment",
+    "ContributionNode",
+    "Criterion",
+    "InvalidAssessmentError",
+    "Judgement",
+    "NodeKind",
+    "PipelineGraph",
+    "RUBRIC",
+    "ValidationResult",
+    "WeightScheme",
+    "validate_assessment",
+    "validate_graph",
+]
+
 SCORE_MIN = 1
 SCORE_MAX = 4
 PRECISION_MAX = 12

@@ -43,18 +43,18 @@ from .model import (
 )
 
 __all__ = [
-    "RenderedReport",
-    "ReportError",
     "EmptyInputError",
     "MixedAssetError",
-    "format_value",
+    "RenderedReport",
+    "ReportError",
     "format_fixed",
-    "render_table",
+    "format_value",
     "render_comparison",
-    "render_series",
     "render_machine",
     "render_rubric",
     "render_sensitivity",
+    "render_series",
+    "render_table",
 ]
 
 TABLE_HEADER = "Node | Quantity | Freshness | Accuracy | VISQuality | VIS"

@@ -92,3 +92,14 @@ def test_each_name_is_its_submodules_object(submodule):
         value = getattr(module, name)
         assert getattr(pipevis, name) is value, name
         assert getattr(value, "__module__", module.__name__) == module.__name__, name
+
+
+def test_each_name_is_declared_once():
+    # A name in two submodule lists would be shadowed by the later star import.
+    declared = [
+        name
+        for submodule in EXPORTS
+        for name in importlib.import_module(f"pipevis.{submodule}").__all__
+    ]
+    assert len(declared) == len(set(declared))
+    assert len(pipevis.__all__) == len(set(pipevis.__all__))
