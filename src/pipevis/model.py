@@ -133,6 +133,8 @@ class ContributionNode:
     evidence_refs: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str):
+            raise ValueError(f"node id must be a string, got {self.id!r}")
         if type(self.kind) is not NodeKind:
             object.__setattr__(self, "kind", NodeKind(self.kind))
         if type(self.evidence_refs) is not tuple:
@@ -145,8 +147,9 @@ class PipelineGraph:
 
     Nodes and edges are normalised to a canonical sorted order at
     construction, so two graphs built from the same node/edge *sets* compare
-    equal regardless of insertion order. Construction is permissive;
-    structural invariants are checked by :func:`validate_graph`.
+    equal regardless of insertion order. Node ids must be strings, as
+    :class:`ContributionNode` checks; every other structural invariant is
+    checked by :func:`validate_graph`.
 
     Its index (:class:`_GraphIndex`) is derived once, on first use, and kept
     on the instance outside equality, hashing, repr and pickling;
@@ -208,6 +211,8 @@ class WeightScheme:
         if self.weights is not None:
             weights: dict[str, float] = {}
             for node_id, weight in self.weights.items():
+                if not isinstance(node_id, str):
+                    raise ValueError(f"weight key must be a string, got {node_id!r}")
                 if not _is_number(weight):
                     raise ValueError(
                         f"weight for {node_id} must be a number, got {weight!r}"
@@ -261,8 +266,14 @@ class Assessment:
     display_precision: int = 2
 
     def __post_init__(self) -> None:
+        if not isinstance(self.graph, PipelineGraph):
+            raise ValueError(f"graph must be a PipelineGraph, got {self.graph!r}")
+        if not isinstance(self.weights, WeightScheme):
+            raise ValueError(f"weights must be a WeightScheme, got {self.weights!r}")
         judgements = dict(self.judgements)
         for node_id, judgement in judgements.items():
+            if not isinstance(node_id, str):
+                raise ValueError(f"judgement key must be a string, got {node_id!r}")
             if not isinstance(judgement, Judgement):
                 raise ValueError(
                     f"judgement for {node_id} must be a Judgement, got {judgement!r}"

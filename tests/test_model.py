@@ -66,6 +66,13 @@ class TestContributionNode:
         with pytest.raises(ValueError):
             ContributionNode(id="DS", kind="Wizard", label="x")
 
+    @pytest.mark.parametrize("node_id", [1, None, b"DS"], ids=repr)
+    def test_non_string_id_rejected(self, node_id):
+        # A graph sorts its nodes by id, so one int id among strings would
+        # make it fail there instead.
+        with pytest.raises(ValueError, match="^node id must be a string, got "):
+            ContributionNode(id=node_id, kind=NodeKind.DATA_SOURCE, label="x")
+
     def test_evidence_refs_coerced_to_tuple(self):
         n = ContributionNode(
             id="DS", kind=NodeKind.DATA_SOURCE, label="x", evidence_refs=["a", "b"]
@@ -111,6 +118,8 @@ class TestPipelineGraph:
         assert a == b
         assert [n.id for n in a.nodes] == ["A", "B"]
         assert a.edges == (("B", "A"),)
+        coerced = PipelineGraph(nodes=(node("1"), node("A")), edges=((1, "A"),))
+        assert coerced.edges == (("1", "A"),)
 
     def test_fig1_leaves(self, example_graph):
         assert example_graph.leaf_ids() == ["DS", "H1", "H2"]
@@ -717,6 +726,26 @@ class TestAssessment:
             ValueError, match=r"^judgement for DS must be a Judgement, got \(3, 2, 3\)$"
         ):
             replace(a, judgements={**a.judgements, "DS": (3, 2, 3)})
+        # Its coverage check would fail sorting an int key among strings.
+        with pytest.raises(ValueError, match=r"^judgement key must be a string, got 1$"):
+            replace(
+                a, judgements={**a.judgements, 1: helpers.THREES, "Z": helpers.THREES}
+            )
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("graph", (1, 2), r"^graph must be a PipelineGraph, got \(1, 2\)$"),
+            ("weights", {"DS": 0.5}, r"^weights must be a WeightScheme, got \{"),
+            ("weights", None, r"^weights must be a WeightScheme, got None$"),
+        ],
+        ids=["graph-tuple", "weights-dict", "weights-None"],
+    )
+    def test_rejects_a_graph_or_weights_of_another_type(self, field, value, message):
+        # Each used to pass here and fail later, in validation or scoring.
+        a = helpers.later_assessment()
+        with pytest.raises(ValueError, match=message):
+            replace(a, **{field: value})
 
     def test_judgements_are_copied(self):
         judgements = {
@@ -788,6 +817,11 @@ class TestWeightScheme:
         with pytest.raises(ValueError, match="weight for DS must be a number"):
             WeightScheme({"DS": weight, "H1": 0.25, "H2": 0.25})
 
+    def test_direct_construction_takes_string_keys_only(self):
+        # The weight check would fail sorting an int key among strings.
+        with pytest.raises(ValueError, match="^weight key must be a string, got 1$"):
+            WeightScheme({"DS": 0.5, 1: 0.25, "Z": 0.25})
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_weights_are_floats_and_a_huge_integer_is_infinite(self, sign):
         scheme = WeightScheme({"DS": sign * 10**400, "H1": 1, "H2": 0.25})
@@ -798,8 +832,8 @@ class TestWeightScheme:
         assert validate_assessment(a).violations[0] == "non-finite weight for DS"
 
     def test_explicit_still_converts_to_float(self):
-        scheme = WeightScheme.explicit({"DS": "0.5", "H1": 1, "H2": 0.25})
-        assert dict(scheme.weights) == {"DS": 0.5, "H1": 1.0, "H2": 0.25}
+        scheme = WeightScheme.explicit({"DS": "0.5", "H1": 1, 2: 0.25})
+        assert dict(scheme.weights) == {"DS": 0.5, "H1": 1.0, "2": 0.25}
         assert all(type(value) is float for value in scheme.weights.values())
 
 
