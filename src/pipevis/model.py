@@ -141,15 +141,21 @@ class ContributionNode:
             object.__setattr__(self, "evidence_refs", tuple(self.evidence_refs))
 
 
+def _node_id(node: object) -> str:
+    if not isinstance(node, ContributionNode):
+        raise ValueError(f"node must be a ContributionNode, got {node!r}")
+    return node.id
+
+
 @dataclass(frozen=True)
 class PipelineGraph:
     """DAG of contribution nodes and directed "contributes to" edges.
 
     Nodes and edges are normalised to a canonical sorted order at
     construction, so two graphs built from the same node/edge *sets* compare
-    equal regardless of insertion order. Node ids must be strings, as
-    :class:`ContributionNode` checks; every other structural invariant is
-    checked by :func:`validate_graph`.
+    equal regardless of insertion order. Each node must be a
+    :class:`ContributionNode`, as the sort key checks; every other
+    structural invariant is checked by :func:`validate_graph`.
 
     Its index (:class:`_GraphIndex`) is derived once, on first use, and kept
     on the instance outside equality, hashing, repr and pickling;
@@ -160,9 +166,7 @@ class PipelineGraph:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.id))
-        )
+        object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=_node_id)))
         pairs = sorted((str(src), str(dst)) for src, dst in self.edges)
         object.__setattr__(self, "edges", tuple(dict.fromkeys(pairs)))
 
@@ -232,7 +236,12 @@ class WeightScheme:
 
     @classmethod
     def explicit(cls, weights: Mapping[str, float]) -> WeightScheme:
-        return cls({str(k): float(v) for k, v in weights.items()})
+        converted: dict[str, float] = {}
+        for key, value in weights.items():
+            if (node_id := str(key)) in converted:
+                raise ValueError(f"repeated id {node_id!r} in weights")
+            converted[node_id] = float(value)
+        return cls(converted)
 
     @property
     def is_equal(self) -> bool:

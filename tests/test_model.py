@@ -121,6 +121,19 @@ class TestPipelineGraph:
         coerced = PipelineGraph(nodes=(node("1"), node("A")), edges=((1, "A"),))
         assert coerced.edges == (("1", "A"),)
 
+    @pytest.mark.parametrize(
+        ("nodes", "message"),
+        [
+            (("x", "y"), r"^node must be a ContributionNode, got 'x'$"),
+            ((node("A"), None), r"^node must be a ContributionNode, got None$"),
+        ],
+        ids=["strings", "None-after-a-node"],
+    )
+    def test_rejects_a_node_of_another_type(self, nodes, message):
+        # It used to fail in the sort key with AttributeError.
+        with pytest.raises(ValueError, match=message):
+            PipelineGraph(nodes=nodes, edges=())
+
     def test_fig1_leaves(self, example_graph):
         assert example_graph.leaf_ids() == ["DS", "H1", "H2"]
 
@@ -830,6 +843,11 @@ class TestWeightScheme:
         assert all(type(value) is float for value in scheme.weights.values())
         a = helpers.example_assessment(weights=scheme)
         assert validate_assessment(a).violations[0] == "non-finite weight for DS"
+
+    def test_explicit_rejects_keys_that_convert_to_one_id(self):
+        # str() used to merge them silently, keeping the last weight.
+        with pytest.raises(ValueError, match=r"^repeated id '1' in weights$"):
+            WeightScheme.explicit({1: 0.5, "1": 0.5})
 
     def test_explicit_still_converts_to_float(self):
         scheme = WeightScheme.explicit({"DS": "0.5", "H1": 1, 2: 0.25})
