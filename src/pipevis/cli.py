@@ -3,20 +3,21 @@
 Exit codes: 0 success, 1 document problems (syntax, schema, semantics),
 2 usage errors (bad paths or flags), 3 internal errors. Reports go to
 standard output only; every diagnostic goes to standard error, violations
-one per line with a machine-greppable ``violation:`` prefix.
+one per line with a machine-greppable ``violation:`` prefix. Both streams
+are written as UTF-8, whatever their own encoding.
 
-Documents are read from file paths or standard input (``-``).
+Documents are read from file paths or standard input (``-``); every path is
+opened before any document is read. Options are parsed by :mod:`argparse`
+and never abbreviated. :mod:`logging` is imported only under ``--lenient``.
 """
 
 from __future__ import annotations
 
-import functools
-import logging
+import argparse
 import sys
 from collections.abc import Iterable
-from typing import IO, BinaryIO, Callable, TypeVar
-
-import click
+from contextlib import ExitStack
+from typing import IO, Callable, TextIO, TypeVar
 
 from . import __version__
 from .ingest import DocumentError, parse_document
@@ -39,78 +40,65 @@ from .report import (
     render_table,
 )
 
-F = TypeVar("F", bound=Callable[..., object])
 T = TypeVar("T")
 
-_lenient_option = click.option(
-    "--lenient",
-    is_flag=True,
-    help="Warn about unknown document fields instead of rejecting them.",
-)
-_precision_option = click.option(
-    "--precision",
-    type=click.IntRange(0, PRECISION_MAX),
-    default=None,
-    help="Display precision in decimals (default: the document's).",
-)
+_DESCRIPTION = "Transparency ratings (VIS) for ML production pipelines."
+_LENIENT = "Warn about unknown document fields instead of rejecting them."
 
 
-def _guarded(func: F) -> F:
-    """Map unexpected exceptions to exit code 3; pass the mapped ones through."""
-
-    @functools.wraps(func)
-    def wrapper(*args: object, **kwargs: object) -> object:
-        try:
-            return func(*args, **kwargs)
-        except (click.ClickException, click.Abort, SystemExit):
-            raise
-        except Exception as exc:  # pragma: no cover - defensive catch-all
-            click.echo(f"error: internal error: {exc}", err=True)
-            sys.exit(3)
-
-    return wrapper  # type: ignore[return-value]
+class _UsageError(Exception):
+    """A bad path or flag value, found after parsing: exit 2."""
 
 
-def _load(stream: IO[bytes], *, lenient: bool, label: str | None = None) -> Assessment:
+def _write(stream: TextIO, text: str) -> None:
+    """Write ``text`` to ``stream`` as UTF-8, whatever the stream's encoding."""
+    stream.flush()
+    # Command-line bytes that are not UTF-8 are written back as given.
+    stream.buffer.write(text.encode("utf-8", "surrogateescape"))
+
+
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+        # argparse writes help, version, usage and errors through this method.
+        if message:
+            _write(file or sys.stderr, message)
+
+
+def _violations(lines: Iterable[str], prefix: str = "") -> None:
+    _write(sys.stderr, "".join(f"violation: {prefix}{line}\n" for line in lines))
+
+
+def _load(stream: IO[bytes], lenient: bool, label: str | None = None) -> Assessment:
     """Parse one document or exit 1, printing every violation."""
     try:
         return parse_document(stream.read(), lenient=lenient)
     except DocumentError as exc:
-        prefix = f"{label}: " if label else ""
-        for violation in exc.violations:
-            click.echo(f"violation: {prefix}{violation}", err=True)
+        _violations(exc.violations, f"{label}: " if label else "")
         sys.exit(1)
 
 
 def _parse_set_spec(spec: str) -> tuple[str, Judgement]:
     node_id, sep, scores = spec.rpartition(":")
     if not sep or not node_id:
-        raise click.UsageError(f"malformed --set {spec!r}: expected ID:Q,A,F")
+        raise _UsageError(f"malformed --set {spec!r}: expected ID:Q,A,F")
     parts = scores.split(",")
     if len(parts) != 3:
-        raise click.UsageError(
-            f"malformed --set {spec!r}: expected three scores Q,A,F"
-        )
+        raise _UsageError(f"malformed --set {spec!r}: expected three scores Q,A,F")
     try:
-        quantity, accuracy, freshness = (int(part) for part in parts)
-        judgement = Judgement(
-            quantity=quantity, accuracy=accuracy, freshness=freshness
-        )
+        judgement = Judgement(*map(int, parts))  # quantity, accuracy, freshness
     except ValueError as exc:
-        raise click.UsageError(f"malformed --set {spec!r}: {exc}") from None
+        raise _UsageError(f"malformed --set {spec!r}: {exc}") from None
     return node_id, judgement
 
 
 def _parse_weight_item(item: str) -> tuple[str, float]:
     key, sep, value = item.rpartition("=")
     if not sep or not key:
-        raise click.UsageError(
-            f"malformed --weights entry {item!r}: expected id=number"
-        )
+        raise _UsageError(f"malformed --weights entry {item!r}: expected id=number")
     try:
         return key, float(value)
     except ValueError:
-        raise click.UsageError(
+        raise _UsageError(
             f"malformed --weights entry {item!r}: {value!r} is not a number"
         ) from None
 
@@ -120,7 +108,7 @@ def _by_id(pairs: Iterable[tuple[str, T]], option: str) -> dict[str, T]:
     collected: dict[str, T] = {}
     for key, value in pairs:
         if key in collected:
-            raise click.UsageError(f"repeated id {key!r} in {option}")
+            raise _UsageError(f"repeated id {key!r} in {option}")
         collected[key] = value
     return collected
 
@@ -133,137 +121,139 @@ def _parse_weights_spec(spec: str) -> WeightScheme:
 
 
 def _configure_logging() -> None:
+    import logging  # here only, as no other path logs
+
     # Rebind on every invocation: sys.stderr may be swapped between runs.
-    logger = logging.getLogger("pipevis")
-    logger.handlers.clear()
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("warning: %(message)s"))
-    logger.addHandler(handler)
+    logger = logging.getLogger("pipevis")
+    logger.handlers[:] = [handler]
     logger.setLevel(logging.WARNING)
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="pipevis")
-def main() -> None:
-    """Transparency ratings for ML production pipelines.
-
-    Computes visibility (VIS) scores from bill-of-materials style
-    assessment documents; see `pipevis rubric` for the judgement scale.
-    """
-    _configure_logging()
+def _open(path: str, stack: ExitStack) -> IO[bytes]:
+    if path == "-":
+        return sys.stdin.buffer
+    try:
+        return stack.enter_context(open(path, "rb"))
+    except OSError as exc:
+        raise _UsageError(f"cannot open {path!r}: {exc.strerror}") from None
 
 
-@main.command()
-@click.argument("path", type=click.File("rb"))
-@_lenient_option
-@_guarded
-def validate(path: BinaryIO, lenient: bool) -> None:
+def validate(options: argparse.Namespace) -> None:
     """Check a document; exit 0 iff fully valid, listing all violations."""
-    _load(path, lenient=lenient)
+    _load(options.streams[0], options.lenient)
 
 
-@main.command()
-@click.argument("path", type=click.File("rb"))
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["table", "machine"]),
-    default="table",
-    help="Output style (default: table).",
-)
-@click.option(
-    "--node",
-    default=None,
-    help="Score this derived asset instead of the whole pipeline.",
-)
-@_precision_option
-@_lenient_option
-@_guarded
-def score(
-    path: BinaryIO, fmt: str, node: str | None, precision: int | None, lenient: bool
-) -> None:
+def score(options: argparse.Namespace) -> None:
     """Compute and print visibility scores for a document."""
-    assessment = _load(path, lenient=lenient)
+    assessment = _load(options.streams[0], options.lenient)
+    node = options.node
     try:
         if node is None:
             report = overall_visibility(assessment)
         else:
             report = derived_asset_visibility(assessment, node)
     except (UnknownNodeError, LeafNodeError) as exc:
-        raise click.UsageError(str(exc)) from None
+        raise _UsageError(str(exc)) from None
     except DegenerateWeightsError as exc:
-        click.echo(f"violation: {exc}", err=True)
+        _violations([str(exc)])
         sys.exit(1)
-    if fmt == "machine":
+    if options.format == "machine":
         rendered = render_machine(report, assessment, scope_node=node)
     else:
-        rendered = render_table(report, assessment.judgements, precision=precision)
-    click.echo(rendered.body, nl=False)
+        rendered = render_table(report, assessment.judgements, options.precision)
+    _write(sys.stdout, rendered.body)
 
 
-@main.command()
-@click.argument("paths", type=click.File("rb"), nargs=-1, required=True)
-@_precision_option
-@_lenient_option
-@_guarded
-def compare(paths: tuple[BinaryIO, ...], precision: int | None, lenient: bool) -> None:
+def compare(options: argparse.Namespace) -> None:
     """Rank documents by overall VIS, most transparent first."""
     assessments = [
-        _load(stream, lenient=lenient, label=stream.name) for stream in paths
+        _load(stream, options.lenient, label=getattr(stream, "name", "<stdin>"))
+        for stream in options.streams
     ]
     ranked = rank(assessments)
+    precision = options.precision
     if precision is None:
         precision = max(a.display_precision for a in assessments)
-    click.echo(render_comparison(ranked, precision).body, nl=False)
+    _write(sys.stdout, render_comparison(ranked, precision).body)
 
 
-@main.command()
-@click.argument("path", type=click.File("rb"))
-@click.option(
-    "--set",
-    "set_specs",
-    multiple=True,
-    metavar="ID:Q,A,F",
-    help="Replace one leaf judgement (repeatable).",
-)
-@click.option(
-    "--weights",
-    "weights_spec",
-    default=None,
-    metavar="SPEC",
-    help='Replace the weighting: "equal" or "id=w,id=w,...".',
-)
-@_precision_option
-@_lenient_option
-@_guarded
-def whatif(
-    path: BinaryIO,
-    set_specs: tuple[str, ...],
-    weights_spec: str | None,
-    precision: int | None,
-    lenient: bool,
-) -> None:
-    """Re-score under hypothetical judgements or weights and show the delta."""
-    assessment = _load(path, lenient=lenient)
-    changes = _by_id(map(_parse_set_spec, set_specs), "--set")
-    weights = _parse_weights_spec(weights_spec) if weights_spec is not None else None
+def whatif(options: argparse.Namespace) -> None:
+    """Re-score with new judgements (--set, repeatable) or weights; show the delta."""
+    assessment = _load(options.streams[0], options.lenient)
+    changes = _by_id(map(_parse_set_spec, options.set_specs), "--set")
+    spec = options.weights_spec
+    weights = _parse_weights_spec(spec) if spec is not None else None
     try:
         result = sensitivity(assessment, changes, weights=weights)
     except UnknownNodeError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise _UsageError(str(exc)) from None
     except InvalidWeightsError as exc:
         # The weights came from the command line, so this is a usage error.
-        for violation in exc.violations:
-            click.echo(f"violation: {violation}", err=True)
-        raise click.UsageError("modified assessment is invalid") from None
-    click.echo(render_sensitivity(result, precision).body, nl=False)
+        _violations(exc.violations)
+        raise _UsageError("modified assessment is invalid") from None
+    _write(sys.stdout, render_sensitivity(result, options.precision).body)
 
 
-@main.command()
-@_guarded
-def rubric() -> None:
+def rubric(options: argparse.Namespace) -> None:
     """Print the 1-4 judgement scale for quantity, freshness and accuracy."""
-    click.echo(render_rubric().body, nl=False)
+    _write(sys.stdout, render_rubric().body)
+
+
+def _parser(prog: str) -> _Parser:
+    parser = _Parser(prog, description=_DESCRIPTION, allow_abbrev=False)
+    version = f"pipevis, version {__version__}"
+    parser.add_argument("--version", action="version", version=version)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    # The options of the commands that read documents, and of those that also
+    # print a VIS.
+    reads = _Parser(add_help=False)
+    reads.add_argument("--lenient", action="store_true", help=_LENIENT)
+    prints = _Parser(add_help=False, parents=[reads])
+    prints.add_argument(
+        "--precision", type=int, choices=range(PRECISION_MAX + 1), metavar="DECIMALS"
+    )
+
+    def command(run: Callable, nargs: int | str, *parents: _Parser) -> _Parser:
+        """The parser of ``run``, which reads ``nargs`` documents."""
+        doc = run.__doc__
+        sub = commands.add_parser(
+            run.__name__, parents=parents, help=doc, description=doc, allow_abbrev=False
+        )
+        sub.set_defaults(run=run, parser=sub, paths=[], lenient=False)
+        if nargs:
+            sub.add_argument("paths", nargs=nargs, metavar="PATH")
+        return sub
+
+    command(validate, 1, reads)
+    sub = command(score, 1, prints)
+    sub.add_argument("--format", choices=("table", "machine"), default="table")
+    sub.add_argument("--node", help="Score this derived asset, not the whole pipeline.")
+    command(compare, "+", prints)
+    sub = command(whatif, 1, prints)
+    sub.add_argument(
+        "--set", action="append", default=[], dest="set_specs", metavar="ID:Q,A,F"
+    )
+    sub.add_argument("--weights", dest="weights_spec", metavar="equal|ID=W,...")
+    command(rubric, 0)
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "pipevis") -> None:
+    """Run one command; return on success, else raise ``SystemExit``."""
+    options = _parser(prog_name).parse_args(args)
+    if options.lenient:
+        _configure_logging()
+    try:
+        with ExitStack() as stack:
+            options.streams = [_open(path, stack) for path in options.paths]
+            options.run(options)
+    except _UsageError as exc:
+        options.parser.error(str(exc))
+    except Exception as exc:  # pragma: no cover - defensive catch-all
+        _write(sys.stderr, f"error: internal error: {exc}\n")
+        sys.exit(3)
 
 
 if __name__ == "__main__":

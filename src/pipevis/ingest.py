@@ -40,7 +40,6 @@ reference: the tests check that ``json.dumps`` of it gives the same text.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from collections.abc import Callable
 from datetime import date
@@ -74,8 +73,6 @@ __all__ = [
     "parse_document",
     "serialize_document",
 ]
-
-logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "1.0"
 
@@ -387,7 +384,11 @@ class _Object(NamedTuple):
             for key in sorted(obj.keys() - self.rows.keys()):
                 name = f"{path}.{key}" if path else key
                 if lenient:
-                    logger.warning("ignoring unknown field: %s", name)
+                    import logging  # here only: no other path logs
+
+                    logging.getLogger(__name__).warning(
+                        "ignoring unknown field: %s", name
+                    )
                 else:
                     errors.append(
                         f"{name}: unknown field" if path else f"unknown field: {key}"

@@ -1,13 +1,16 @@
 """Shared builders for the test suite: the Fig-1 style pipeline from the
-worked examples, and a seeded random-assessment generator used by the
-property and round-trip suites."""
+worked examples, a seeded random-assessment generator used by the
+property and round-trip suites, and an in-process runner for the CLI."""
 
 from __future__ import annotations
 
 import copy
+import io
 import json
 import random
+import sys
 from datetime import date, timedelta
+from typing import NamedTuple
 
 from pipevis import (
     Assessment,
@@ -17,6 +20,7 @@ from pipevis import (
     PipelineGraph,
     WeightScheme,
 )
+from pipevis.cli import main
 
 # Worked-example judgement sets (quantity, accuracy, freshness).
 ALL_FOUR = Judgement(quantity=4, accuracy=4, freshness=4)
@@ -184,3 +188,36 @@ def with_bare_token(doc: dict, field: str, token: str) -> str:
     doc = copy.deepcopy(doc)
     doc[field] = {"DS": "@token"} if field == "weights" else "@token"
     return json.dumps(doc).replace('"@token"', token)
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(args, input: str | bytes | None = None) -> CliResult:
+    """Run ``pipevis ARGS`` in this process, with ``input`` (text as UTF-8, or
+    bytes) on standard input; the output streams are decoded as UTF-8."""
+    if isinstance(input, str):
+        input = input.encode("utf-8")
+    stdin, stdout, stderr = (
+        io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        for data in (input or b"", b"", b"")
+    )
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = stdin, stdout, stderr
+    try:
+        main(args=list(args), prog_name="pipevis")
+        code = 0
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    stdout.flush()
+    stderr.flush()
+    return CliResult(
+        code,
+        stdout.buffer.getvalue().decode("utf-8"),
+        stderr.buffer.getvalue().decode("utf-8"),
+    )

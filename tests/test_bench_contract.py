@@ -48,6 +48,18 @@ def test_every_traced_target_resolves(bench):
     assert missing == []
 
 
+def test_main_runs_as_the_traced_child_calls_it(capsys):
+    # ``bench/cli_child.py`` calls ``main`` this way and reads the exit code
+    # from ``SystemExit``, or 0 when ``main`` returns.
+    import pipevis.cli
+
+    try:
+        pipevis.cli.main(args=["rubric"], prog_name="pipevis")
+    except SystemExit as exc:
+        assert exc.code in (None, 0)
+    assert capsys.readouterr().out == pipevis.render_rubric().body
+
+
 def test_every_in_process_api_name_is_exported(bench):
     _, run = bench
     names = run.ScoreLarge.API + run.ReviewDeep.API

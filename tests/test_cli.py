@@ -3,21 +3,14 @@
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import helpers
-from pipevis.cli import main
 
-
-def invoke(args, input=None):
-    params = inspect.signature(CliRunner.__init__).parameters
-    runner = CliRunner(mix_stderr=False) if "mix_stderr" in params else CliRunner()
-    return runner.invoke(main, args, input=input)
+invoke = helpers.run_cli
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +126,7 @@ class TestScore:
         scope = [] if node is None else ["--node", node]
         result = invoke(["score", samples[key], *scope, "--format", "machine"])
         assert result.exit_code == 0
-        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        digest = hashlib.sha256(result.stdout.encode("utf-8")).hexdigest()
         assert digest == self.MACHINE_SHA256[key, node]
 
     def test_machine_format(self, samples):

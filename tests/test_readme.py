@@ -7,9 +7,8 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from pipevis.cli import main
+import helpers
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 README = (REPO_ROOT / "README.md").read_text("utf-8")
@@ -54,8 +53,8 @@ def test_every_console_example_is_found():
 )
 def test_console_example_prints_what_the_readme_shows(command, stdout, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
-    result = CliRunner().invoke(main, shlex.split(command)[1:])
-    assert result.exit_code == 0, result.output
+    result = helpers.run_cli(shlex.split(command)[1:])
+    assert result.exit_code == 0, result.stderr
     assert result.stdout == stdout
 
 
