@@ -123,8 +123,13 @@ def _parse_weights_spec(spec: str) -> WeightScheme:
 def _configure_logging() -> None:
     import logging  # here only, as no other path logs
 
-    # Rebind on every invocation: sys.stderr may be swapped between runs.
-    handler = logging.StreamHandler(sys.stderr)
+    class Handler(logging.Handler):
+        def emit(self, record: logging.LogRecord) -> None:
+            # Through _write, as every other stderr line; sys.stderr is read
+            # when the warning is written, as it may be swapped between runs.
+            _write(sys.stderr, self.format(record) + "\n")
+
+    handler = Handler()
     handler.setFormatter(logging.Formatter("warning: %(message)s"))
     logger = logging.getLogger("pipevis")
     logger.handlers[:] = [handler]

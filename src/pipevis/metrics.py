@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 from .model import (
@@ -26,7 +27,6 @@ from .model import (
     WeightScheme,
     InvalidAssessmentError,
     _JUDGEMENTS,
-    _flood,
     validate_assessment,
 )
 
@@ -156,6 +156,11 @@ def _require_valid(assessment: Assessment, subject: str | None = None) -> None:
         raise InvalidAssessmentError(result.violations, subject=subject)
 
 
+#: Builds a row from a 5-tuple, as ``NodeVisibility._make`` does, without
+#: its Python frame.
+_new_row = partial(tuple.__new__, NodeVisibility)
+
+
 def _weighted_report(
     assessment: Assessment, weights: Mapping[str, float]
 ) -> VisibilityReport:
@@ -165,18 +170,18 @@ def _weighted_report(
     hand-built judgement or a subclass reads the same row as the parsed one.
     """
     judgements = assessment.judgements
-    make_row = NodeVisibility._make
     rows = []
+    terms = []
     for nid, weight in weights.items():
         judgement = judgements[nid]
-        indices = _INDEX_TABLE[
+        quantity, quality, visibility = _INDEX_TABLE[
             judgement.quantity, judgement.accuracy, judgement.freshness
         ]
-        rows.append(make_row((nid, *indices, weight)))
-    overall = math.fsum(row.visibility_index * row.weight for row in rows)
+        rows.append(_new_row((nid, quantity, quality, visibility, weight)))
+        terms.append(visibility * weight)
     return VisibilityReport(
         per_node=tuple(rows),
-        overall=overall,
+        overall=math.fsum(terms),
         leaf_count=len(rows),
         display_precision=assessment.display_precision,
     )
@@ -200,7 +205,9 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
     The report is ``overall_visibility`` restricted to the leaf ancestors of
     ``node_id``, with weights renormalised over that set when it is not all
     the leaves (equal weighting becomes 1/m over the m ancestors). Scoring
-    the output node is identical to scoring the whole pipeline.
+    the output node is identical to scoring the whole pipeline. The leaf
+    ancestors of every node are collected on the first call for a graph; a
+    later call sorts its node's set only.
     """
     _require_valid(assessment)
     graph = assessment.graph
@@ -210,13 +217,9 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
     if node.kind not in (NodeKind.DERIVED_ASSET, NodeKind.OUTPUT_ASSET):
         raise LeafNodeError(node_id, node.kind)
 
-    all_leaves = graph.leaf_ids()
-    ancestors: set[str] = set()
-    _flood(graph._index.reverse, node_id, ancestors)
-    leaf_ids = [nid for nid in all_leaves if nid in ancestors]
-
+    leaf_ids = sorted(graph._leaf_sets[node_id])
     weights = assessment.weights.resolve(leaf_ids)
-    if not assessment.weights.is_equal and len(leaf_ids) < len(all_leaves):
+    if not assessment.weights.is_equal and len(leaf_ids) < len(graph._index.leaves):
         total = math.fsum(weights.values())
         if total <= 0:
             raise DegenerateWeightsError(node_id, leaf_ids)

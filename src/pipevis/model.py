@@ -14,7 +14,8 @@ deterministic order, so a document author can fix them in one pass.
 
 A :class:`PipelineGraph` is immutable, so one index -- its id map, reverse
 adjacency, leaf ids and violations -- is derived once per graph, on first use,
-by one function. An :class:`Assessment` is immutable too (its judgements and
+by one function, and the leaf ancestors of its nodes once more, on the first
+derived-asset score. An :class:`Assessment` is immutable too (its judgements and
 explicit weights are read-only mappings), so its violations are computed once
 per assessment.
 """
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Container, Mapping, Sequence
+from collections import defaultdict
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from functools import cached_property
-from itertools import product
+from itertools import filterfalse, product
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -157,9 +159,10 @@ class PipelineGraph:
     :class:`ContributionNode`, as the sort key checks; every other
     structural invariant is checked by :func:`validate_graph`.
 
-    Its index (:class:`_GraphIndex`) is derived once, on first use, and kept
-    on the instance outside equality, hashing, repr and pickling;
-    :func:`dataclasses.replace` yields a graph that derives anew.
+    Its index (:class:`_GraphIndex`) and its nodes' leaf ancestors are each
+    derived once, on first use, and kept on the instance outside equality,
+    hashing, repr and pickling; :func:`dataclasses.replace` yields a graph
+    that derives anew.
     """
 
     nodes: tuple[ContributionNode, ...]
@@ -176,6 +179,10 @@ class PipelineGraph:
     @cached_property
     def _index(self) -> _GraphIndex:
         return _index_graph(self)
+
+    @cached_property
+    def _leaf_sets(self) -> dict[str, Iterable[str]]:
+        return _leaf_sets_of(self._index)
 
     def node_by_id(self, node_id: str) -> ContributionNode | None:
         return self._index.by_id.get(node_id)
@@ -362,15 +369,19 @@ class _GraphIndex(NamedTuple):
 def _index_graph(graph: PipelineGraph) -> _GraphIndex:
     """Index ``graph`` and check every invariant.
 
-    Two walks over the nodes, one over the edges and a third walk, over
-    ``by_id``, for the leaves. The nodes are in id order, so ``by_id`` and
-    the leaves are too.
+    One walk over the nodes, one over the edges, one reach back from the
+    single output and the cycle search. The incoming-edge rule is checked
+    over the derived and output nodes collected in the node walk, and the
+    nodes are walked again for the path rule only when the reach missed one.
+    The nodes are in id order, so ``by_id`` and the leaves are too.
     """
+    derived, output = NodeKind.DERIVED_ASSET, NodeKind.OUTPUT_ASSET
     violations: list[str] = []
 
     by_id: dict[str, ContributionNode] = {}
     duplicates: set[str] = set()
     outputs: list[str] = []
+    scoped: list[ContributionNode] = []
     for node in graph.nodes:
         nid = node.id
         if not nid:
@@ -379,14 +390,18 @@ def _index_graph(graph: PipelineGraph) -> _GraphIndex:
             by_id[nid] = node
         elif nid:
             duplicates.add(nid)
-        if node.kind is NodeKind.OUTPUT_ASSET:
+        kind = node.kind
+        if kind is output:
             outputs.append(nid)
+            scoped.append(node)
+        elif kind is derived:
+            scoped.append(node)
     violations.extend(f"duplicate node id: {nid}" for nid in sorted(duplicates))
 
-    reverse: dict[str, list[str]] = {}
+    upstream: defaultdict[str, list[str]] = defaultdict(list)
     for src, dst in graph.edges:
         if src in by_id and dst in by_id:
-            reverse.setdefault(dst, []).append(src)
+            upstream[dst].append(src)
         else:
             if src not in by_id:
                 violations.append(f"edge {src}->{dst} references unknown node {src}")
@@ -394,33 +409,37 @@ def _index_graph(graph: PipelineGraph) -> _GraphIndex:
                 violations.append(f"edge {src}->{dst} references unknown node {dst}")
         if src == dst:
             violations.append(f"self-edge on {src}")
+    reverse = dict(upstream)
 
     if not outputs:
         violations.append("graph has no OutputAsset node")
     elif len(outputs) > 1:
         violations.append("multiple OutputAsset nodes: " + ",".join(outputs))
 
-    # The path rule needs a single output; without one, every node counts as
-    # reached.
-    reached: Container[str] = by_id
-    if len(outputs) == 1:
-        reached = set()
-        _flood(reverse, outputs[0], reached)
-    unreached: list[str] = []
-    for node in graph.nodes:
+    for node in scoped:
         if node.id not in reverse:
-            if node.kind is NodeKind.DERIVED_ASSET:
-                violations.append(f"derived node {node.id} has no incoming edge")
-            elif node.kind is NodeKind.OUTPUT_ASSET:
-                violations.append(f"output node {node.id} has no incoming edge")
-        if node.id not in reached:
-            unreached.append(f"node {node.id} has no path to the output")
+            role = "output" if node.kind is output else "derived"
+            violations.append(f"{role} node {node.id} has no incoming edge")
 
-    for component in _cyclic_components(reverse):
-        violations.append("cycle detected: " + ",".join(component))
-    violations.extend(unreached)
+    violations.extend(
+        "cycle detected: " + ",".join(component)
+        for component in _cyclic_components(reverse)
+    )
 
-    leaves = tuple(nid for nid in by_id if nid not in reverse)
+    # The path rule needs a single output; without one, every node counts as
+    # reached. The reach holds only known ids, so its size tells whether it
+    # missed one.
+    if len(outputs) == 1:
+        reached: set[str] = set()
+        _flood(reverse, outputs[0], reached)
+        if len(reached) < len(by_id):
+            violations.extend(
+                f"node {node.id} has no path to the output"
+                for node in graph.nodes
+                if node.id not in reached
+            )
+
+    leaves = tuple(filterfalse(reverse.__contains__, by_id))
     return _GraphIndex(by_id, reverse, leaves, tuple(violations))
 
 
@@ -477,16 +496,13 @@ def _coverage(
     return lines
 
 
-def _cyclic_components(reverse: Mapping[str, list[str]]) -> list[list[str]]:
-    """Strongly connected components with more than one node, sorted.
+def _upstream_first(reverse: Mapping[str, list[str]]) -> list[str]:
+    """The nodes with an incoming edge, in the finish order of a depth-first
+    walk upstream over the reverse map.
 
-    Kosaraju over the reverse adjacency, whose components are the same. Only
-    nodes with an incoming edge can be in one, so an iterative depth-first
-    walk upstream lists those nodes in finish order and never enters a node
-    without one (a leaf, in a valid graph). Then :func:`_flood` downstream
-    among them, started from each node not yet flooded, latest-finished
-    first, adds exactly one component per start. Single-node self-loops are
-    excluded because the self-edge check reports them.
+    The walk is iterative and never enters a node without an incoming edge (a
+    leaf, in a valid graph). On an acyclic graph every node comes after each
+    of its sources that has an incoming edge.
     """
     finished: list[str] = []
     entered: set[str] = set()
@@ -505,6 +521,20 @@ def _cyclic_components(reverse: Mapping[str, list[str]]) -> list[list[str]]:
             else:
                 walk.pop()
                 finished.append(node)
+    return finished
+
+
+def _cyclic_components(reverse: Mapping[str, list[str]]) -> list[list[str]]:
+    """Strongly connected components with more than one node, sorted.
+
+    Kosaraju over the reverse adjacency, whose components are the same. Only
+    nodes with an incoming edge can be in one, so :func:`_upstream_first`
+    lists those nodes in finish order. Then :func:`_flood` downstream among
+    them, started from each node not yet flooded, latest-finished first, adds
+    exactly one component per start. Single-node self-loops are excluded
+    because the self-edge check reports them.
+    """
+    finished = _upstream_first(reverse)
 
     forward: dict[str, list[str]] = {}
     for node, upstream in reverse.items():
@@ -526,9 +556,9 @@ def _flood(edges: Mapping[str, list[str]], start: str, seen: set[str]) -> list[s
     """Add to ``seen`` ``start`` and each node ``edges`` leads to from it
     without passing a node already in ``seen``; return the nodes added.
 
-    The graph's one flood. Over the reverse map from a node it fills ``seen``
-    with the node's ancestors and itself, for the path-to-output rule and
-    derived-asset scoring; over a forward map it collects one component for
+    The graph's one flood. Over the reverse map from the output it fills
+    ``seen`` with the nodes that have a path to it, for the path-to-output
+    rule; over a forward map it collects one component for
     :func:`_cyclic_components`.
     """
     seen.add(start)
@@ -541,6 +571,21 @@ def _flood(edges: Mapping[str, list[str]], start: str, seen: set[str]) -> list[s
                 added.append(node)
                 frontier.append(node)
     return added
+
+
+def _leaf_sets_of(index: _GraphIndex) -> dict[str, Iterable[str]]:
+    """The leaf ancestors of each node of a valid graph; a leaf is its own.
+
+    One pass upstream-first: a node's set is the union of its sources' sets,
+    so no node is flooded and no leaf list is scanned. On a cyclic graph it
+    raises ``KeyError``, so derived-asset scoring asks only after the check.
+    """
+    leaves = index.leaves
+    reverse = index.reverse
+    sets: dict[str, Iterable[str]] = dict(zip(leaves, zip(leaves)))
+    for node in _upstream_first(reverse):
+        sets[node] = set().union(*map(sets.__getitem__, reverse[node]))
+    return sets
 
 
 #: Canonical 1-4 scale descriptions for judging documentation on each

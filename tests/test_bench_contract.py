@@ -83,13 +83,16 @@ def test_oracle_accepts_a_scored_wide_document():
 
 def test_oracle_accepts_reviewed_deep_documents():
     # What ``review_deep`` operations do, on the three smallest valid documents
-    # of its pool and on its first cycle and missing-judgement documents.
+    # of its pool, on the three with the longest derived chains, and on its
+    # first cycle and missing-judgement documents.
     generate, oracle = _bench_modules("generate", "oracle")
     pool = generate.review_pool(1)
     valid = sorted((d for d in pool if not d.violations), key=lambda d: d.leaves)
+    deepest = sorted(valid, key=lambda d: len(d.derived))[-3:]
+    assert [len(d.derived) for d in deepest] == [37, 38, 39]
     invalid = {d.violations[0].split()[0]: d for d in reversed(pool) if d.violations}
     assert sorted(invalid) == ["cycle", "missing"]
-    for doc in valid[:3]:
+    for doc in valid[:3] + deepest:
         expect = oracle.Expect(doc.document)
         changes = [(nid, pipevis.Judgement(*levels)) for nid, levels in doc.changes]
         weights = (

@@ -105,6 +105,17 @@ def test_lenient_warns_about_an_unknown_field(tmp_path):
     assert proc.stderr == b"warning: ignoring unknown field: vendor_extra\n"
 
 
+def test_lenient_warning_is_written_as_utf8(tmp_path):
+    doc = json.loads(SAMPLE.read_bytes())
+    doc["vendor_é"] = 1
+    path = tmp_path / "accented_field.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    env = environment(PYTHONIOENCODING="ascii", PYTHONUTF8=None)
+    proc = run("validate", "--lenient", str(path), env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == "warning: ignoring unknown field: vendor_é\n".encode("utf-8")
+
+
 def test_import_loads_neither_click_nor_logging():
     code = "import sys, pipevis.cli; print({'click', 'logging'} & set(sys.modules))"
     proc = subprocess.run(

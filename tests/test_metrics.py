@@ -586,3 +586,133 @@ class TestOneCheckPerAssessment:
         assert len(checked) == 2
         assert checked[0] is assessment
         assert checked[1].judgements["DS"] == helpers.THREES
+
+
+def shared_ancestor_assessment(rng: random.Random, depth: int) -> model.Assessment:
+    """A valid assessment whose scored nodes are reached by several paths.
+
+    A chain of the ``depth`` derived nodes ``D00``, ``D01``, ... in shuffled
+    order, then ``OUT``, with skip edges from derived nodes to later ones and
+    to the output. Each leaf feeds one to three of the derived nodes and the
+    output, so both leaves and derived nodes feed several derived nodes: the
+    graph has diamonds.
+    """
+    derived = [f"D{i:02d}" for i in rng.sample(range(depth), depth)]
+    chain = derived + ["OUT"]
+    leaves = [f"L{i:03d}" for i in range(rng.randint(1, 60))]
+    edges = list(zip(chain, chain[1:]))
+    for i, did in enumerate(derived):
+        later = chain[i + 2 :]
+        skips = rng.sample(later, min(len(later), rng.randint(0, 3)))
+        edges.extend((did, dst) for dst in skips)
+    for leaf in leaves:
+        targets = rng.sample(chain, min(len(chain), rng.randint(1, 3)))
+        edges.extend((leaf, dst) for dst in targets)
+    edges.append((rng.choice(leaves), derived[0]))
+    kinds = {"DATA_SOURCE": leaves, "DERIVED_ASSET": derived, "OUTPUT_ASSET": ["OUT"]}
+    nodes = [
+        helpers.ContributionNode(id=nid, kind=helpers.NodeKind[kind], label=nid)
+        for kind, ids in kinds.items()
+        for nid in ids
+    ]
+    raw = {leaf: rng.uniform(0.05, 1.0) for leaf in leaves}
+    total = math.fsum(raw.values())
+    assessment = helpers.example_assessment(
+        graph=PipelineGraph(nodes=tuple(nodes), edges=tuple(edges)),
+        judgements={leaf: helpers.random_judgement(rng) for leaf in leaves},
+        weights=WeightScheme.explicit({leaf: w / total for leaf, w in raw.items()}),
+    )
+    assert validate_assessment(assessment).ok
+    return assessment
+
+
+def flooded_report(
+    assessment: model.Assessment, node_id: str
+) -> metrics.VisibilityReport:
+    """Derived-asset scoring as a flood of the reverse map from ``node_id``,
+    keeping the graph's leaves it reached."""
+    graph = assessment.graph
+    reverse = graph._index.reverse
+    reached = {node_id}
+    frontier = [node_id]
+    while frontier:
+        for source in reverse.get(frontier.pop(), ()):
+            if source not in reached:
+                reached.add(source)
+                frontier.append(source)
+    all_leaves = graph.leaf_ids()
+    leaf_ids = [nid for nid in all_leaves if nid in reached]
+    weights = assessment.weights.resolve(leaf_ids)
+    if not assessment.weights.is_equal and len(leaf_ids) < len(all_leaves):
+        total = math.fsum(weights.values())
+        weights = {nid: value / total for nid, value in weights.items()}
+    rows = []
+    for nid, weight in weights.items():
+        judgement = assessment.judgements[nid]
+        rows.append(
+            metrics.NodeVisibility(
+                nid,
+                float(judgement.quantity),
+                quality_index(judgement),
+                visibility_index(judgement),
+                weight,
+            )
+        )
+    return metrics.VisibilityReport(
+        per_node=tuple(rows),
+        overall=math.fsum(row.visibility_index * row.weight for row in rows),
+        leaf_count=len(rows),
+        display_precision=assessment.display_precision,
+    )
+
+
+class TestSharedAncestors:
+    def test_every_scored_node_matches_a_flood(self):
+        rng = random.Random(1717)
+        shared = 0
+        for k in range(60):
+            depth = 40 if k % 4 == 0 else rng.randint(1, 39)
+            explicit = shared_ancestor_assessment(rng, depth)
+            graph = explicit.graph
+            sources = [src for src, _ in graph.edges]
+            shared += any(sources.count(src) > 1 for src in graph.leaf_ids())
+            shared += any(sources.count(f"D{i:02d}") > 1 for i in range(depth))
+            scored = [f"D{i:02d}" for i in range(depth)] + ["OUT"]
+            equal = replace(explicit, weights=WeightScheme.equal())
+            for assessment in (explicit, equal):
+                for node_id in scored:
+                    expected = flooded_report(assessment, node_id)
+                    assert derived_asset_visibility(assessment, node_id) == expected
+        # Leaves and derived nodes feeding several nodes, in most graphs.
+        assert shared > 60
+
+
+class TestLeafSetsOncePerGraph:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = model._leaf_sets_of
+
+        def counted(index):
+            calls.append(index)
+            return build(index)
+
+        monkeypatch.setattr(model, "_leaf_sets_of", counted)
+        return calls
+
+    def test_scoring_every_derived_node_builds_them_once(self, builds):
+        assessment = shared_ancestor_assessment(random.Random(40), 40)
+        sensitivity(assessment, weights=WeightScheme.equal())
+        for i in range(40):
+            derived_asset_visibility(assessment, f"D{i:02d}")
+        equal = replace(assessment, weights=WeightScheme.equal())
+        derived_asset_visibility(equal, "OUT")
+        assert builds == [assessment.graph._index]
+
+    def test_scoring_a_whole_document_never_builds_them(self, builds):
+        data = serialize_document(shared_ancestor_assessment(random.Random(41), 40))
+        assessment = parse_document(data)
+        report = overall_visibility(assessment)
+        render_machine(report, assessment)
+        render_table(report, assessment.judgements)
+        assert builds == []
