@@ -119,13 +119,16 @@ _JUDGEMENTS: dict[tuple[int, int, int], Judgement] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ContributionNode:
     """One contribution to the pipeline: a source, a person, or an asset.
 
-    A graph holds one per node, so the class keeps no ``__dict__``, and
-    ``kind`` and ``evidence_refs`` are coerced only when they are not already
-    a ``NodeKind`` and a ``tuple``.
+    A graph holds one per node, so the class keeps no ``__dict__`` and has one
+    hand-written constructor: the parser, :func:`dataclasses.replace`, copying
+    and unpickling all build a node through it. It checks that ``id`` is a
+    ``str``, coerces ``kind`` and ``evidence_refs`` only when they are not
+    already a ``NodeKind`` and a ``tuple``, and stores each field through its
+    slot.
     """
 
     id: str
@@ -134,13 +137,36 @@ class ContributionNode:
     description: str | None = None
     evidence_refs: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.id, str):
-            raise ValueError(f"node id must be a string, got {self.id!r}")
-        if type(self.kind) is not NodeKind:
-            object.__setattr__(self, "kind", NodeKind(self.kind))
-        if type(self.evidence_refs) is not tuple:
-            object.__setattr__(self, "evidence_refs", tuple(self.evidence_refs))
+    def __init__(
+        self,
+        id: str,
+        kind: NodeKind,
+        label: str,
+        description: str | None = None,
+        evidence_refs: tuple[str, ...] = (),
+    ) -> None:
+        if not isinstance(id, str):
+            raise ValueError(f"node id must be a string, got {id!r}")
+        if type(kind) is not NodeKind:
+            kind = NodeKind(kind)
+        if type(evidence_refs) is not tuple:
+            evidence_refs = tuple(evidence_refs)
+        _set_node_id(self, id)
+        _set_node_kind(self, kind)
+        _set_node_label(self, label)
+        _set_node_description(self, description)
+        _set_node_evidence_refs(self, evidence_refs)
+
+    def __reduce__(self) -> tuple[object, ...]:
+        return type(self), _init_args(self)
+
+
+# The slots' own setters, which a frozen class's ``__setattr__`` does not guard.
+_set_node_id = ContributionNode.id.__set__
+_set_node_kind = ContributionNode.kind.__set__
+_set_node_label = ContributionNode.label.__set__
+_set_node_description = ContributionNode.description.__set__
+_set_node_evidence_refs = ContributionNode.evidence_refs.__set__
 
 
 def _node_id(node: object) -> str:

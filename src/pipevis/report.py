@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from functools import cache, partial
 from json.encoder import encode_basestring
 
 from .ingest import _block, document_text
@@ -37,9 +36,11 @@ from .model import (
     Assessment,
     Criterion,
     Judgement,
+    PRECISION_MAX,
     RUBRIC,
     SCORE_MAX,
     SCORE_MIN,
+    _is_integer,
 )
 
 __all__ = [
@@ -82,6 +83,11 @@ class RenderedReport:
 
 
 def _quantize(value: float, precision: int) -> Decimal:
+    if not _is_integer(precision) or not 0 <= precision <= PRECISION_MAX:
+        raise ReportError(
+            f"precision must be an integer between 0 and {PRECISION_MAX}, "
+            f"got {precision!r}"
+        )
     # Decimal(float) is exact, so ties break on the value actually computed.
     exponent = Decimal(1).scaleb(-precision)
     quantized = Decimal(value).quantize(exponent, rounding=ROUND_HALF_UP)
@@ -120,23 +126,33 @@ def render_table(
     """
     if precision is None:
         precision = report.display_precision
-    # A leaf's indices take one of 64 values, so each is formatted once.
-    cell = cache(partial(format_value, precision=precision))
+    # A row past its node id depends only on its judgement's levels and its
+    # two indices, and a leaf has one of 64 such states, so each state's tail
+    # is formatted once.
+    tails: dict[tuple[int, int, int, float, float], str] = {}
     lines = [TABLE_HEADER]
     for row in report.per_node:
         judgement = judgements[row.node_id]
-        lines.append(
-            " | ".join(
+        state = (
+            judgement.quantity,
+            judgement.freshness,
+            judgement.accuracy,
+            row.quality_index,
+            row.visibility_index,
+        )
+        tail = tails.get(state)
+        if tail is None:
+            quantity, freshness, accuracy, quality, visibility = state
+            tail = tails[state] = " | " + " | ".join(
                 (
-                    row.node_id,
-                    str(judgement.quantity),
-                    str(judgement.freshness),
-                    str(judgement.accuracy),
-                    cell(row.quality_index),
-                    cell(row.visibility_index),
+                    str(quantity),
+                    str(freshness),
+                    str(accuracy),
+                    format_value(quality, precision),
+                    format_value(visibility, precision),
                 )
             )
-        )
+        lines.append(row.node_id + tail)
     lines.append(f"{OVERALL_LABEL} | {format_value(report.overall, precision)}")
     return _report(lines)
 
