@@ -18,6 +18,10 @@ by one function, and the leaf ancestors of its nodes once more, on the first
 derived-asset score. An :class:`Assessment` is immutable too (its judgements and
 explicit weights are read-only mappings), so its violations are computed once
 per assessment.
+
+A :class:`ContributionNode` is a slotted frozen dataclass with one
+hand-written constructor, so the parser, :func:`dataclasses.replace`, copies
+and unpickling all check and coerce a node's fields the same way.
 """
 
 from __future__ import annotations

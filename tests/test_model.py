@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 import random
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from datetime import date, datetime
 
 import networkx as nx
@@ -107,6 +108,66 @@ class TestContributionNode:
         changed = replace(n, label="y")
         assert (changed.id, changed.label, changed.evidence_refs) == ("DS", "y", ("a",))
         assert n.label == "x"
+
+    def test_signature_and_match_args_follow_the_fields(self):
+        expected = [
+            (
+                field.name,
+                inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                inspect.Parameter.empty if field.default is MISSING else field.default,
+            )
+            for field in fields(ContributionNode)
+        ]
+        parameters = inspect.signature(ContributionNode).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in parameters] == expected
+        assert ContributionNode.__match_args__ == tuple(name for name, _, _ in expected)
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = ContributionNode("DS", "DataSource", "x", "d", ["a"])
+        keyword = ContributionNode(
+            evidence_refs=["a"], description="d", label="x", kind="DataSource", id="DS"
+        )
+        assert positional == keyword
+        match positional:
+            case ContributionNode(node_id, kind, label, description, refs):
+                assert (node_id, kind, label, description, refs) == (
+                    "DS", NodeKind.DATA_SOURCE, "x", "d", ("a",)
+                )
+        assert ContributionNode("DS", NodeKind.DATA_SOURCE, "x") == ContributionNode(
+            "DS", NodeKind.DATA_SOURCE, "x", None, ()
+        )
+        # Copies and unpickling rebuild a node through the constructor.
+        assert positional.__reduce__() == (
+            ContributionNode, ("DS", NodeKind.DATA_SOURCE, "x", "d", ("a",))
+        )
+
+    def test_replace_coerces_and_checks_again(self):
+        n = node("A")
+        derived = replace(n, kind="DerivedAsset")
+        assert derived.kind is NodeKind.DERIVED_ASSET
+        assert replace(n, evidence_refs=["r"]).evidence_refs == ("r",)
+        with pytest.raises(ValueError):
+            replace(n, kind="Wizard")
+        with pytest.raises(ValueError, match="^node id must be a string, got 1$"):
+            replace(n, id=1)
+
+    def test_subclass_builds_and_compares(self):
+        class Tagged(ContributionNode):
+            __slots__ = ()
+
+        tagged = Tagged("A", "DataSource", "a", evidence_refs=["r"])
+        assert type(tagged) is Tagged
+        assert (tagged.kind, tagged.evidence_refs) == (NodeKind.DATA_SOURCE, ("r",))
+        assert tagged == Tagged("A", NodeKind.DATA_SOURCE, "a", None, ("r",))
+        assert tagged != ContributionNode("A", NodeKind.DATA_SOURCE, "a", None, ("r",))
+        for twin in (copy.copy(tagged), copy.deepcopy(tagged), replace(tagged)):
+            assert type(twin) is Tagged and twin == tagged
+        with pytest.raises(ValueError, match="^node id must be a string"):
+            Tagged(None, "DataSource", "a")
+        graph = PipelineGraph(
+            nodes=(tagged, node("M", NodeKind.OUTPUT_ASSET)), edges=(("A", "M"),)
+        )
+        assert validate_graph(graph).ok and graph.leaf_ids() == ["A"]
 
 
 class TestPipelineGraph:

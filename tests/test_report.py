@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import replace
 from datetime import date
 
@@ -13,8 +14,12 @@ import pytest
 import helpers
 from pipevis import (
     EmptyInputError,
+    Judgement,
     MixedAssetError,
+    NodeVisibility,
     RankEntry,
+    ReportError,
+    VisibilityReport,
     WeightScheme,
     derived_asset_visibility,
     format_fixed,
@@ -32,6 +37,33 @@ from pipevis import (
 )
 
 SQRT6 = 2.449489742783178
+
+
+def reference_table(report, judgements, precision=None):
+    """The per-row join ``render_table`` replaced, kept as its reference."""
+    if precision is None:
+        precision = report.display_precision
+    lines = ["Node | Quantity | Freshness | Accuracy | VISQuality | VIS"]
+    for row in report.per_node:
+        judgement = judgements[row.node_id]
+        lines.append(
+            " | ".join(
+                (
+                    row.node_id,
+                    str(judgement.quantity),
+                    str(judgement.freshness),
+                    str(judgement.accuracy),
+                    format_value(row.quality_index, precision),
+                    format_value(row.visibility_index, precision),
+                )
+            )
+        )
+    lines.append(f"Overall VIS for model | {format_value(report.overall, precision)}")
+    return "\n".join(lines) + "\n"
+
+
+class Level(int):
+    """A plain int subclass: equal to and hashed as its int."""
 
 
 class TestFormatValue:
@@ -176,6 +208,124 @@ class TestRenderTable:
         first = render_table(report, first_party_later.judgements)
         second = render_table(report, first_party_later.judgements)
         assert first.body == second.body
+
+    def test_matches_the_reference_on_random_reports(self):
+        rng = random.Random(802)
+        for _ in range(40):
+            a = helpers.random_assessment(rng)
+            reports = [overall_visibility(a)]
+            reports += [
+                derived_asset_visibility(a, node.id)
+                for node in a.graph.nodes
+                if node.kind is helpers.NodeKind.DERIVED_ASSET
+            ]
+            for report in reports:
+                for precision in (None, 0, 1, 2, 5, 12):
+                    assert render_table(report, a.judgements, precision).body == (
+                        reference_table(report, a.judgements, precision)
+                    )
+
+    def test_matches_the_reference_on_hand_built_rows(self):
+        # Rows whose levels repeat with other indices, signed-zero and int
+        # indices, and int-subclass levels equal to the plain ones.
+        judgements = {
+            "A": Judgement(2, 3, 4),
+            "B": Judgement(2, 3, 4),
+            "C": Judgement(Level(2), Level(3), Level(4)),
+            "D": Judgement(1, 1, 1),
+            "E": Judgement(1, 1, 1),
+        }
+        rows = (
+            NodeVisibility("A", 2.0, 3.4641016151377544, 2.6321480259049848, 0.2),
+            NodeVisibility("B", 2.0, 1.25, -1.125, 0.2),
+            NodeVisibility("C", 2.0, 3.4641016151377544, 2.6321480259049848, 0.2),
+            NodeVisibility("D", 1.0, 0.0, -0.0, 0.2),
+            NodeVisibility("E", 1.0, -0.0, -0.004, 0.2),
+        )
+        rng = random.Random(803)
+        for _ in range(30):
+            shuffled = rng.sample(rows, len(rows))
+            report = VisibilityReport(tuple(shuffled), 2.5, len(rows), rng.randint(0, 12))
+            body = render_table(report, judgements).body
+            assert body == reference_table(report, judgements)
+        report = VisibilityReport(rows, 2.5, len(rows))
+        assert render_table(report, judgements).body.splitlines()[1:-1] == [
+            "A | 2 | 4 | 3 | 3.46 | 2.63",
+            "B | 2 | 4 | 3 | 1.25 | -1.13",
+            "C | 2 | 4 | 3 | 3.46 | 2.63",
+            "D | 1 | 1 | 1 | 0 | 0",
+            "E | 1 | 1 | 1 | 0 | 0",
+        ]
+        pool = [0.0, -0.0, 1, 1.0, 2.345, 2.355, -1.005, 3.999999, 4.0]
+        levels = [1, 2, Level(2), 4]
+        for _ in range(30):
+            judgements = {}
+            rows = []
+            for k in range(rng.randint(1, 12)):
+                judgements[f"N{k}"] = Judgement(*rng.choices(levels, k=3))
+                rows.append(NodeVisibility(f"N{k}", 1.0, *rng.choices(pool, k=2), 0.1))
+            report = VisibilityReport(tuple(rows), rng.choice(pool), len(rows))
+            for precision in (0, 2, 3):
+                assert render_table(report, judgements, precision).body == (
+                    reference_table(report, judgements, precision)
+                )
+
+
+class TestPrecisionBound:
+    """Every renderer takes 0 to 12 decimals and rejects anything else."""
+
+    BAD = [-1, -2, 13, 40, True, False, 2.0, "2"]
+
+    @staticmethod
+    def rejects(precision):
+        return pytest.raises(
+            ReportError,
+            match="^precision must be an integer between 0 and 12, got "
+            + re.escape(repr(precision))
+            + "$",
+        )
+
+    @pytest.mark.parametrize("precision", BAD, ids=repr)
+    def test_formatters(self, precision):
+        for formatter in (format_value, format_fixed):
+            with self.rejects(precision):
+                formatter(2.5, precision)
+
+    @pytest.mark.parametrize("precision", BAD, ids=repr)
+    def test_table(self, first_party_later, precision):
+        report = overall_visibility(first_party_later)
+        with self.rejects(precision):
+            render_table(report, first_party_later.judgements, precision)
+        hand_built = replace(report, display_precision=precision)
+        with self.rejects(precision):
+            render_table(hand_built, first_party_later.judgements)
+
+    @pytest.mark.parametrize("precision", BAD, ids=repr)
+    def test_comparison_and_series(self, first_party, first_party_later, precision):
+        with self.rejects(precision):
+            render_comparison(rank([first_party_later]), precision=precision)
+        with self.rejects(precision):
+            render_series([first_party, first_party_later], precision)
+
+    @pytest.mark.parametrize("precision", BAD, ids=repr)
+    def test_sensitivity(self, first_party_later, precision):
+        result = sensitivity(first_party_later)
+        with self.rejects(precision):
+            render_sensitivity(result, precision)
+        hand_built = replace(
+            result, baseline=replace(result.baseline, display_precision=precision)
+        )
+        with self.rejects(precision):
+            render_sensitivity(hand_built)
+
+    @pytest.mark.parametrize("precision", [0, 12])
+    def test_the_bounds_themselves_render(self, first_party_later, precision):
+        report = overall_visibility(first_party_later)
+        body = render_table(report, first_party_later.judgements, precision).body
+        assert body.endswith(
+            f"Overall VIS for model | {format_value(report.overall, precision)}\n"
+        )
+        assert format_fixed(0.5, precision) == ("1" if precision == 0 else "0.500000000000")
 
 
 class TestRenderComparison:
