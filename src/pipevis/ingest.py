@@ -17,9 +17,10 @@ only downgrades unknown keys to warnings.
 
 Nodes, edges and judgements each have a one-step reader, which builds the
 value of a plainly valid object (no unknown key, no null, every field of its
-type) or declines it. A node's kind is looked up by value, and a judgement is
-one of 64 shared instances, one per valid state. A declined object goes to
-the full walker, which alone writes violation text and handles ``lenient``.
+type) or declines it. A node's kind is looked up by value and its field types
+are left to :class:`~pipevis.model.ContributionNode`; a judgement is one of 64
+shared instances, one per valid state. A declined object goes to the full
+walker, which alone writes violation text and handles ``lenient``.
 
 Serialization is canonical: fixed key order, nodes and edges sorted by id,
 ``"equal"`` for equal weighting, 2-space indentation and a trailing
@@ -518,28 +519,23 @@ def _date(value: Any) -> date:
 
 
 def _plain_node(obj: Any) -> ContributionNode | None:
-    """The node of an object with valid fields and no unknown key, or None."""
+    """The node of a plainly valid object, or None: this reader checks the
+    document's rules, and declines what the node's constructor refuses."""
     if type(obj) is not dict or not obj.keys() <= _NODE.rows.keys():
+        return None
+    description = obj.get("description")
+    refs = obj.get("evidence_refs", ())
+    if description is None and "description" in obj or (
+        refs != () and type(refs) is not list  # a null, like any other non-array
+    ):
         return None
     try:
         node_id, kind, label = _NODE_REQUIRED(obj)
-        kind = _KINDS[kind]
-    except (KeyError, TypeError):  # a key missing, or a kind of another value
-        return None
-    if type(node_id) is not str or not node_id or type(label) is not str:
-        return None
-    description = obj.get("description")
-    if description is None:
-        if "description" in obj:
-            return None
-    elif type(description) is not str:
-        return None
-    refs = obj.get("evidence_refs", ())
-    if refs != ():  # present: a null, like any other non-list, is declined
-        if type(refs) is not list or not all(type(ref) is str for ref in refs):
-            return None
-        refs = tuple(refs)
-    return ContributionNode(node_id, kind, label, description, refs)
+        if node_id:
+            return ContributionNode(node_id, _KINDS[kind], label, description, refs)
+    except (KeyError, TypeError, ValueError):  # a key or kind missing, or a type
+        pass
+    return None
 
 
 def _plain_edge(obj: Any) -> tuple[str, str] | None:

@@ -136,18 +136,12 @@ def visibility_index(judgement: Judgement) -> float:
     return math.sqrt(judgement.quantity * quality_index(judgement))
 
 
-def _indices(judgement: Judgement) -> tuple[float, float, float]:
-    """Quantity, quality and visibility index of one judgement."""
-    return (
-        float(judgement.quantity),
-        quality_index(judgement),
-        visibility_index(judgement),
-    )
-
-
-#: The indices of each of the 64 valid judgements, computed once and keyed
-#: by (quantity, accuracy, freshness), as ``_JUDGEMENTS`` is.
-_INDEX_TABLE = {levels: _indices(j) for levels, j in _JUDGEMENTS.items()}
+#: The quantity, quality and visibility index of each of the 64 valid
+#: judgements, computed once and keyed by their levels, as ``_JUDGEMENTS`` is.
+_INDEX_TABLE = {
+    levels: (float(j.quantity), quality_index(j), visibility_index(j))
+    for levels, j in _JUDGEMENTS.items()
+}
 
 
 def _require_valid(assessment: Assessment, subject: str | None = None) -> None:

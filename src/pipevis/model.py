@@ -13,15 +13,15 @@ Validation here is collecting, not fail-fast: :func:`validate_graph` and
 deterministic order, so a document author can fix them in one pass.
 
 A :class:`PipelineGraph` is immutable, so one index -- its id map, reverse
-adjacency, leaf ids and violations -- is derived once per graph, on first use,
-by one function, and the leaf ancestors of its nodes once more, on the first
-derived-asset score. An :class:`Assessment` is immutable too (its judgements and
-explicit weights are read-only mappings), so its violations are computed once
-per assessment.
+adjacency, leaf ids, violations and the finish order of its one depth-first
+walk -- is derived once per graph, on first use, by one function, and the leaf
+ancestors of its nodes from that order, on the first derived-asset score. An
+:class:`Assessment` is immutable too (its judgements and explicit weights are
+read-only mappings), so its violations are computed once per assessment.
 
-A :class:`ContributionNode` is a slotted frozen dataclass with one
-hand-written constructor, so the parser, :func:`dataclasses.replace`, copies
-and unpickling all check and coerce a node's fields the same way.
+A :class:`ContributionNode`, a :class:`Judgement` and a :class:`WeightScheme`
+each check their own fields' types in their constructor, so a value built by
+hand, by :func:`dataclasses.replace`, by copying or by the parser meets them.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import enum
 import math
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from functools import cached_property
@@ -69,17 +70,6 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def check_score_level(value: object, name: str = "score") -> int:
-    """Validate a 1-4 rubric level, rejecting bools, floats and out-of-range ints."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not SCORE_MIN <= value <= SCORE_MAX:
-        raise ValueError(
-            f"{name} must be between {SCORE_MIN} and {SCORE_MAX}, got {value}"
-        )
-    return value
-
-
 class Criterion(str, enum.Enum):
     """The three judgement criteria applied to each leaf contribution."""
 
@@ -110,9 +100,14 @@ class Judgement:
     freshness: int
 
     def __post_init__(self) -> None:
-        check_score_level(self.quantity, "quantity")
-        check_score_level(self.accuracy, "accuracy")
-        check_score_level(self.freshness, "freshness")
+        for name in ("quantity", "accuracy", "freshness"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not SCORE_MIN <= value <= SCORE_MAX:
+                raise ValueError(
+                    f"{name} must be between {SCORE_MIN} and {SCORE_MAX}, got {value}"
+                )
 
 
 #: The 4**3 valid judgements, keyed by (quantity, accuracy, freshness). The
@@ -129,10 +124,11 @@ class ContributionNode:
 
     A graph holds one per node, so the class keeps no ``__dict__`` and has one
     hand-written constructor: the parser, :func:`dataclasses.replace`, copying
-    and unpickling all build a node through it. It checks that ``id`` is a
-    ``str``, coerces ``kind`` and ``evidence_refs`` only when they are not
-    already a ``NodeKind`` and a ``tuple``, and stores each field through its
-    slot.
+    and unpickling all build a node through it. It raises ``ValueError``,
+    naming the field, unless ``id``, ``label`` and each evidence ref are
+    ``str`` and ``description`` is ``None`` or a ``str``. It coerces ``kind``
+    and ``evidence_refs`` only when they are not already a ``NodeKind`` and a
+    ``tuple``, and stores each field through its slot.
     """
 
     id: str
@@ -153,8 +149,18 @@ class ContributionNode:
             raise ValueError(f"node id must be a string, got {id!r}")
         if type(kind) is not NodeKind:
             kind = NodeKind(kind)
+        if not isinstance(label, str):
+            raise ValueError(f"node label must be a string, got {label!r}")
+        if description is not None and not isinstance(description, str):
+            raise ValueError(f"node description must be a string, got {description!r}")
         if type(evidence_refs) is not tuple:
-            evidence_refs = tuple(evidence_refs)
+            try:
+                evidence_refs = tuple(evidence_refs)
+            except TypeError:  # not iterable: refused below, as one ref
+                evidence_refs = (evidence_refs,)
+        for ref in evidence_refs:
+            if not isinstance(ref, str):
+                raise ValueError(f"node evidence ref must be a string, got {ref!r}")
         _set_node_id(self, id)
         _set_node_kind(self, kind)
         _set_node_label(self, label)
@@ -191,8 +197,8 @@ class PipelineGraph:
 
     Its index (:class:`_GraphIndex`) and its nodes' leaf ancestors are each
     derived once, on first use, and kept on the instance outside equality,
-    hashing, repr and pickling; :func:`dataclasses.replace` yields a graph
-    that derives anew.
+    hashing and repr. Copying, unpickling and :func:`dataclasses.replace` go
+    through the constructor, so they yield a graph that derives anew.
     """
 
     nodes: tuple[ContributionNode, ...]
@@ -203,8 +209,8 @@ class PipelineGraph:
         pairs = sorted((str(src), str(dst)) for src, dst in self.edges)
         object.__setattr__(self, "edges", tuple(dict.fromkeys(pairs)))
 
-    def __getstate__(self) -> dict[str, object]:
-        return {"nodes": self.nodes, "edges": self.edges}
+    def __reduce__(self) -> tuple[object, ...]:
+        return type(self), _init_args(self)
 
     @cached_property
     def _index(self) -> _GraphIndex:
@@ -243,13 +249,17 @@ class WeightScheme:
     leaves; :meth:`resolve` produces exactly those floats so both schemes
     share one arithmetic path. Explicit weights are kept as floats in a
     read-only mapping over a private copy; an integer past the float range
-    reads as ``±inf``, as ``1e400`` does.
+    reads as ``±inf``, as ``1e400`` does. :meth:`explicit` converts each key
+    with ``str()``, and each weight other than an ``int`` or ``float`` with
+    ``float()``. Weights that are not a mapping raise ``ValueError``.
     """
 
     weights: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
         if self.weights is not None:
+            if not isinstance(self.weights, Mapping):
+                raise ValueError(f"weights must be a mapping, got {self.weights!r}")
             weights: dict[str, float] = {}
             for node_id, weight in self.weights.items():
                 if not isinstance(node_id, str):
@@ -273,11 +283,16 @@ class WeightScheme:
 
     @classmethod
     def explicit(cls, weights: Mapping[str, float]) -> WeightScheme:
+        if not isinstance(weights, Mapping):
+            return cls(weights)  # which refuses them
         converted: dict[str, float] = {}
         for key, value in weights.items():
             if (node_id := str(key)) in converted:
                 raise ValueError(f"repeated id {node_id!r} in weights")
-            converted[node_id] = float(value)
+            if not _is_number(value):
+                with suppress(TypeError):  # kept for the constructor to refuse
+                    value = float(value)
+            converted[node_id] = value
         return cls(converted)
 
     @property
@@ -393,6 +408,8 @@ class _GraphIndex(NamedTuple):
     reverse: dict[str, list[str]]
     #: Ids without an incoming edge between known nodes, sorted.
     leaves: tuple[str, ...]
+    #: The ids in ``reverse``, in the finish order of the cycle search's walk.
+    order: list[str]
     violations: tuple[str, ...]
 
 
@@ -451,10 +468,8 @@ def _index_graph(graph: PipelineGraph) -> _GraphIndex:
             role = "output" if node.kind is output else "derived"
             violations.append(f"{role} node {node.id} has no incoming edge")
 
-    violations.extend(
-        "cycle detected: " + ",".join(component)
-        for component in _cyclic_components(reverse)
-    )
+    cycles, order = _cyclic_components(reverse)
+    violations.extend("cycle detected: " + ",".join(cycle) for cycle in cycles)
 
     # The path rule needs a single output; without one, every node counts as
     # reached. The reach holds only known ids, so its size tells whether it
@@ -470,7 +485,7 @@ def _index_graph(graph: PipelineGraph) -> _GraphIndex:
             )
 
     leaves = tuple(filterfalse(reverse.__contains__, by_id))
-    return _GraphIndex(by_id, reverse, leaves, tuple(violations))
+    return _GraphIndex(by_id, reverse, leaves, order, tuple(violations))
 
 
 def validate_assessment(assessment: Assessment) -> ValidationResult:
@@ -526,13 +541,19 @@ def _coverage(
     return lines
 
 
-def _upstream_first(reverse: Mapping[str, list[str]]) -> list[str]:
-    """The nodes with an incoming edge, in the finish order of a depth-first
-    walk upstream over the reverse map.
+def _cyclic_components(
+    reverse: Mapping[str, list[str]],
+) -> tuple[list[list[str]], list[str]]:
+    """Strongly connected components of more than one node, sorted, and the
+    finish order of the first pass: the graph's one depth-first walk.
 
-    The walk is iterative and never enters a node without an incoming edge (a
-    leaf, in a valid graph). On an acyclic graph every node comes after each
-    of its sources that has an incoming edge.
+    Kosaraju over the reverse adjacency, whose components are the same. The
+    first pass walks upstream and enters only nodes with an incoming edge, as
+    only they can be in a component. On an acyclic graph its order puts each
+    node after its sources that have an incoming edge. Then :func:`_flood`
+    downstream among them, from each node not yet flooded, latest-finished
+    first, adds one component per start. Single-node self-loops are left to
+    the self-edge check.
     """
     finished: list[str] = []
     entered: set[str] = set()
@@ -551,20 +572,6 @@ def _upstream_first(reverse: Mapping[str, list[str]]) -> list[str]:
             else:
                 walk.pop()
                 finished.append(node)
-    return finished
-
-
-def _cyclic_components(reverse: Mapping[str, list[str]]) -> list[list[str]]:
-    """Strongly connected components with more than one node, sorted.
-
-    Kosaraju over the reverse adjacency, whose components are the same. Only
-    nodes with an incoming edge can be in one, so :func:`_upstream_first`
-    lists those nodes in finish order. Then :func:`_flood` downstream among
-    them, started from each node not yet flooded, latest-finished first, adds
-    exactly one component per start. Single-node self-loops are excluded
-    because the self-edge check reports them.
-    """
-    finished = _upstream_first(reverse)
 
     forward: dict[str, list[str]] = {}
     for node, upstream in reverse.items():
@@ -579,7 +586,7 @@ def _cyclic_components(reverse: Mapping[str, list[str]]) -> list[list[str]]:
             component = _flood(forward, root, flooded)
             if len(component) > 1:
                 components.append(sorted(component))
-    return sorted(components)
+    return sorted(components), finished
 
 
 def _flood(edges: Mapping[str, list[str]], start: str, seen: set[str]) -> list[str]:
@@ -606,14 +613,14 @@ def _flood(edges: Mapping[str, list[str]], start: str, seen: set[str]) -> list[s
 def _leaf_sets_of(index: _GraphIndex) -> dict[str, Iterable[str]]:
     """The leaf ancestors of each node of a valid graph; a leaf is its own.
 
-    One pass upstream-first: a node's set is the union of its sources' sets,
-    so no node is flooded and no leaf list is scanned. On a cyclic graph it
-    raises ``KeyError``, so derived-asset scoring asks only after the check.
+    One pass over the index's finish order, which is upstream-first: a node's
+    set is the union of its sources' sets, so no node is walked or flooded
+    again and no leaf list is scanned. On a cyclic graph it raises
+    ``KeyError``, so derived-asset scoring asks only after the check.
     """
-    leaves = index.leaves
-    reverse = index.reverse
+    leaves, reverse = index.leaves, index.reverse
     sets: dict[str, Iterable[str]] = dict(zip(leaves, zip(leaves)))
-    for node in _upstream_first(reverse):
+    for node in index.order:
         sets[node] = set().union(*map(sets.__getitem__, reverse[node]))
     return sets
 

@@ -339,6 +339,33 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
+        ("flags", "error"),
+        [
+            (["--set", "DS:1,2"],
+             "malformed --set 'DS:1,2': expected three scores Q,A,F"),
+            (["--weights", "DS=x"],
+             "malformed --weights entry 'DS=x': 'x' is not a number"),
+        ],
+        ids=["two_scores", "non_number_weight"],
+    )
+    def test_malformed_flag_names_its_fault(self, samples, flags, error):
+        result = invoke(["whatif", samples["later"], *flags])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == f"pipevis whatif: error: {error}"
+
+    def test_degenerate_derived_weights_are_data_error(self, samples):
+        doc = json.loads(Path(samples["later"]).read_bytes())
+        doc["weights"] = {"DS": 0, "H1": 0, "H2": 1}
+        result = invoke(["score", "--node", "LD", "-"], json.dumps(doc))
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "violation: explicit weights of the leaves contributing to LD sum to 0 "
+            "(DS, H1); cannot renormalise\n"
+        )
+
+    @pytest.mark.parametrize(
         ("flags", "option"),
         [
             (["--weights", "DS=0.9,H1=0.05,H2=0.05,DS=0.9"], "--weights"),

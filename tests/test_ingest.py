@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import helpers
 from pipevis import (
     Assessment,
+    ContributionNode,
     DegenerateWeightsError,
     DocumentError,
     InvalidAssessmentError,
@@ -285,20 +286,21 @@ class TestWriter:
         )
 
     @pytest.mark.parametrize("label", [None, 5, b"label"])
-    def test_non_string_label_raises_type_error(self, label):
-        # ContributionNode does not check its label; the writer refuses to
-        # write one the parser would reject, and returns nothing.
-        graph = helpers.example_graph()
-        nodes = tuple(
-            dataclasses.replace(node, label=label) if node.id == "H1" else node
-            for node in graph.nodes
-        )
-        assessment = helpers.later_assessment(
-            graph=PipelineGraph(nodes=nodes, edges=graph.edges)
-        )
-        assert validate_assessment(assessment).ok
-        with pytest.raises(TypeError):
-            serialize_document(assessment)
+    def test_non_string_label_is_refused_at_construction(self, label):
+        # The writer would raise TypeError on a node the parser would reject.
+        # The constructor refuses one first, directly and through replace, as
+        # it does a non-string description or evidence ref.
+        h1 = helpers.example_graph().nodes[1]
+        cases = [("label", label, "label"), ("evidence_refs", [label], "evidence ref")]
+        if label is not None:  # a description may be None
+            cases.append(("description", label, "description"))
+        for field, value, name in cases:
+            message = f"^node {name} must be a string, got {re.escape(repr(label))}$"
+            with pytest.raises(ValueError, match=message):
+                ContributionNode(**{"id": "H1", "kind": h1.kind, "label": "x",
+                                    field: value})
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(h1, **{field: value})
 
 
     @pytest.mark.parametrize("where", ["asset_name", "label"])

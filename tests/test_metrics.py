@@ -156,12 +156,17 @@ class TestIndices:
                 parsed, judgements=dict.fromkeys(parsed.judgements, hand_built)
             )
             assert outputs(rebuilt) == outputs(parsed)
-            assert metrics._indices(hand_built) == metrics._INDEX_TABLE[2, 3, 4]
+            indices = (
+                float(hand_built.quantity),
+                quality_index(hand_built),
+                visibility_index(hand_built),
+            )
+            assert indices == metrics._INDEX_TABLE[2, 3, 4]
 
 
 class TestNodeVisibility:
     def test_is_a_read_only_tuple_of_the_five_fields(self):
-        row = metrics.NodeVisibility("DS", *metrics._indices(helpers.THREES), 0.25)
+        row = metrics.NodeVisibility("DS", *metrics._INDEX_TABLE[3, 3, 3], 0.25)
         assert row._fields == (
             "node_id", "quantity_index", "quality_index", "visibility_index", "weight"
         )
@@ -558,6 +563,31 @@ class TestOneWalkPerGraph:
         sensitivity(assessment, {"DS": helpers.THREES})
         assert serialize_document(assessment) == data
         assert len(calls) == 1
+
+    def test_scoring_every_derived_node_walks_the_reverse_map_once(
+        self, monkeypatch
+    ):
+        class Walked(dict):
+            """A dict that counts the walks over its keys."""
+
+            walks = 0
+
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+        # Each dict the model module builds by calling dict(), the graph's
+        # reverse map among them, is a Walked.
+        monkeypatch.setattr(model, "dict", Walked, raising=False)
+        data = serialize_document(shared_ancestor_assessment(random.Random(42), 40))
+        assessment = parse_document(data)
+        for i in range(40):
+            derived_asset_visibility(assessment, f"D{i:02d}")
+        derived_asset_visibility(assessment, "OUT")
+        reverse = assessment.graph._index.reverse
+        assert type(reverse) is Walked
+        assert len(reverse) == 41
+        assert reverse.walks == 1
 
 
 class TestOneCheckPerAssessment:

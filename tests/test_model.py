@@ -6,6 +6,7 @@ import copy
 import inspect
 import pickle
 import random
+import re
 from dataclasses import MISSING, fields, replace
 from datetime import date, datetime
 
@@ -28,27 +29,39 @@ from pipevis import (
     validate_graph,
 )
 from pipevis import model
-from pipevis.model import check_score_level
 
 
 def node(node_id: str, kind: NodeKind = NodeKind.DATA_SOURCE) -> ContributionNode:
     return ContributionNode(id=node_id, kind=kind, label=node_id.lower())
 
 
+LEVELS = ("quantity", "accuracy", "freshness")
+
+
+def judgement_with(name, value):
+    """A judgement with ``value`` as its ``name`` level and 1 as the others."""
+    return Judgement(**{**dict.fromkeys(LEVELS, 1), name: value})
+
+
 class TestScoreLevels:
     @pytest.mark.parametrize("value", [1, 2, 3, 4])
     def test_accepts_valid_levels(self, value):
-        assert check_score_level(value) == value
+        for name in LEVELS:
+            assert getattr(judgement_with(name, value), name) == value
 
     @pytest.mark.parametrize("value", [0, 5, -1, 100])
     def test_rejects_out_of_range(self, value):
-        with pytest.raises(ValueError, match="between 1 and 4"):
-            check_score_level(value)
+        for name in LEVELS:
+            with pytest.raises(
+                ValueError, match=f"^{name} must be between 1 and 4, got {value}$"
+            ):
+                judgement_with(name, value)
 
     @pytest.mark.parametrize("value", [True, False, 3.0, "3", None])
     def test_rejects_non_integers(self, value):
-        with pytest.raises(ValueError, match="must be an integer"):
-            check_score_level(value)
+        for name in LEVELS:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                judgement_with(name, value)
 
     def test_judgement_validates_each_field(self):
         with pytest.raises(ValueError, match="freshness"):
@@ -73,6 +86,12 @@ class TestContributionNode:
         # make it fail there instead.
         with pytest.raises(ValueError, match="^node id must be a string, got "):
             ContributionNode(id=node_id, kind=NodeKind.DATA_SOURCE, label="x")
+
+    def test_non_iterable_evidence_refs_are_refused_as_a_ref(self):
+        # tuple() raises TypeError here; the constructor raises ValueError.
+        message = "^node evidence ref must be a string, got 5$"
+        with pytest.raises(ValueError, match=message):
+            ContributionNode(id="DS", kind="DataSource", label="x", evidence_refs=5)
 
     def test_evidence_refs_coerced_to_tuple(self):
         n = ContributionNode(
@@ -310,7 +329,9 @@ class TestPipelineGraph:
             if len(c) > 1
         )
         assert expected
-        assert model._cyclic_components(reverse) == expected
+        components, order = model._cyclic_components(reverse)
+        assert components == expected
+        assert sorted(order) == sorted(reverse)
 
     def test_cycle_search_enters_only_nodes_with_an_incoming_edge(self):
         class Entered(dict):
@@ -336,7 +357,7 @@ class TestPipelineGraph:
             nodes=(*leaves, *derived, node("M", NodeKind.OUTPUT_ASSET)), edges=edges
         )
         reverse = Entered(graph._index.reverse)
-        assert model._cyclic_components(reverse) == []
+        assert model._cyclic_components(reverse) == ([], graph._index.order)
         assert reverse.entered == set(reverse) == {d.id for d in derived} | {"M"}
         assert reverse.entered.isdisjoint(graph.leaf_ids())
 
@@ -355,6 +376,27 @@ class TestPipelineGraph:
         grown = replace(example_graph, nodes=example_graph.nodes + (node("X"),))
         assert grown.node_by_id("X") == node("X")
         assert example_graph.node_by_id("X") is None
+
+    def test_copies_and_unpickles_through_the_constructor(
+        self, example_graph, monkeypatch
+    ):
+        validate_graph(example_graph)
+        built = []
+        init = PipelineGraph.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(PipelineGraph, "__init__", counted)
+        for twin in (
+            pickle.loads(pickle.dumps(example_graph)),
+            copy.copy(example_graph),
+            copy.deepcopy(example_graph),
+        ):
+            assert twin == example_graph
+            assert "_index" not in vars(twin)
+        assert built == [(example_graph.nodes, example_graph.edges)] * 3
 
     def test_node_by_id_returns_the_first_of_repeated_ids(self):
         first = node("A")
@@ -914,6 +956,27 @@ class TestWeightScheme:
         scheme = WeightScheme.explicit({"DS": "0.5", "H1": 1, 2: 0.25})
         assert dict(scheme.weights) == {"DS": 0.5, "H1": 1.0, "2": 0.25}
         assert all(type(value) is float for value in scheme.weights.values())
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_explicit_reads_a_huge_integer_as_the_constructor_does(self, sign):
+        # float() used to raise OverflowError here.
+        weights = {"DS": sign * 10**400, "H1": 1, "H2": 0.25}
+        scheme = WeightScheme.explicit(weights)
+        assert scheme == WeightScheme(weights)
+        assert scheme.weights["DS"] == sign * float("inf")
+
+    @pytest.mark.parametrize("weight", [None, [1]], ids=repr)
+    def test_explicit_refuses_a_weight_float_cannot_take_by_id(self, weight):
+        # float() used to raise TypeError here.
+        message = f"^weight for DS must be a number, got {re.escape(repr(weight))}$"
+        with pytest.raises(ValueError, match=message):
+            WeightScheme.explicit({"DS": weight, "H1": 0.5})
+
+    @pytest.mark.parametrize("build", [WeightScheme, WeightScheme.explicit])
+    def test_weights_that_are_not_a_mapping_are_refused(self, build):
+        # Both used to raise AttributeError on .items().
+        with pytest.raises(ValueError, match="^weights must be a mapping, got 5$"):
+            build(5)
 
 
 class TestRubric:
