@@ -284,7 +284,7 @@ class WeightScheme:
     @classmethod
     def explicit(cls, weights: Mapping[str, float]) -> WeightScheme:
         if not isinstance(weights, Mapping):
-            return cls(weights)  # which refuses them
+            return cls(weights)  # the constructor refuses them
         converted: dict[str, float] = {}
         for key, value in weights.items():
             if (node_id := str(key)) in converted:
