@@ -3,9 +3,9 @@
 Per leaf node the three judgement scores collapse into a 1-4 visibility
 index: the quality index is the geometric mean of accuracy and freshness,
 and the node index is the geometric mean of the quantity score and the
-quality index. The overall pipeline index is the weighted sum of node
-indices. Everything is computed at full float precision; rounding happens
-only at display time (see :mod:`pipevis.report`).
+quality index; each :class:`~pipevis.model.Judgement` carries its own. The
+overall pipeline index is the weighted sum of node indices, at full float
+precision; rounding happens only at display time (see :mod:`pipevis.report`).
 
 Weighted sums use ``math.fsum``, which is correctly rounded regardless of
 term order, so relabeling or reordering nodes cannot change the overall
@@ -18,6 +18,8 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
+from operator import attrgetter, getitem, itemgetter, mul, truediv
 from typing import NamedTuple
 
 from .model import (
@@ -26,7 +28,6 @@ from .model import (
     NodeKind,
     WeightScheme,
     InvalidAssessmentError,
-    _JUDGEMENTS,
     validate_assessment,
 )
 
@@ -128,20 +129,12 @@ class SensitivityResult:
 
 def quality_index(judgement: Judgement) -> float:
     """Geometric mean of the accuracy and freshness scores."""
-    return math.sqrt(judgement.accuracy * judgement.freshness)
+    return judgement._indices[1]
 
 
 def visibility_index(judgement: Judgement) -> float:
     """Geometric mean of the quantity and quality indices, in [1, 4]."""
-    return math.sqrt(judgement.quantity * quality_index(judgement))
-
-
-#: The quantity, quality and visibility index of each of the 64 valid
-#: judgements, computed once and keyed by their levels, as ``_JUDGEMENTS`` is.
-_INDEX_TABLE = {
-    levels: (float(j.quantity), quality_index(j), visibility_index(j))
-    for levels, j in _JUDGEMENTS.items()
-}
+    return judgement._indices[2]
 
 
 def _require_valid(assessment: Assessment, subject: str | None = None) -> None:
@@ -153,29 +146,26 @@ def _require_valid(assessment: Assessment, subject: str | None = None) -> None:
 #: Builds a row from a 5-tuple, as ``NodeVisibility._make`` does, without
 #: its Python frame.
 _new_row = partial(tuple.__new__, NodeVisibility)
+_quantity, _quality, _visibility = map(itemgetter, range(3))
 
 
 def _weighted_report(
-    assessment: Assessment, weights: Mapping[str, float]
+    assessment: Assessment, leaf_ids: Sequence[str], weights: Iterable[float]
 ) -> VisibilityReport:
-    """Rows in the key order of ``weights`` (sorted leaf ids) and their sum.
+    """Rows for ``leaf_ids`` (sorted) and their weights, in order, and their sum.
 
-    Each leaf's indices are read from the table by its three levels, so a
-    hand-built judgement or a subclass reads the same row as the parsed one.
+    Each leaf's indices are its judgement's own, so a hand-built judgement or
+    a subclass reads the same row as the parsed one. Each step runs in C, with
+    ``getitem`` for the read-only mapping; the weights must be a collection.
     """
-    judgements = assessment.judgements
-    rows = []
-    terms = []
-    for nid, weight in weights.items():
-        judgement = judgements[nid]
-        quantity, quality, visibility = _INDEX_TABLE[
-            judgement.quantity, judgement.accuracy, judgement.freshness
-        ]
-        rows.append(_new_row((nid, quantity, quality, visibility, weight)))
-        terms.append(visibility * weight)
+    judged = map(getitem, repeat(assessment.judgements), leaf_ids)
+    indices = list(map(attrgetter("_indices"), judged))
+    columns = zip(leaf_ids, map(_quantity, indices), map(_quality, indices),
+                  map(_visibility, indices), weights)
+    rows = tuple(map(_new_row, columns))
     return VisibilityReport(
-        per_node=tuple(rows),
-        overall=math.fsum(terms),
+        per_node=rows,
+        overall=math.fsum(map(mul, map(_visibility, indices), weights)),
         leaf_count=len(rows),
         display_precision=assessment.display_precision,
     )
@@ -189,8 +179,9 @@ def overall_visibility(assessment: Assessment) -> VisibilityReport:
     violation) if the assessment does not validate.
     """
     _require_valid(assessment)
-    weights = assessment.weights.resolve(assessment.graph.leaf_ids())
-    return _weighted_report(assessment, weights)
+    leaf_ids = assessment.graph._index.leaves
+    weights = assessment.weights.resolve(leaf_ids)
+    return _weighted_report(assessment, leaf_ids, weights.values())
 
 
 def derived_asset_visibility(assessment: Assessment, node_id: str) -> VisibilityReport:
@@ -200,8 +191,9 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
     ``node_id``, with weights renormalised over that set when it is not all
     the leaves (equal weighting becomes 1/m over the m ancestors). Scoring
     the output node is identical to scoring the whole pipeline. The leaf
-    ancestors of every node are collected on the first call for a graph; a
-    later call sorts its node's set only.
+    ancestors of every node are collected on the first call for a graph, as
+    sorted tuples, so a later call only looks its node's up. A ``node_id``
+    that is not a string is an unknown node.
     """
     _require_valid(assessment)
     graph = assessment.graph
@@ -211,14 +203,14 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
     if node.kind not in (NodeKind.DERIVED_ASSET, NodeKind.OUTPUT_ASSET):
         raise LeafNodeError(node_id, node.kind)
 
-    leaf_ids = sorted(graph._leaf_sets[node_id])
-    weights = assessment.weights.resolve(leaf_ids)
+    leaf_ids = graph._leaf_sets[node_id]
+    weights = assessment.weights.resolve(leaf_ids).values()
     if not assessment.weights.is_equal and len(leaf_ids) < len(graph._index.leaves):
-        total = math.fsum(weights.values())
+        total = math.fsum(weights)
         if total <= 0:
             raise DegenerateWeightsError(node_id, leaf_ids)
-        weights = {nid: value / total for nid, value in weights.items()}
-    return _weighted_report(assessment, weights)
+        weights = list(map(truediv, weights, repeat(total)))
+    return _weighted_report(assessment, leaf_ids, weights)
 
 
 def rank(assessments: Sequence[Assessment]) -> list[RankEntry]:
@@ -263,11 +255,11 @@ def sensitivity(
     """
     baseline = overall_visibility(assessment)
 
-    leaf_ids = set(assessment.graph.leaf_ids())
     items = changes.items() if isinstance(changes, Mapping) else changes
     new_judgements = dict(assessment.judgements)
     for node_id, judgement in items:
-        if node_id not in leaf_ids:
+        # A valid assessment judges exactly its leaves.
+        if not isinstance(node_id, str) or node_id not in assessment.judgements:
             if assessment.graph.node_by_id(node_id) is not None:
                 raise UnknownNodeError(
                     node_id, f"node {node_id} is not a leaf and cannot be re-judged"

@@ -15,9 +15,10 @@ deterministic order, so a document author can fix them in one pass.
 A :class:`PipelineGraph` is immutable, so one index -- its id map, reverse
 adjacency, leaf ids, violations and the finish order of its one depth-first
 walk -- is derived once per graph, on first use, by one function, and the leaf
-ancestors of its nodes from that order, on the first derived-asset score. An
-:class:`Assessment` is immutable too (its judgements and explicit weights are
-read-only mappings), so its violations are computed once per assessment.
+ancestors of its nodes from that order, as sorted tuples, on the first
+derived-asset score. An :class:`Assessment` is immutable too (its judgements
+and explicit weights are read-only mappings), so its violations are computed
+once per assessment, and each :class:`Judgement` derives its indices once.
 
 A :class:`ContributionNode`, a :class:`Judgement` and a :class:`WeightScheme`
 each check their own fields' types in their constructor, so a value built by
@@ -29,12 +30,13 @@ from __future__ import annotations
 import enum
 import math
 from collections import defaultdict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from functools import cached_property
-from itertools import filterfalse, product
+from itertools import chain, filterfalse, product, repeat
+from operator import getitem
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -92,7 +94,8 @@ class Judgement:
     """Scores for one leaf contribution: quantity, accuracy, freshness.
 
     All three fields are required 1-4 integers; there are no partial
-    judgements. Construction rejects anything else.
+    judgements. Construction rejects anything else. ``_indices``, the three
+    indices, is derived on first read, so a copied or unpickled one has it too.
     """
 
     quantity: int
@@ -109,9 +112,14 @@ class Judgement:
                     f"{name} must be between {SCORE_MIN} and {SCORE_MAX}, got {value}"
                 )
 
+    @cached_property
+    def _indices(self) -> tuple[float, float, float]:
+        quality = math.sqrt(self.accuracy * self.freshness)
+        return float(self.quantity), quality, math.sqrt(self.quantity * quality)
+
 
 #: The 4**3 valid judgements, keyed by (quantity, accuracy, freshness). The
-#: parser hands out these instances and scoring keeps a table over them.
+#: parser hands out these instances, so each derives its indices once.
 _JUDGEMENTS: dict[tuple[int, int, int], Judgement] = {
     levels: Judgement(*levels)
     for levels in product(range(SCORE_MIN, SCORE_MAX + 1), repeat=3)
@@ -154,6 +162,10 @@ class ContributionNode:
         if description is not None and not isinstance(description, str):
             raise ValueError(f"node description must be a string, got {description!r}")
         if type(evidence_refs) is not tuple:
+            if isinstance(evidence_refs, str):
+                raise ValueError(
+                    f"node evidence_refs must be strings, got one: {evidence_refs!r}"
+                )
             try:
                 evidence_refs = tuple(evidence_refs)
             except TypeError:  # not iterable: refused below, as one ref
@@ -217,11 +229,12 @@ class PipelineGraph:
         return _index_graph(self)
 
     @cached_property
-    def _leaf_sets(self) -> dict[str, Iterable[str]]:
+    def _leaf_sets(self) -> dict[str, tuple[str, ...]]:
         return _leaf_sets_of(self._index)
 
     def node_by_id(self, node_id: str) -> ContributionNode | None:
-        return self._index.by_id.get(node_id)
+        """The node with this id; ``None`` for an unknown id or a non-string."""
+        return self._index.by_id.get(node_id) if isinstance(node_id, str) else None
 
     def leaf_ids(self) -> list[str]:
         """Ids of zero-in-degree nodes, sorted. No validity check."""
@@ -248,10 +261,10 @@ class WeightScheme:
     Equal weighting is semantically an explicit ``1/M`` vector over the M
     leaves; :meth:`resolve` produces exactly those floats so both schemes
     share one arithmetic path. Explicit weights are kept as floats in a
-    read-only mapping over a private copy; an integer past the float range
-    reads as ``±inf``, as ``1e400`` does. :meth:`explicit` converts each key
-    with ``str()``, and each weight other than an ``int`` or ``float`` with
-    ``float()``. Weights that are not a mapping raise ``ValueError``.
+    read-only mapping over a private copy; a value past the float range, such
+    as a huge integer, reads as ``±inf``, as ``1e400`` does. :meth:`explicit`
+    converts each key with ``str()``, and each weight other than an ``int`` or
+    ``float`` with ``float()``. Weights that are not a mapping raise ``ValueError``.
     """
 
     weights: Mapping[str, float] | None = None
@@ -268,10 +281,7 @@ class WeightScheme:
                     raise ValueError(
                         f"weight for {node_id} must be a number, got {weight!r}"
                     )
-                try:
-                    weights[node_id] = float(weight)
-                except OverflowError:
-                    weights[node_id] = math.inf if weight > 0 else -math.inf
+                weights[node_id] = _as_float(weight)
             object.__setattr__(self, "weights", MappingProxyType(weights))
 
     def __reduce__(self) -> tuple[object, ...]:
@@ -291,7 +301,7 @@ class WeightScheme:
                 raise ValueError(f"repeated id {node_id!r} in weights")
             if not _is_number(value):
                 with suppress(TypeError):  # kept for the constructor to refuse
-                    value = float(value)
+                    value = _as_float(value)
             converted[node_id] = value
         return cls(converted)
 
@@ -302,9 +312,16 @@ class WeightScheme:
     def resolve(self, leaf_ids: Sequence[str]) -> dict[str, float]:
         """Weight per leaf id; raises KeyError if an explicit map lacks one."""
         if self.weights is None:
-            share = 1.0 / len(leaf_ids)
-            return {leaf_id: share for leaf_id in leaf_ids}
-        return {leaf_id: self.weights[leaf_id] for leaf_id in leaf_ids}
+            return dict.fromkeys(leaf_ids, 1.0 / len(leaf_ids))
+        return dict(zip(leaf_ids, map(getitem, repeat(self.weights), leaf_ids)))
+
+
+def _as_float(value: object) -> float:
+    """``float(value)``, reading a value past the float range as ``±inf``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -610,18 +627,24 @@ def _flood(edges: Mapping[str, list[str]], start: str, seen: set[str]) -> list[s
     return added
 
 
-def _leaf_sets_of(index: _GraphIndex) -> dict[str, Iterable[str]]:
-    """The leaf ancestors of each node of a valid graph; a leaf is its own.
+def _leaf_sets_of(index: _GraphIndex) -> dict[str, tuple[str, ...]]:
+    """The leaf ancestors of each node of a valid graph, as a sorted tuple
+    without repeats; a leaf is its own.
 
-    One pass over the index's finish order, which is upstream-first: a node's
-    set is the union of its sources' sets, so no node is walked or flooded
-    again and no leaf list is scanned. On a cyclic graph it raises
-    ``KeyError``, so derived-asset scoring asks only after the check.
+    One pass over the index's finish order, which is upstream-first: a node
+    with one source shares its tuple, any other merges its sources' tuples,
+    so no node is walked again and no score sorts. On a cyclic graph it
+    raises ``KeyError``, so derived-asset scoring asks only after the check.
     """
     leaves, reverse = index.leaves, index.reverse
-    sets: dict[str, Iterable[str]] = dict(zip(leaves, zip(leaves)))
+    sets: dict[str, tuple[str, ...]] = dict(zip(leaves, zip(leaves)))
     for node in index.order:
-        sets[node] = set().union(*map(sets.__getitem__, reverse[node]))
+        sources = reverse[node]
+        if len(sources) == 1:
+            sets[node] = sets[sources[0]]
+        else:
+            merged = dict.fromkeys(chain.from_iterable(map(sets.__getitem__, sources)))
+            sets[node] = tuple(sorted(merged))
     return sets
 
 

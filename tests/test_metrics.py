@@ -117,14 +117,12 @@ class TestIndices:
         assert row.weight == 0.25
 
     def test_every_state_is_tabled_by_the_formula(self):
-        assert len(metrics._INDEX_TABLE) == 64
-        for levels, indices in metrics._INDEX_TABLE.items():
-            judgement = Judgement(*levels)
-            assert indices == (
-                float(judgement.quantity),
-                quality_index(judgement),
-                visibility_index(judgement),
-            )
+        assert len(model._JUDGEMENTS) == 64
+        for (q, a, f), judgement in model._JUDGEMENTS.items():
+            quality = math.sqrt(a * f)
+            assert judgement._indices == (float(q), quality, math.sqrt(q * quality))
+            assert quality_index(judgement) == quality
+            assert visibility_index(judgement) == math.sqrt(q * quality)
 
     def test_hand_built_judgements_score_as_the_parsed_ones(self):
         class Tagged(Judgement):
@@ -161,12 +159,12 @@ class TestIndices:
                 quality_index(hand_built),
                 visibility_index(hand_built),
             )
-            assert indices == metrics._INDEX_TABLE[2, 3, 4]
+            assert indices == (2.0, math.sqrt(3 * 4), math.sqrt(2 * math.sqrt(3 * 4)))
 
 
 class TestNodeVisibility:
     def test_is_a_read_only_tuple_of_the_five_fields(self):
-        row = metrics.NodeVisibility("DS", *metrics._INDEX_TABLE[3, 3, 3], 0.25)
+        row = metrics.NodeVisibility("DS", 3.0, 3.0, math.sqrt(3 * 3.0), 0.25)
         assert row._fields == (
             "node_id", "quantity_index", "quality_index", "visibility_index", "weight"
         )
@@ -361,6 +359,12 @@ class TestDerivedAssetVisibility:
         with pytest.raises(UnknownNodeError, match="unknown node: XX"):
             derived_asset_visibility(first_party_later, "XX")
 
+    @pytest.mark.parametrize("node_id", [["LD"], 5, None], ids=repr)
+    def test_a_node_id_that_is_not_a_string_is_unknown(self, first_party, node_id):
+        # A list used to raise TypeError: unhashable type: 'list'.
+        with pytest.raises(UnknownNodeError, match=r"^unknown node: "):
+            derived_asset_visibility(first_party, node_id)
+
     def test_leaf_node_rejected(self, first_party_later):
         with pytest.raises(LeafNodeError, match="requires a DerivedAsset"):
             derived_asset_visibility(first_party_later, "DS")
@@ -524,6 +528,12 @@ class TestSensitivity:
     def test_non_leaf_rejected(self, first_party):
         with pytest.raises(UnknownNodeError, match="not a leaf"):
             sensitivity(first_party, {"LD": helpers.THREES})
+
+    @pytest.mark.parametrize("node_id", [["DS"], 5, None], ids=repr)
+    def test_a_node_id_that_is_not_a_string_is_unknown(self, first_party, node_id):
+        # A list used to raise TypeError: unhashable type: 'list'.
+        with pytest.raises(UnknownNodeError, match=r"^unknown node: "):
+            sensitivity(first_party, [(node_id, Judgement(1, 1, 1))])
 
     def test_invalid_replacement_weights_rejected(self, first_party):
         with pytest.raises(InvalidWeightsError) as excinfo:
@@ -715,6 +725,26 @@ class TestSharedAncestors:
                     assert derived_asset_visibility(assessment, node_id) == expected
         # Leaves and derived nodes feeding several nodes, in most graphs.
         assert shared > 60
+
+
+class TestLeafSetsAreSortedTuples:
+    def test_every_node_has_its_leaf_ancestors_sorted_without_repeats(self):
+        rng = random.Random(1717)
+        for k in range(60):
+            depth = 40 if k % 4 == 0 else rng.randint(1, 39)
+            graph = shared_ancestor_assessment(rng, depth).graph
+            reverse = graph._index.reverse
+            leaf_sets = graph._leaf_sets
+            assert leaf_sets.keys() == graph._index.by_id.keys()
+            for node_id, leaf_ids in leaf_sets.items():
+                assert type(leaf_ids) is tuple
+                assert list(leaf_ids) == sorted(set(leaf_ids))
+                reached = {node_id}
+                model._flood(reverse, node_id, reached)
+                assert set(leaf_ids) == reached.difference(reverse)
+                sources = reverse.get(node_id, ())
+                if len(sources) == 1:
+                    assert leaf_ids is leaf_sets[sources[0]]
 
 
 class TestLeafSetsOncePerGraph:

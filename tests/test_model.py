@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import copy
 import inspect
+import math
 import pickle
 import random
 import re
 from dataclasses import MISSING, fields, replace
 from datetime import date, datetime
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -71,6 +73,56 @@ class TestScoreLevels:
         assert Judgement(3, 2, 3) == Judgement(quantity=3, accuracy=2, freshness=3)
 
 
+#: ``pickle.dumps(Judgement(2, 3, 4))`` as made before judgements carried their
+#: indices: its state holds the three levels only.
+OLD_PICKLE = (
+    b"\x80\x04\x95O\x00\x00\x00\x00\x00\x00\x00\x8c\rpipevis.model\x94\x8c\t"
+    b"Judgement\x94\x93\x94)\x81\x94}\x94(\x8c\x08quantity\x94K\x02\x8c\x08"
+    b"accuracy\x94K\x03\x8c\tfreshness\x94K\x04ub."
+)
+
+
+def written_out_indices(q, a, f):
+    return (float(q), math.sqrt(a * f), math.sqrt(q * math.sqrt(a * f)))
+
+
+class TestJudgementIndices:
+    def test_each_shared_judgement_carries_the_formula(self):
+        assert len(model._JUDGEMENTS) == 64
+        for levels, judgement in model._JUDGEMENTS.items():
+            assert judgement._indices == written_out_indices(*levels)
+            assert judgement._indices is judgement._indices
+
+    def test_every_way_of_making_a_judgement_derives_them(self):
+        class Tagged(Judgement):
+            pass
+
+        class Level(int):
+            pass
+
+        expected = written_out_indices(2, 3, 4)
+        shared = model._JUDGEMENTS[2, 3, 4]
+        assert shared._indices == expected  # computed before it is copied
+        made = {
+            "hand-built": Judgement(2, 3, 4),
+            "subclass": Tagged(2, 3, 4),
+            "int-subclass levels": Judgement(Level(2), Level(3), Level(4)),
+            "copy": copy.copy(shared),
+            "deepcopy": copy.deepcopy(shared),
+            "replace": replace(Judgement(1, 1, 1), quantity=2, accuracy=3, freshness=4),
+            "replace of a copy": replace(copy.copy(shared), quantity=1),
+            "old pickle": pickle.loads(OLD_PICKLE),
+            "pickle": pickle.loads(pickle.dumps(shared)),
+        }
+        for how, judgement in made.items():
+            levels = (judgement.quantity, judgement.accuracy, judgement.freshness)
+            assert judgement._indices == written_out_indices(*levels), how
+            assert all(type(index) is float for index in judgement._indices), how
+        assert made["old pickle"] == shared
+        assert "_indices" not in pickle.loads(OLD_PICKLE).__dict__
+        assert made["replace of a copy"]._indices == written_out_indices(1, 3, 4)
+
+
 class TestContributionNode:
     def test_kind_coerced_from_string(self):
         n = ContributionNode(id="DS", kind="DataSource", label="x")
@@ -86,6 +138,14 @@ class TestContributionNode:
         # make it fail there instead.
         with pytest.raises(ValueError, match="^node id must be a string, got "):
             ContributionNode(id=node_id, kind=NodeKind.DATA_SOURCE, label="x")
+
+    def test_a_string_as_evidence_refs_is_refused(self):
+        # It used to be split into one ref per character.
+        message = "^node evidence_refs must be strings, got one: 'doc.pdf'$"
+        with pytest.raises(ValueError, match=message):
+            ContributionNode("DS", "DataSource", "x", evidence_refs="doc.pdf")
+        with pytest.raises(ValueError, match=message):
+            replace(node("DS"), evidence_refs="doc.pdf")
 
     def test_non_iterable_evidence_refs_are_refused_as_a_ref(self):
         # tuple() raises TypeError here; the constructor raises ValueError.
@@ -964,6 +1024,15 @@ class TestWeightScheme:
         scheme = WeightScheme.explicit(weights)
         assert scheme == WeightScheme(weights)
         assert scheme.weights["DS"] == sign * float("inf")
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_explicit_reads_an_overflowing_value_as_infinite(self, sign):
+        # float() used to raise OverflowError here.
+        weights = {"DS": Fraction(sign * 10**400), "H1": 1, "H2": 0.25}
+        scheme = WeightScheme.explicit(weights)
+        assert dict(scheme.weights) == {"DS": sign * math.inf, "H1": 1.0, "H2": 0.25}
+        a = helpers.example_assessment(weights=scheme)
+        assert validate_assessment(a).violations[0] == "non-finite weight for DS"
 
     @pytest.mark.parametrize("weight", [None, [1]], ids=repr)
     def test_explicit_refuses_a_weight_float_cannot_take_by_id(self, weight):
