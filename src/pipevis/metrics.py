@@ -10,6 +10,12 @@ precision; rounding happens only at display time (see :mod:`pipevis.report`).
 Weighted sums use ``math.fsum``, which is correctly rounded regardless of
 term order, so relabeling or reordering nodes cannot change the overall
 index and equal weighting is bit-identical to an explicit 1/M vector.
+
+A scored report keeps its leaf ids, indices and weights as columns and
+builds its ``per_node`` rows on the first read, so a caller that reads only
+``overall`` and ``leaf_count`` pays for no rows. Equality, hashing, repr,
+:func:`dataclasses.replace`, copies and pickles read the rows, so they see
+a plain report.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from operator import attrgetter, getitem, itemgetter, mul, truediv
 from typing import NamedTuple
 
 from .model import (
+    _init_args,
     Assessment,
     Judgement,
     NodeKind,
@@ -104,12 +111,34 @@ class NodeVisibility(NamedTuple):
 
 @dataclass(frozen=True)
 class VisibilityReport:
-    """Per-node indices (sorted by node id) and the weighted overall index."""
+    """Per-node indices (sorted by node id) and the weighted overall index.
+
+    A report that scoring returns builds ``per_node`` on its first read (see
+    the module docstring); copying and unpickling go through the constructor.
+    """
 
     per_node: tuple[NodeVisibility, ...]
     overall: float
     leaf_count: int
     display_precision: int = 2
+
+    def __getattr__(self, name: str) -> object:
+        # Runs only for a name the instance lacks.
+        state = vars(self)
+        columns = state.get("_columns") if name == "per_node" else None
+        if columns is None:
+            return object.__getattribute__(self, name)  # raises AttributeError
+        leaf_ids, indices, weights = columns
+        rows = tuple(map(_new_row, zip(leaf_ids, map(_quantity, indices),
+                                       map(_quality, indices),
+                                       map(_visibility, indices), weights)))
+        # A thread that built them first wins, so every read sees one tuple.
+        rows = state.setdefault("per_node", rows)
+        state.pop("_columns", None)
+        return rows
+
+    def __reduce__(self) -> tuple[object, ...]:
+        return type(self), _init_args(self)
 
 
 class RankEntry(NamedTuple):
@@ -152,23 +181,24 @@ _quantity, _quality, _visibility = map(itemgetter, range(3))
 def _weighted_report(
     assessment: Assessment, leaf_ids: Sequence[str], weights: Iterable[float]
 ) -> VisibilityReport:
-    """Rows for ``leaf_ids`` (sorted) and their weights, in order, and their sum.
+    """Report on ``leaf_ids`` (sorted) and their weights, in order, and their sum.
 
     Each leaf's indices are its judgement's own, so a hand-built judgement or
     a subclass reads the same row as the parsed one. Each step runs in C, with
-    ``getitem`` for the read-only mapping; the weights must be a collection.
+    ``getitem`` for the read-only mapping. The report keeps the columns, and
+    builds its rows from them when ``per_node`` is first read.
     """
     judged = map(getitem, repeat(assessment.judgements), leaf_ids)
     indices = list(map(attrgetter("_indices"), judged))
-    columns = zip(leaf_ids, map(_quantity, indices), map(_quality, indices),
-                  map(_visibility, indices), weights)
-    rows = tuple(map(_new_row, columns))
-    return VisibilityReport(
-        per_node=rows,
+    weights = tuple(weights)
+    report = object.__new__(VisibilityReport)
+    vars(report).update(
         overall=math.fsum(map(mul, map(_visibility, indices), weights)),
-        leaf_count=len(rows),
+        leaf_count=len(indices),
         display_precision=assessment.display_precision,
+        _columns=(leaf_ids, indices, weights),
     )
+    return report
 
 
 def overall_visibility(assessment: Assessment) -> VisibilityReport:

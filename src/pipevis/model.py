@@ -204,8 +204,9 @@ class PipelineGraph:
     Nodes and edges are normalised to a canonical sorted order at
     construction, so two graphs built from the same node/edge *sets* compare
     equal regardless of insertion order. Each node must be a
-    :class:`ContributionNode`, as the sort key checks; every other
-    structural invariant is checked by :func:`validate_graph`.
+    :class:`ContributionNode`, as the sort key checks, and each edge a pair;
+    other shapes raise ``ValueError``. Every other structural invariant is
+    checked by :func:`validate_graph`.
 
     Its index (:class:`_GraphIndex`) and its nodes' leaf ancestors are each
     derived once, on first use, and kept on the instance outside equality,
@@ -217,8 +218,17 @@ class PipelineGraph:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=_node_id)))
-        pairs = sorted((str(src), str(dst)) for src, dst in self.edges)
+        try:
+            nodes = sorted(self.nodes, key=_node_id)
+        except TypeError as error:
+            raise ValueError(
+                f"nodes must be an iterable of ContributionNode: {error}"
+            ) from None
+        object.__setattr__(self, "nodes", tuple(nodes))
+        try:
+            pairs = sorted((str(src), str(dst)) for src, dst in self.edges)
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"edges must be an iterable of pairs: {error}") from None
         object.__setattr__(self, "edges", tuple(dict.fromkeys(pairs)))
 
     def __reduce__(self) -> tuple[object, ...]:
@@ -328,7 +338,8 @@ def _as_float(value: object) -> float:
 class Assessment:
     """A dated, attributed binding of a graph, its judgements and weights.
 
-    Judgements are kept in a read-only mapping over a private copy. The
+    Judgements are kept in a read-only mapping over a private copy;
+    judgements that are not a mapping raise ``ValueError``. The
     violations are derived once, on first use, and kept on the instance
     outside equality, repr and pickling; :func:`dataclasses.replace` yields
     an assessment that is checked anew.
@@ -348,6 +359,8 @@ class Assessment:
             raise ValueError(f"graph must be a PipelineGraph, got {self.graph!r}")
         if not isinstance(self.weights, WeightScheme):
             raise ValueError(f"weights must be a WeightScheme, got {self.weights!r}")
+        if not isinstance(self.judgements, Mapping):
+            raise ValueError(f"judgements must be a mapping, got {self.judgements!r}")
         judgements = dict(self.judgements)
         for node_id, judgement in judgements.items():
             if not isinstance(node_id, str):

@@ -122,7 +122,8 @@ def render_table(
     Columns: Node, Quantity, Freshness, Accuracy, VISQuality, VIS; the last
     row is labeled "Overall VIS for model". Each row reads its node's
     judgement from ``judgements``; other keys are ignored, so a derived-asset
-    report takes the assessment's full mapping.
+    report takes the assessment's full mapping. A row whose node has no
+    judgement raises :class:`ReportError`.
     """
     if precision is None:
         precision = report.display_precision
@@ -132,7 +133,10 @@ def render_table(
     tails: dict[tuple[int, int, int, float, float], str] = {}
     lines = [TABLE_HEADER]
     for row in report.per_node:
-        judgement = judgements[row.node_id]
+        try:
+            judgement = judgements[row.node_id]
+        except KeyError:
+            raise ReportError(f"no judgement for node {row.node_id}") from None
         state = (
             judgement.quantity,
             judgement.freshness,

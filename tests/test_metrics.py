@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from dataclasses import replace
 from decimal import Decimal, getcontext
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -173,6 +176,144 @@ class TestNodeVisibility:
         node_id, quantity, quality, vis, weight = row
         assert row == (node_id, 3.0, quality, vis, 0.25)
         assert row._replace(weight=0.5).weight == 0.5
+
+
+def resolved_weights(assessment, leaf_ids):
+    """The weights a report on ``leaf_ids`` carries, renormalised as documented."""
+    weights = list(assessment.weights.resolve(leaf_ids).values())
+    if not assessment.weights.is_equal and len(leaf_ids) < len(
+        assessment.graph.leaf_ids()
+    ):
+        total = math.fsum(weights)
+        weights = [weight / total for weight in weights]
+    return weights
+
+
+def eager_report(assessment, leaf_ids):
+    """The report built row by row from each judgement's own indices."""
+    weights = resolved_weights(assessment, leaf_ids)
+    rows = tuple(
+        metrics.NodeVisibility(node_id, *assessment.judgements[node_id]._indices, weight)
+        for node_id, weight in zip(leaf_ids, weights)
+    )
+    return metrics.VisibilityReport(
+        per_node=rows,
+        overall=math.fsum(row.visibility_index * row.weight for row in rows),
+        leaf_count=len(rows),
+        display_precision=assessment.display_precision,
+    )
+
+
+SCORED_KINDS = (model.NodeKind.DERIVED_ASSET, model.NodeKind.OUTPUT_ASSET)
+
+
+def scored_reports(samples_dir):
+    """``(label, score, expected)`` for each report of the row contract.
+
+    ``score()`` returns a new, unread report; ``expected`` is its eager twin.
+    Each golden sample is scored as it is (equal weights) and with uneven
+    explicit weights, so derived reports also take renormalised weights.
+    """
+    for path in sorted(samples_dir.glob("*.json")):
+        sample = parse_document(path.read_bytes())
+        leaves = sample.graph.leaf_ids()
+        uneven = {leaf: (k + 1) / (len(leaves) * (len(leaves) + 1) / 2)
+                  for k, leaf in enumerate(leaves)}
+        explicit = replace(sample, weights=WeightScheme.explicit(uneven))
+        for label, a in ((path.stem, sample), (f"{path.stem}-explicit", explicit)):
+            for node in a.graph.nodes:
+                if node.kind in SCORED_KINDS:
+                    yield (
+                        f"{label}:{node.id}",
+                        partial(derived_asset_visibility, a, node.id),
+                        eager_report(a, a.graph._leaf_sets[node.id]),
+                    )
+            yield (
+                f"{label}:baseline",
+                lambda a=a: sensitivity(a).baseline,
+                eager_report(a, leaves),
+            )
+            change = {leaves[0]: Judgement(1, 1, 1)}
+            yield (
+                f"{label}:modified",
+                lambda a=a, change=change: sensitivity(a, change).modified,
+                eager_report(replace(a, judgements={**a.judgements, **change}), leaves),
+            )
+
+
+class TestRowsOnFirstRead:
+    """A scored report builds ``per_node`` when it is first read, and only then."""
+
+    FIELDS = {"per_node", "overall", "leaf_count", "display_precision"}
+
+    @pytest.fixture
+    def cases(self, samples_dir):
+        cases = list(scored_reports(samples_dir))
+        assert len(cases) == 4 * 2 * 4  # M, LD, baseline and modified per variant
+        return cases
+
+    def test_scoring_leaves_the_rows_unbuilt(self, cases):
+        for label, score, expected in cases:
+            report = score()
+            assert "per_node" not in vars(report), label
+            assert report.overall == expected.overall, label
+            assert report.leaf_count == expected.leaf_count, label
+            assert report.display_precision == expected.display_precision, label
+            assert "per_node" not in vars(report), label
+
+    def test_the_first_read_builds_the_eager_rows_once(self, cases):
+        for label, score, expected in cases:
+            report = score()
+            rows = report.per_node
+            assert "per_node" in vars(report), label
+            assert report.per_node is rows, label
+            assert rows == expected.per_node, label
+            assert all(type(row) is metrics.NodeVisibility for row in rows), label
+            assert vars(report).keys() == self.FIELDS, label
+
+    @pytest.mark.parametrize("first", ["==", "reversed ==", "hash", "repr"])
+    def test_equality_hash_and_repr_match_a_hand_built_report(self, cases, first):
+        reads = {
+            "==": lambda report, expected: report == expected,
+            "reversed ==": lambda report, expected: expected == report,
+            "hash": lambda report, expected: hash(report) == hash(expected),
+            "repr": lambda report, expected: repr(report) == repr(expected),
+        }
+        for label, score, expected in cases:
+            report = score()
+            assert reads[first](report, expected), label
+            for read in reads.values():
+                assert read(report, expected), label
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [replace, copy.copy, copy.deepcopy]
+        + [
+            partial(lambda report, p: pickle.loads(pickle.dumps(report, p)), p=p)
+            for p in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+        ids=["replace", "copy", "deepcopy"]
+        + [f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_a_copy_of_an_unread_report_is_a_plain_report(self, cases, duplicate):
+        for label, score, expected in cases:
+            twin = duplicate(score())
+            assert type(twin) is metrics.VisibilityReport, label
+            assert vars(twin).keys() == self.FIELDS, label
+            assert twin == expected, label
+            assert twin.per_node == expected.per_node, label
+
+    def test_a_missing_attribute_still_raises(self, cases):
+        for label, score, _ in cases:
+            report = score()
+            with pytest.raises(AttributeError, match="no attribute 'missing'"):
+                report.missing
+            assert "per_node" not in vars(report), label
+            report.per_node
+            with pytest.raises(AttributeError, match="no attribute '_columns'"):
+                report._columns
+        with pytest.raises(AttributeError, match="no attribute 'per_node'"):
+            object.__new__(metrics.VisibilityReport).per_node
 
 
 class TestOverallVisibility:

@@ -274,6 +274,20 @@ class TestPipelineGraph:
         with pytest.raises(ValueError, match=message):
             PipelineGraph(nodes=nodes, edges=())
 
+    @pytest.mark.parametrize(
+        ("nodes", "edges", "message"),
+        [
+            (5, (), r"^nodes must be an iterable of ContributionNode: 'int' object"),
+            ((), None, r"^edges must be an iterable of pairs: 'NoneType' object"),
+            ((), [5], r"^edges must be an iterable of pairs: cannot unpack"),
+        ],
+        ids=["nodes-int", "edges-None", "edges-int-item"],
+    )
+    def test_rejects_nodes_or_edges_of_the_wrong_shape(self, nodes, edges, message):
+        # Each used to raise TypeError.
+        with pytest.raises(ValueError, match=message):
+            PipelineGraph(nodes=nodes, edges=edges)
+
     def test_fig1_leaves(self, example_graph):
         assert example_graph.leaf_ids() == ["DS", "H1", "H2"]
 
@@ -907,6 +921,14 @@ class TestAssessment:
             replace(
                 a, judgements={**a.judgements, 1: helpers.THREES, "Z": helpers.THREES}
             )
+
+    @pytest.mark.parametrize("judgements", [None, 5], ids=repr)
+    def test_rejects_judgements_that_are_not_a_mapping(self, judgements):
+        # ``dict(...)`` used to raise TypeError.
+        with pytest.raises(
+            ValueError, match=rf"^judgements must be a mapping, got {judgements}$"
+        ):
+            replace(helpers.example_assessment(), judgements=judgements)
 
     @pytest.mark.parametrize(
         ("field", "value", "message"),

@@ -173,6 +173,12 @@ class TestRenderTable:
             "Overall VIS for model",
         ]
 
+    def test_a_row_without_a_judgement_is_a_report_error(self, first_party_later):
+        # It used to raise KeyError.
+        report = overall_visibility(first_party_later)
+        with pytest.raises(ReportError, match="^no judgement for node DS$"):
+            render_table(report, {})
+
     def test_precision_override(self, first_party_later):
         report = overall_visibility(first_party_later)
         rendered = render_table(report, first_party_later.judgements, precision=4)
