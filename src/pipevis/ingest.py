@@ -303,9 +303,10 @@ def document_text(assessment: Assessment, members: str = "") -> str:
         f'{{\n      "from": {text(src)},\n      "to": {text(dst)}\n    }}'
         for src, dst in assessment.graph.edges
     ]
+    ids = sorted(assessment.judgements)  # all str: no tuple compares
     judgements = [
         f"{text(nid)}: {_SCORES_TEXT[j.quantity, j.accuracy, j.freshness]}"
-        for nid, j in sorted(assessment.judgements.items())
+        for nid, j in zip(ids, map(assessment.judgements.__getitem__, ids))
     ]
     explicit = assessment.weights.weights
     weights = '"equal"' if explicit is None else _block(

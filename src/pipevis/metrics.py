@@ -13,7 +13,8 @@ index and equal weighting is bit-identical to an explicit 1/M vector.
 
 A scored report keeps its leaf ids, indices and weights as columns and
 builds its ``per_node`` rows on the first read, so a caller that reads only
-``overall`` and ``leaf_count`` pays for no rows. Equality, hashing, repr,
+``overall`` and ``leaf_count`` pays for no rows; the renderers and
+:func:`rank` read the columns without building rows. Equality, hashing, repr,
 :func:`dataclasses.replace`, copies and pickles read the rows, so they see
 a plain report.
 """
@@ -21,7 +22,7 @@ a plain report.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
@@ -125,17 +126,22 @@ class VisibilityReport:
     def __getattr__(self, name: str) -> object:
         # Runs only for a name the instance lacks.
         state = vars(self)
-        columns = state.get("_columns") if name == "per_node" else None
-        if columns is None:
+        if name != "per_node" or "_columns" not in state:
             return object.__getattribute__(self, name)  # raises AttributeError
-        leaf_ids, indices, weights = columns
-        rows = tuple(map(_new_row, zip(leaf_ids, map(_quantity, indices),
-                                       map(_quality, indices),
-                                       map(_visibility, indices), weights)))
+        rows = tuple(map(_new_row, self._cells()))
         # A thread that built them first wins, so every read sees one tuple.
         rows = state.setdefault("per_node", rows)
         state.pop("_columns", None)
         return rows
+
+    def _cells(self) -> Iterator[tuple[str, float, float, float, float]]:
+        """Each row's five fields; a scored report's are zipped in C, unbuilt."""
+        columns = vars(self).get("_columns")
+        if columns is None:
+            return iter(self.per_node)
+        leaf_ids, indices, weights = columns
+        return zip(leaf_ids, map(_quantity, indices), map(_quality, indices),
+                   map(_visibility, indices), weights)
 
     def __reduce__(self) -> tuple[object, ...]:
         return type(self), _init_args(self)
@@ -249,14 +255,18 @@ def rank(assessments: Sequence[Assessment]) -> list[RankEntry]:
     Ties break on the higher minimum node index, then lexicographically on
     (asset name, asset version), so the result is stable and deterministic.
     Raises :class:`~pipevis.model.InvalidAssessmentError` naming the
-    offending assessment if any input is invalid.
+    offending assessment if any input is invalid, or the position of an
+    item that is not an :class:`~pipevis.model.Assessment`.
     """
     scored = []
-    for assessment in assessments:
+    for position, assessment in enumerate(assessments):
+        if not isinstance(assessment, Assessment):
+            violation = f"item {position} is not an Assessment: {assessment!r}"
+            raise InvalidAssessmentError([violation])
         subject = f"{assessment.asset_name} {assessment.asset_version}"
         _require_valid(assessment, subject=subject)
         report = overall_visibility(assessment)
-        min_vis = min(row.visibility_index for row in report.per_node)
+        min_vis = min(map(itemgetter(3), report._cells()))  # visibility_index
         scored.append((assessment, report.overall, min_vis))
     scored.sort(
         key=lambda item: (

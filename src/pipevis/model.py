@@ -226,7 +226,11 @@ class PipelineGraph:
             ) from None
         object.__setattr__(self, "nodes", tuple(nodes))
         try:
-            pairs = sorted((str(src), str(dst)) for src, dst in self.edges)
+            edges = list(self.edges)  # a string would unpack as two characters
+            if any(issubclass(kind, str) for kind in set(map(type, edges))):
+                text = next(edge for edge in edges if isinstance(edge, str))
+                raise ValueError(f"a string is not a pair: {text!r}")
+            pairs = sorted((str(src), str(dst)) for src, dst in edges)
         except (TypeError, ValueError) as error:
             raise ValueError(f"edges must be an iterable of pairs: {error}") from None
         object.__setattr__(self, "edges", tuple(dict.fromkeys(pairs)))
@@ -447,10 +451,12 @@ def _index_graph(graph: PipelineGraph) -> _GraphIndex:
     """Index ``graph`` and check every invariant.
 
     One walk over the nodes, one over the edges, one reach back from the
-    single output and the cycle search. The incoming-edge rule is checked
-    over the derived and output nodes collected in the node walk, and the
-    nodes are walked again for the path rule only when the reach missed one.
-    The nodes are in id order, so ``by_id`` and the leaves are too.
+    single output (over the nodes with an incoming edge, adding each one's
+    sources, leaves among them, in one step) and the cycle search. The
+    incoming-edge rule is checked over the derived and output nodes collected
+    in the node walk, and the nodes are walked again for the path rule only
+    when the reach missed one. The nodes are in id order, so ``by_id`` and
+    the leaves are too.
     """
     derived, output = NodeKind.DERIVED_ASSET, NodeKind.OUTPUT_ASSET
     violations: list[str] = []
@@ -579,25 +585,27 @@ def _cyclic_components(
 
     Kosaraju over the reverse adjacency, whose components are the same. The
     first pass walks upstream and enters only nodes with an incoming edge, as
-    only they can be in a component. On an acyclic graph its order puts each
+    only they can be in a component; ``filter`` drops the leaf sources in C,
+    there and in the forward map. On an acyclic graph its order puts each
     node after its sources that have an incoming edge. Then :func:`_flood`
-    downstream among them, from each node not yet flooded, latest-finished
-    first, adds one component per start. Single-node self-loops are left to
-    the self-edge check.
+    downstream among them, latest-finished first, from each node not flooded
+    that leads to one not flooded, adds one component per start. Single-node
+    self-loops are left to the self-edge check.
     """
+    inner = reverse.__contains__
     finished: list[str] = []
     entered: set[str] = set()
     for root in reverse:
         if root in entered:
             continue
         entered.add(root)
-        walk = [(root, iter(reverse[root]))]
+        walk = [(root, filter(inner, reverse[root]))]
         while walk:
             node, upstream = walk[-1]
             for source in upstream:
-                if source in reverse and source not in entered:
+                if source not in entered:
                     entered.add(source)
-                    walk.append((source, iter(reverse[source])))
+                    walk.append((source, filter(inner, reverse[source])))
                     break
             else:
                 walk.pop()
@@ -605,17 +613,16 @@ def _cyclic_components(
 
     forward: dict[str, list[str]] = {}
     for node, upstream in reverse.items():
-        for source in upstream:
-            if source in reverse:
-                forward.setdefault(source, []).append(node)
+        for source in filter(inner, upstream):
+            forward.setdefault(source, []).append(node)
 
     flooded: set[str] = set()
     components: list[list[str]] = []
     for root in reversed(finished):
-        if root not in flooded:
-            component = _flood(forward, root, flooded)
-            if len(component) > 1:
-                components.append(sorted(component))
+        if root in flooded or flooded.issuperset(forward.get(root, ())):
+            flooded.add(root)  # all it leads to is flooded: a component of one
+        elif len(component := _flood(forward, root, flooded)) > 1:
+            components.append(sorted(component))
     return sorted(components), finished
 
 
@@ -626,17 +633,19 @@ def _flood(edges: Mapping[str, list[str]], start: str, seen: set[str]) -> list[s
     The graph's one flood. Over the reverse map from the output it fills
     ``seen`` with the nodes that have a path to it, for the path-to-output
     rule; over a forward map it collects one component for
-    :func:`_cyclic_components`.
+    :func:`_cyclic_components`. It steps in Python only through the keys of
+    ``edges`` (no leaf of the reverse map), each step adding its node's new
+    neighbours in C; a graph's edges are unique, so no list repeats one.
     """
+    inner, is_seen = edges.__contains__, seen.__contains__
     seen.add(start)
     added = [start]
     frontier = [start]
     while frontier:
-        for node in edges.get(frontier.pop(), ()):
-            if node not in seen:
-                seen.add(node)
-                added.append(node)
-                frontier.append(node)
+        new = list(filterfalse(is_seen, edges.get(frontier.pop(), ())))
+        seen.update(new)
+        added += new
+        frontier += filter(inner, new)
     return added
 
 

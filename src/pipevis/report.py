@@ -132,17 +132,17 @@ def render_table(
     # is formatted once.
     tails: dict[tuple[int, int, int, float, float], str] = {}
     lines = [TABLE_HEADER]
-    for row in report.per_node:
+    for node_id, _, quality, visibility, _ in report._cells():
         try:
-            judgement = judgements[row.node_id]
+            judgement = judgements[node_id]
         except KeyError:
-            raise ReportError(f"no judgement for node {row.node_id}") from None
+            raise ReportError(f"no judgement for node {node_id}") from None
         state = (
             judgement.quantity,
             judgement.freshness,
             judgement.accuracy,
-            row.quality_index,
-            row.visibility_index,
+            quality,
+            visibility,
         )
         tail = tails.get(state)
         if tail is None:
@@ -156,7 +156,7 @@ def render_table(
                     format_value(visibility, precision),
                 )
             )
-        lines.append(row.node_id + tail)
+        lines.append(node_id + tail)
     lines.append(f"{OVERALL_LABEL} | {format_value(report.overall, precision)}")
     return _report(lines)
 
@@ -213,19 +213,19 @@ def render_machine(
     """Input document echoed back with a full-precision ``results`` block."""
     tails: dict[tuple[float, float, float, float], str] = {}
     rows = []
-    for row in report.per_node:
-        key = (row.quantity_index, row.quality_index, row.visibility_index, row.weight)
+    for node_id, quantity, quality, visibility, weight in report._cells():
+        key = (quantity, quality, visibility, weight)
         tail = tails.get(key)
         if tail is None:
             tail = (
-                f',\n        "quantity_index": {_sig15(row.quantity_index)!r},'
-                f'\n        "quality_index": {_sig15(row.quality_index)!r},'
-                f'\n        "visibility_index": {_sig15(row.visibility_index)!r},'
-                f'\n        "weight": {_sig15(row.weight)!r}\n      }}'
+                f',\n        "quantity_index": {_sig15(quantity)!r},'
+                f'\n        "quality_index": {_sig15(quality)!r},'
+                f'\n        "visibility_index": {_sig15(visibility)!r},'
+                f'\n        "weight": {_sig15(weight)!r}\n      }}'
             )
-            if row.weight:  # 0.0 and -0.0 are equal keys but print differently
+            if weight:  # 0.0 and -0.0 are equal keys but print differently
                 tails[key] = tail
-        rows.append(f'{{\n        "node": {encode_basestring(row.node_id)}{tail}')
+        rows.append(f'{{\n        "node": {encode_basestring(node_id)}{tail}')
     scope = scope_node if scope_node is not None else "overall"
     results = (
         f',\n  "results": {{\n    "scope": {encode_basestring(scope)},'

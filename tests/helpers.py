@@ -1,12 +1,14 @@
 """Shared builders for the test suite: the Fig-1 style pipeline from the
 worked examples, a seeded random-assessment generator used by the
-property and round-trip suites, and an in-process runner for the CLI."""
+property and round-trip suites, a seeded builder of graphs whose nodes share
+ancestors, and an in-process runner for the CLI."""
 
 from __future__ import annotations
 
 import copy
 import io
 import json
+import math
 import random
 import sys
 from datetime import date, timedelta
@@ -19,6 +21,7 @@ from pipevis import (
     NodeKind,
     PipelineGraph,
     WeightScheme,
+    validate_assessment,
 )
 from pipevis.cli import main
 
@@ -168,6 +171,49 @@ def random_assessment(rng: random.Random, max_leaves: int = 12) -> Assessment:
         assessor=rng.choice(("audit", "platform", "procurement")),
         display_precision=rng.choice((2, 2, 2, 3, 4)),
     )
+
+
+def shared_ancestor_assessment(
+    rng: random.Random, depth: int, leaves: int | None = None
+) -> Assessment:
+    """A valid assessment whose scored nodes are reached by several paths.
+
+    A chain of the ``depth`` derived nodes ``D00``, ``D01``, ... in shuffled
+    order, then ``OUT``, with skip edges from derived nodes to later ones and
+    to the output. Each leaf feeds one to three of the derived nodes and the
+    output, so both leaves and derived nodes feed several derived nodes: the
+    graph has diamonds. ``leaves`` fixes the leaf count, which is otherwise
+    drawn from 1-60.
+    """
+    derived = [f"D{i:02d}" for i in rng.sample(range(depth), depth)]
+    chain = derived + ["OUT"]
+    if leaves is None:
+        leaves = rng.randint(1, 60)
+    leaf_ids = [f"L{i:03d}" for i in range(leaves)]
+    edges = list(zip(chain, chain[1:]))
+    for i, did in enumerate(derived):
+        later = chain[i + 2 :]
+        skips = rng.sample(later, min(len(later), rng.randint(0, 3)))
+        edges.extend((did, dst) for dst in skips)
+    for leaf in leaf_ids:
+        targets = rng.sample(chain, min(len(chain), rng.randint(1, 3)))
+        edges.extend((leaf, dst) for dst in targets)
+    edges.append((rng.choice(leaf_ids), derived[0]))
+    kinds = {"DATA_SOURCE": leaf_ids, "DERIVED_ASSET": derived, "OUTPUT_ASSET": ["OUT"]}
+    nodes = [
+        ContributionNode(id=nid, kind=NodeKind[kind], label=nid)
+        for kind, ids in kinds.items()
+        for nid in ids
+    ]
+    raw = {leaf: rng.uniform(0.05, 1.0) for leaf in leaf_ids}
+    total = math.fsum(raw.values())
+    assessment = example_assessment(
+        graph=PipelineGraph(nodes=tuple(nodes), edges=tuple(edges)),
+        judgements={leaf: random_judgement(rng) for leaf in leaf_ids},
+        weights=WeightScheme.explicit({leaf: w / total for leaf, w in raw.items()}),
+    )
+    assert validate_assessment(assessment).ok
+    return assessment
 
 
 def slots(doc):

@@ -604,6 +604,24 @@ class TestRank:
         with pytest.raises(InvalidAssessmentError, match="broken-model"):
             rank([bad])
 
+    @pytest.mark.parametrize(
+        ("items", "violation"),
+        [
+            ([5], "item 0 is not an Assessment: 5"),
+            ([None], "item 0 is not an Assessment: None"),
+            ([helpers.later_assessment(), "M"], "item 1 is not an Assessment: 'M'"),
+        ],
+        ids=["int", "None", "str-after-an-assessment"],
+    )
+    def test_an_item_that_is_not_an_assessment_is_named_by_position(
+        self, items, violation
+    ):
+        # Each used to raise AttributeError.
+        with pytest.raises(InvalidAssessmentError) as excinfo:
+            rank(items)
+        assert excinfo.value.violations == (violation,)
+        assert str(excinfo.value) == f"invalid assessment: {violation}"
+
 
 class TestSensitivity:
     def test_no_changes_is_identity(self, first_party_later):
@@ -730,7 +748,7 @@ class TestOneWalkPerGraph:
         # Each dict the model module builds by calling dict(), the graph's
         # reverse map among them, is a Walked.
         monkeypatch.setattr(model, "dict", Walked, raising=False)
-        data = serialize_document(shared_ancestor_assessment(random.Random(42), 40))
+        data = serialize_document(helpers.shared_ancestor_assessment(random.Random(42), 40))
         assessment = parse_document(data)
         for i in range(40):
             derived_asset_visibility(assessment, f"D{i:02d}")
@@ -767,44 +785,6 @@ class TestOneCheckPerAssessment:
         assert len(checked) == 2
         assert checked[0] is assessment
         assert checked[1].judgements["DS"] == helpers.THREES
-
-
-def shared_ancestor_assessment(rng: random.Random, depth: int) -> model.Assessment:
-    """A valid assessment whose scored nodes are reached by several paths.
-
-    A chain of the ``depth`` derived nodes ``D00``, ``D01``, ... in shuffled
-    order, then ``OUT``, with skip edges from derived nodes to later ones and
-    to the output. Each leaf feeds one to three of the derived nodes and the
-    output, so both leaves and derived nodes feed several derived nodes: the
-    graph has diamonds.
-    """
-    derived = [f"D{i:02d}" for i in rng.sample(range(depth), depth)]
-    chain = derived + ["OUT"]
-    leaves = [f"L{i:03d}" for i in range(rng.randint(1, 60))]
-    edges = list(zip(chain, chain[1:]))
-    for i, did in enumerate(derived):
-        later = chain[i + 2 :]
-        skips = rng.sample(later, min(len(later), rng.randint(0, 3)))
-        edges.extend((did, dst) for dst in skips)
-    for leaf in leaves:
-        targets = rng.sample(chain, min(len(chain), rng.randint(1, 3)))
-        edges.extend((leaf, dst) for dst in targets)
-    edges.append((rng.choice(leaves), derived[0]))
-    kinds = {"DATA_SOURCE": leaves, "DERIVED_ASSET": derived, "OUTPUT_ASSET": ["OUT"]}
-    nodes = [
-        helpers.ContributionNode(id=nid, kind=helpers.NodeKind[kind], label=nid)
-        for kind, ids in kinds.items()
-        for nid in ids
-    ]
-    raw = {leaf: rng.uniform(0.05, 1.0) for leaf in leaves}
-    total = math.fsum(raw.values())
-    assessment = helpers.example_assessment(
-        graph=PipelineGraph(nodes=tuple(nodes), edges=tuple(edges)),
-        judgements={leaf: helpers.random_judgement(rng) for leaf in leaves},
-        weights=WeightScheme.explicit({leaf: w / total for leaf, w in raw.items()}),
-    )
-    assert validate_assessment(assessment).ok
-    return assessment
 
 
 def flooded_report(
@@ -853,7 +833,7 @@ class TestSharedAncestors:
         shared = 0
         for k in range(60):
             depth = 40 if k % 4 == 0 else rng.randint(1, 39)
-            explicit = shared_ancestor_assessment(rng, depth)
+            explicit = helpers.shared_ancestor_assessment(rng, depth)
             graph = explicit.graph
             sources = [src for src, _ in graph.edges]
             shared += any(sources.count(src) > 1 for src in graph.leaf_ids())
@@ -873,7 +853,7 @@ class TestLeafSetsAreSortedTuples:
         rng = random.Random(1717)
         for k in range(60):
             depth = 40 if k % 4 == 0 else rng.randint(1, 39)
-            graph = shared_ancestor_assessment(rng, depth).graph
+            graph = helpers.shared_ancestor_assessment(rng, depth).graph
             reverse = graph._index.reverse
             leaf_sets = graph._leaf_sets
             assert leaf_sets.keys() == graph._index.by_id.keys()
@@ -902,7 +882,7 @@ class TestLeafSetsOncePerGraph:
         return calls
 
     def test_scoring_every_derived_node_builds_them_once(self, builds):
-        assessment = shared_ancestor_assessment(random.Random(40), 40)
+        assessment = helpers.shared_ancestor_assessment(random.Random(40), 40)
         sensitivity(assessment, weights=WeightScheme.equal())
         for i in range(40):
             derived_asset_visibility(assessment, f"D{i:02d}")
@@ -911,7 +891,7 @@ class TestLeafSetsOncePerGraph:
         assert builds == [assessment.graph._index]
 
     def test_scoring_a_whole_document_never_builds_them(self, builds):
-        data = serialize_document(shared_ancestor_assessment(random.Random(41), 40))
+        data = serialize_document(helpers.shared_ancestor_assessment(random.Random(41), 40))
         assessment = parse_document(data)
         report = overall_visibility(assessment)
         render_machine(report, assessment)

@@ -280,11 +280,23 @@ class TestPipelineGraph:
             (5, (), r"^nodes must be an iterable of ContributionNode: 'int' object"),
             ((), None, r"^edges must be an iterable of pairs: 'NoneType' object"),
             ((), [5], r"^edges must be an iterable of pairs: cannot unpack"),
+            # A two-character string unpacked into an edge: A->M, B->M.
+            (
+                (node("A"), node("B"), node("M", NodeKind.OUTPUT_ASSET)),
+                ["AM", "BM"],
+                r"^edges must be an iterable of pairs: a string is not a pair: 'AM'$",
+            ),
+            # "DM" became D->M, refused only for its unknown end D.
+            (
+                helpers.example_graph().nodes,
+                [*helpers.example_graph().edges, "DM"],
+                r"^edges must be an iterable of pairs: a string is not a pair: 'DM'$",
+            ),
         ],
-        ids=["nodes-int", "edges-None", "edges-int-item"],
+        ids=["nodes-int", "edges-None", "edges-int-item", "edges-str", "edges-str-last"],
     )
     def test_rejects_nodes_or_edges_of_the_wrong_shape(self, nodes, edges, message):
-        # Each used to raise TypeError.
+        # Each of the first three used to raise TypeError.
         with pytest.raises(ValueError, match=message):
             PipelineGraph(nodes=nodes, edges=edges)
 
@@ -603,6 +615,57 @@ class TestValidateGraph:
         )
         assert (
             "node B has no path to the output" in validate_graph(graph).violations
+        )
+
+    def test_leaf_feeding_a_derived_node_cut_off_from_the_output(self):
+        graph = PipelineGraph(
+            nodes=(
+                node("A"),
+                node("B"),
+                node("D", NodeKind.DERIVED_ASSET),
+                node("M", NodeKind.OUTPUT_ASSET),
+            ),
+            edges=(("A", "D"), ("B", "M")),
+        )
+        assert validate_graph(graph).violations == (
+            "node A has no path to the output",
+            "node D has no path to the output",
+        )
+
+    def test_leaf_whose_only_edge_names_an_unknown_node(self):
+        graph = PipelineGraph(
+            nodes=(node("A"), node("B"), node("M", NodeKind.OUTPUT_ASSET)),
+            edges=(("A", "ghost"), ("B", "M")),
+        )
+        assert validate_graph(graph).violations == (
+            "edge A->ghost references unknown node ghost",
+            "node A has no path to the output",
+        )
+        assert graph.leaf_ids() == ["A", "B"]
+
+    @pytest.mark.parametrize("feeds_output", [True, False], ids=["fed", "cut-off"])
+    def test_cycle_of_derived_nodes_fed_by_500_leaves(self, feeds_output):
+        leaves = [f"L{i:03d}" for i in range(500)]
+        derived = ["D0", "D1", "D2"]
+        edges = [(leaf, derived[i % 3]) for i, leaf in enumerate(leaves)]
+        edges += [("D0", "D1"), ("D1", "D2"), ("D2", "D0"), ("S", "M")]
+        if feeds_output:
+            edges.append(("D1", "M"))
+        graph = PipelineGraph(
+            nodes=(
+                *map(node, leaves),
+                *(node(d, NodeKind.DERIVED_ASSET) for d in derived),
+                node("S"),
+                node("M", NodeKind.OUTPUT_ASSET),
+            ),
+            edges=edges,
+        )
+        cut_off = () if feeds_output else tuple(
+            f"node {nid} has no path to the output" for nid in [*derived, *leaves]
+        )
+        assert validate_graph(graph).violations == (
+            "cycle detected: D0,D1,D2",
+            *cut_off,
         )
 
     def test_violations_are_deterministic(self):

@@ -13,6 +13,7 @@ import pytest
 
 import helpers
 from pipevis import (
+    Assessment,
     EmptyInputError,
     Judgement,
     MixedAssetError,
@@ -35,6 +36,7 @@ from pipevis import (
     render_table,
     sensitivity,
 )
+from pipevis import metrics
 
 SQRT6 = 2.449489742783178
 
@@ -439,6 +441,74 @@ class TestRenderMachine:
             assert [
                 line.strip() for line in results.splitlines() if '"weight"' in line
             ] == ['"weight": 1.0', f'"weight": {order[0]!r}', f'"weight": {order[1]!r}']
+
+
+def hand_built(report: VisibilityReport) -> VisibilityReport:
+    """A plain report of ``report``'s rows, which builds them if unread."""
+    return VisibilityReport(
+        per_node=report.per_node,
+        overall=report.overall,
+        leaf_count=report.leaf_count,
+        display_precision=report.display_precision,
+    )
+
+
+class TestRowFreeRendering:
+    """The renderers and ``rank`` read a scored report without building its
+    rows, and read a hand-built one, from its rows, to the same text."""
+
+    @pytest.fixture
+    def assessments(self, samples_dir) -> list[Assessment]:
+        found = [
+            parse_document(path.read_bytes())
+            for path in sorted(samples_dir.glob("*.json"))
+        ]
+        found.append(helpers.shared_ancestor_assessment(random.Random(2203), 30, 240))
+        assert len(found[-1].judgements) == 240
+        return found
+
+    def test_render_machine_and_table(self, assessments):
+        for assessment in assessments:
+            name = assessment.asset_name
+            report = overall_visibility(assessment)
+            machine = render_machine(report, assessment).body
+            table = render_table(report, assessment.judgements).body
+            assert "per_node" not in vars(report), name
+            plain = hand_built(report)
+            assert "per_node" in vars(report), name
+            assert machine == render_machine(plain, assessment).body, name
+            assert table == render_table(plain, assessment.judgements).body, name
+
+    def test_rank(self, assessments, monkeypatch):
+        scored = []
+
+        def score(assessment):
+            scored.append(overall_visibility(assessment))
+            return scored[-1]
+
+        # Equal overalls, so the minimum visibility decides their order.
+        balanced = helpers.uniform_assessment(helpers.THREES, asset_name="balanced")
+        lopsided = helpers.example_assessment(
+            judgements={
+                "DS": helpers.THREES,
+                "H1": helpers.THREES,
+                "H2": Judgement(1, 1, 1),
+            },
+            weights=WeightScheme.explicit({"DS": 0.5, "H1": 0.5, "H2": 0.0}),
+            asset_name="lopsided",
+        )
+        assessments += [lopsided, balanced]
+        monkeypatch.setattr(metrics, "overall_visibility", score)
+        ranking = rank(assessments)
+        assert len(scored) == len(assessments)
+        assert not any("per_node" in vars(report) for report in scored)
+        names = [entry.asset_name for entry in ranking]
+        assert names.index("balanced") + 1 == names.index("lopsided")
+
+        monkeypatch.setattr(
+            metrics, "overall_visibility", lambda a: hand_built(overall_visibility(a))
+        )
+        assert rank(assessments) == ranking
 
 
 class TestRenderRubric:
