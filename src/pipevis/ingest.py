@@ -62,6 +62,7 @@ from .model import (
     _JUDGEMENTS,
     _is_integer,
     _is_number,
+    _is_precision,
     validate_assessment,
 )
 
@@ -503,7 +504,7 @@ _strings = _must(
 )
 _precision = _must(
     f"an integer between 0 and {PRECISION_MAX}",
-    lambda v: _is_integer(v) and 0 <= v <= PRECISION_MAX,
+    _is_precision,
     repr,
 )
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import repeat
 from operator import attrgetter, getitem, itemgetter, mul, truediv
 from typing import NamedTuple
@@ -128,7 +127,7 @@ class VisibilityReport:
         state = vars(self)
         if name != "per_node" or "_columns" not in state:
             return object.__getattribute__(self, name)  # raises AttributeError
-        rows = tuple(map(_new_row, self._cells()))
+        rows = tuple(map(NodeVisibility._make, self._cells()))
         # A thread that built them first wins, so every read sees one tuple.
         rows = state.setdefault("per_node", rows)
         state.pop("_columns", None)
@@ -143,8 +142,7 @@ class VisibilityReport:
         return zip(leaf_ids, map(_quantity, indices), map(_quality, indices),
                    map(_visibility, indices), weights)
 
-    def __reduce__(self) -> tuple[object, ...]:
-        return type(self), _init_args(self)
+    __reduce__ = _init_args
 
 
 class RankEntry(NamedTuple):
@@ -178,9 +176,6 @@ def _require_valid(assessment: Assessment, subject: str | None = None) -> None:
         raise InvalidAssessmentError(result.violations, subject=subject)
 
 
-#: Builds a row from a 5-tuple, as ``NodeVisibility._make`` does, without
-#: its Python frame.
-_new_row = partial(tuple.__new__, NodeVisibility)
 _quantity, _quality, _visibility = map(itemgetter, range(3))
 
 

@@ -67,6 +67,11 @@ def _is_integer(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_precision(value: object) -> bool:
+    """The one display-precision rule: an integer from 0 to ``PRECISION_MAX``."""
+    return _is_integer(value) and 0 <= value <= PRECISION_MAX
+
+
 def _is_number(value: object) -> bool:
     """The one weight-number rule: an int or a float, and not a boolean."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -126,6 +131,21 @@ _JUDGEMENTS: dict[tuple[int, int, int], Judgement] = {
 }
 
 
+def _init_args(instance: object) -> tuple[type, tuple[object, ...]]:
+    """``instance``'s class and field values, which rebuild it through
+    ``__init__``: the ``__reduce__`` of each class that copies and unpickles
+    through its constructor.
+
+    Read-only mappings are passed as dicts: a ``MappingProxyType`` can be
+    neither pickled nor deep-copied.
+    """
+    values = (getattr(instance, field.name) for field in fields(instance))
+    return type(instance), tuple(
+        dict(value) if isinstance(value, MappingProxyType) else value
+        for value in values
+    )
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class ContributionNode:
     """One contribution to the pipeline: a source, a person, or an asset.
@@ -179,8 +199,7 @@ class ContributionNode:
         _set_node_description(self, description)
         _set_node_evidence_refs(self, evidence_refs)
 
-    def __reduce__(self) -> tuple[object, ...]:
-        return type(self), _init_args(self)
+    __reduce__ = _init_args
 
 
 # The slots' own setters, which a frozen class's ``__setattr__`` does not guard.
@@ -235,8 +254,7 @@ class PipelineGraph:
             raise ValueError(f"edges must be an iterable of pairs: {error}") from None
         object.__setattr__(self, "edges", tuple(dict.fromkeys(pairs)))
 
-    def __reduce__(self) -> tuple[object, ...]:
-        return type(self), _init_args(self)
+    __reduce__ = _init_args
 
     @cached_property
     def _index(self) -> _GraphIndex:
@@ -253,19 +271,6 @@ class PipelineGraph:
     def leaf_ids(self) -> list[str]:
         """Ids of zero-in-degree nodes, sorted. No validity check."""
         return list(self._index.leaves)
-
-
-def _init_args(instance: object) -> tuple[object, ...]:
-    """Field values to rebuild ``instance`` through ``__init__``.
-
-    Read-only mappings are passed as dicts: a ``MappingProxyType`` can be
-    neither pickled nor deep-copied.
-    """
-    values = (getattr(instance, field.name) for field in fields(instance))
-    return tuple(
-        dict(value) if isinstance(value, MappingProxyType) else value
-        for value in values
-    )
 
 
 @dataclass(frozen=True)
@@ -298,8 +303,7 @@ class WeightScheme:
                 weights[node_id] = _as_float(weight)
             object.__setattr__(self, "weights", MappingProxyType(weights))
 
-    def __reduce__(self) -> tuple[object, ...]:
-        return type(self), _init_args(self)
+    __reduce__ = _init_args
 
     @classmethod
     def equal(cls) -> WeightScheme:
@@ -388,14 +392,13 @@ class Assessment:
                 f"assessed_at must be a calendar date, got {self.assessed_at!r}"
             )
         precision = self.display_precision
-        if not _is_integer(precision) or not 0 <= precision <= PRECISION_MAX:
+        if not _is_precision(precision):
             raise ValueError(
                 f"display_precision must be an integer between 0 and {PRECISION_MAX}, "
                 f"got {precision!r}"
             )
 
-    def __reduce__(self) -> tuple[object, ...]:
-        return type(self), _init_args(self)
+    __reduce__ = _init_args
 
     @cached_property
     def _violations(self) -> tuple[str, ...]:

@@ -9,8 +9,11 @@ Two display styles coexist, both deliberate:
 * Trend output (``render_series``, ``render_sensitivity``) always keeps the
   decimals (``4.00``, ``0.00``, ``-1.10``) so deltas line up column-wise.
 
-Machine documents skip display rounding entirely: computed indices are
-emitted as JSON numbers at 15 significant digits.
+Both styles write every finite value in fixed point, however small or large
+(``0.0000000``, never ``0E-7``), and refuse an infinite or NaN value with a
+:class:`ReportError`, as they refuse a precision outside 0 to
+``PRECISION_MAX``. Machine documents skip display rounding entirely: computed
+indices are emitted as JSON numbers at 15 significant digits.
 
 All renderers are pure; identical inputs produce byte-identical bodies, and
 every body ends with exactly one newline.
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
+from functools import cache
 from json.encoder import encode_basestring
 
 from .ingest import _block, document_text
@@ -40,7 +44,7 @@ from .model import (
     RUBRIC,
     SCORE_MAX,
     SCORE_MIN,
-    _is_integer,
+    _is_precision,
 )
 
 __all__ = [
@@ -82,30 +86,35 @@ class RenderedReport:
     body: str
 
 
+#: Rounds half away from zero, with digits for any finite float (at most 309
+#: before the point) at ``PRECISION_MAX`` decimals.
+_CONTEXT = Context(prec=330, rounding=ROUND_HALF_UP)
+
+
 def _quantize(value: float, precision: int) -> Decimal:
-    if not _is_integer(precision) or not 0 <= precision <= PRECISION_MAX:
+    if not _is_precision(precision):
         raise ReportError(
             f"precision must be an integer between 0 and {PRECISION_MAX}, "
             f"got {precision!r}"
         )
     # Decimal(float) is exact, so ties break on the value actually computed.
-    exponent = Decimal(1).scaleb(-precision)
-    quantized = Decimal(value).quantize(exponent, rounding=ROUND_HALF_UP)
-    return abs(quantized) if not quantized else quantized  # drop "-0.00"
+    exact = Decimal(value)
+    if not exact.is_finite():
+        raise ReportError(f"cannot format a non-finite value: {value!r}")
+    quantized = _CONTEXT.quantize(exact, Decimal(1).scaleb(-precision))
+    return quantized.copy_abs() if not quantized else quantized  # drop "-0.00"
 
 
 def format_value(value: float, precision: int = 2) -> str:
     """Round half-away-from-zero; exact integers render bare (``3``, not ``3.00``)."""
     quantized = _quantize(value, precision)
     integral = quantized.to_integral_value()
-    if quantized == integral:
-        return str(integral)
-    return str(quantized)
+    return format(integral if quantized == integral else quantized, "f")
 
 
 def format_fixed(value: float, precision: int = 2) -> str:
     """Round half-away-from-zero, always keeping ``precision`` decimals."""
-    return str(_quantize(value, precision))
+    return format(_quantize(value, precision), "f")
 
 
 def _report(body_lines: list[str]) -> RenderedReport:
@@ -129,34 +138,21 @@ def render_table(
         precision = report.display_precision
     # A row past its node id depends only on its judgement's levels and its
     # two indices, and a leaf has one of 64 such states, so each state's tail
-    # is formatted once.
-    tails: dict[tuple[int, int, int, float, float], str] = {}
+    # is formatted once. 0.0 and -0.0 are equal keys, and both print 0.
+    @cache
+    def tail(quantity: int, freshness: int, accuracy: int, *indices: float) -> str:
+        cells = [str(quantity), str(freshness), str(accuracy)]
+        cells += [format_value(index, precision) for index in indices]
+        return " | " + " | ".join(cells)
+
     lines = [TABLE_HEADER]
     for node_id, _, quality, visibility, _ in report._cells():
         try:
             judgement = judgements[node_id]
         except KeyError:
             raise ReportError(f"no judgement for node {node_id}") from None
-        state = (
-            judgement.quantity,
-            judgement.freshness,
-            judgement.accuracy,
-            quality,
-            visibility,
-        )
-        tail = tails.get(state)
-        if tail is None:
-            quantity, freshness, accuracy, quality, visibility = state
-            tail = tails[state] = " | " + " | ".join(
-                (
-                    str(quantity),
-                    str(freshness),
-                    str(accuracy),
-                    format_value(quality, precision),
-                    format_value(visibility, precision),
-                )
-            )
-        lines.append(node_id + tail)
+        levels = judgement.quantity, judgement.freshness, judgement.accuracy
+        lines.append(node_id + tail(*levels, quality, visibility))
     lines.append(f"{OVERALL_LABEL} | {format_value(report.overall, precision)}")
     return _report(lines)
 
@@ -211,6 +207,8 @@ def render_machine(
     scope_node: str | None = None,
 ) -> RenderedReport:
     """Input document echoed back with a full-precision ``results`` block."""
+    # Not functools.cache: the weight column prints 0.0 and -0.0 apart, and
+    # a cache would merge the equal keys.
     tails: dict[tuple[float, float, float, float], str] = {}
     rows = []
     for node_id, quantity, quality, visibility, weight in report._cells():

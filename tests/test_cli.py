@@ -216,6 +216,15 @@ class TestWhatif:
         assert result.exit_code == 0
         assert result.stdout == "Baseline | 2.90\nModified | 2.77\nDelta | -0.13\n"
 
+    def test_a_zero_delta_prints_in_fixed_point_at_seven_decimals(self, samples):
+        result = invoke(
+            ["whatif", samples["later"], "--set", "DS:3,2,3", "--precision", "7"]
+        )
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "Baseline | 2.9036020\nModified | 2.9036020\nDelta | 0.0000000\n"
+        )
+
     def test_equal_weights_spec_is_identity(self, samples):
         result = invoke(["whatif", samples["later"], "--weights", "equal"])
         assert result.exit_code == 0

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
+import sys
 from dataclasses import replace
 from datetime import date
 
@@ -14,6 +16,7 @@ import pytest
 import helpers
 from pipevis import (
     Assessment,
+    DocumentError,
     EmptyInputError,
     Judgement,
     MixedAssetError,
@@ -35,6 +38,7 @@ from pipevis import (
     render_series,
     render_table,
     sensitivity,
+    serialize_document,
 )
 from pipevis import metrics
 
@@ -105,6 +109,37 @@ class TestFormatValue:
     )
     def test_fixed_keeps_decimals(self, value, precision, expected):
         assert format_fixed(value, precision) == expected
+
+
+class TestFixedPoint:
+    """Every finite float prints in fixed point at 0 to 12 decimals."""
+
+    #: No value is a tie at any precision, so each rounds as ``%f`` does.
+    VALUES = [1e-9, -1e-9, 1.5e-7, -3.3e-8, 1.2345678e-13, 5e-324, 1e16, -1e22,
+              1e26, 1e300, sys.float_info.max, -sys.float_info.max, SQRT6]
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_each_precision_rounds_as_percent_f(self, value):
+        for precision in range(13):
+            expected = f"{value:.{precision}f}"
+            if not float(expected):
+                expected = expected.lstrip("-")
+            assert format_fixed(value, precision) == expected
+            whole, _, fraction = expected.partition(".")
+            bare = expected if fraction.strip("0") else whole
+            assert format_value(value, precision) == bare
+
+    def test_a_huge_overall_ranks_in_fixed_point(self):
+        body = render_comparison([RankEntry("a", "1", 1e300)]).body
+        assert body.splitlines()[1] == f"a | 1 | {int(1e300)}"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+    def test_a_non_finite_value_is_a_report_error(self, value):
+        for formatter in (format_value, format_fixed):
+            with pytest.raises(ReportError, match="^cannot format a non-finite"):
+                formatter(value, 12)
+        with pytest.raises(ReportError, match="^cannot format a non-finite"):
+            render_comparison([RankEntry("a", "1", value)])
 
 
 class TestRenderTable:
@@ -325,6 +360,36 @@ class TestPrecisionBound:
         )
         with self.rejects(precision):
             render_sensitivity(hand_built)
+
+    @pytest.mark.parametrize(
+        "precision", [-1, 0, 12, 13, True, False, 3.0, "2", None, 10**20], ids=repr
+    )
+    def test_the_three_owners_agree(self, precision):
+        """The constructor, the parser and the formatters refuse the same values."""
+        try:
+            helpers.example_assessment(display_precision=precision)
+        except ValueError:
+            built = False
+        else:
+            built = True
+        document = json.loads(serialize_document(helpers.example_assessment()))
+        document["display_precision"] = precision
+        try:
+            parse_document(json.dumps(document))
+        except DocumentError as error:
+            parsed = not any(
+                violation.startswith("display_precision: must be ")
+                for violation in error.violations
+            )
+        else:
+            parsed = True
+        try:
+            format_fixed(1.0, precision)
+        except ReportError:
+            formatted = False
+        else:
+            formatted = True
+        assert built == parsed == formatted
 
     @pytest.mark.parametrize("precision", [0, 12])
     def test_the_bounds_themselves_render(self, first_party_later, precision):
