@@ -13,12 +13,14 @@ Validation here is collecting, not fail-fast: :func:`validate_graph` and
 deterministic order, so a document author can fix them in one pass.
 
 A :class:`PipelineGraph` is immutable, so one index -- its id map, reverse
-adjacency, leaf ids, violations and the finish order of its one depth-first
-walk -- is derived once per graph, on first use, by one function, and the leaf
-ancestors of its nodes from that order, as sorted tuples, on the first
-derived-asset score. An :class:`Assessment` is immutable too (its judgements
-and explicit weights are read-only mappings), so its violations are computed
-once per assessment, and each :class:`Judgement` derives its indices once.
+adjacency, leaf ids, violations and the order in which its one depth-first
+walk closes nodes -- is derived once per graph, on first use, by one function.
+That walk, Tarjan's search from the output, also finds the cycles and the
+nodes with a path to the output. The leaf ancestors of its nodes are derived
+from that order, as sorted tuples, on the first derived-asset score. An
+:class:`Assessment` is immutable too (its judgements and explicit weights are
+read-only mappings), so its violations are computed once per assessment, and
+each :class:`Judgement` derives its indices once.
 
 A :class:`ContributionNode`, a :class:`Judgement` and a :class:`WeightScheme`
 each check their own fields' types in their constructor, so a value built by
@@ -445,7 +447,7 @@ class _GraphIndex(NamedTuple):
     reverse: dict[str, list[str]]
     #: Ids without an incoming edge between known nodes, sorted.
     leaves: tuple[str, ...]
-    #: The ids in ``reverse``, in the finish order of the cycle search's walk.
+    #: The ids in ``reverse``, in the order the depth-first walk closed them.
     order: list[str]
     violations: tuple[str, ...]
 
@@ -453,13 +455,12 @@ class _GraphIndex(NamedTuple):
 def _index_graph(graph: PipelineGraph) -> _GraphIndex:
     """Index ``graph`` and check every invariant.
 
-    One walk over the nodes, one over the edges, one reach back from the
-    single output (over the nodes with an incoming edge, adding each one's
-    sources, leaves among them, in one step) and the cycle search. The
-    incoming-edge rule is checked over the derived and output nodes collected
-    in the node walk, and the nodes are walked again for the path rule only
-    when the reach missed one. The nodes are in id order, so ``by_id`` and
-    the leaves are too.
+    One walk over the nodes, one over the edges and one depth-first walk,
+    which starts at the single output. The nodes it entered from there, and
+    their sources, leaves among them, are the reach. The incoming-edge rule is
+    checked over the derived and output nodes collected in the node walk, and
+    the nodes are walked again for the path rule only when the reach missed
+    one. The nodes are in id order, so ``by_id`` and the leaves are too.
     """
     derived, output = NodeKind.DERIVED_ASSET, NodeKind.OUTPUT_ASSET
     violations: list[str] = []
@@ -507,15 +508,14 @@ def _index_graph(graph: PipelineGraph) -> _GraphIndex:
             role = "output" if node.kind is output else "derived"
             violations.append(f"{role} node {node.id} has no incoming edge")
 
-    cycles, order = _cyclic_components(reverse)
-    violations.extend("cycle detected: " + ",".join(cycle) for cycle in cycles)
-
     # The path rule needs a single output; without one, every node counts as
     # reached. The reach holds only known ids, so its size tells whether it
     # missed one.
-    if len(outputs) == 1:
-        reached: set[str] = set()
-        _flood(reverse, outputs[0], reached)
+    single = outputs[0] if len(outputs) == 1 else None
+    cycles, order, entered = _depth_first(reverse, single)
+    violations.extend("cycle detected: " + ",".join(cycle) for cycle in cycles)
+    if single is not None:
+        reached = {single, *chain.from_iterable(map(reverse.__getitem__, entered))}
         if len(reached) < len(by_id):
             violations.extend(
                 f"node {node.id} has no path to the output"
@@ -580,76 +580,59 @@ def _coverage(
     return lines
 
 
-def _cyclic_components(
-    reverse: Mapping[str, list[str]],
-) -> tuple[list[list[str]], list[str]]:
-    """Strongly connected components of more than one node, sorted, and the
-    finish order of the first pass: the graph's one depth-first walk.
+def _depth_first(
+    reverse: Mapping[str, list[str]], output: str | None
+) -> tuple[list[list[str]], list[str], list[str]]:
+    """The graph's one depth-first walk: Tarjan's search upstream over the
+    reverse map, from ``output`` first and then from each node not entered.
 
-    Kosaraju over the reverse adjacency, whose components are the same. The
-    first pass walks upstream and enters only nodes with an incoming edge, as
-    only they can be in a component; ``filter`` drops the leaf sources in C,
-    there and in the forward map. On an acyclic graph its order puts each
-    node after its sources that have an incoming edge. Then :func:`_flood`
-    downstream among them, latest-finished first, from each node not flooded
-    that leads to one not flooded, adds one component per start. Single-node
-    self-loops are left to the self-edge check.
+    It enters only nodes with an incoming edge, as only they can be in a
+    component or lead on; ``filter`` drops the leaf sources in C. It returns
+    the strongly connected components of more than one node, sorted (the
+    reverse map's components are the graph's; single-node self-loops are left
+    to the self-edge check); the order in which it closes nodes, which on an
+    acyclic graph puts each node after its sources that have an incoming
+    edge; and the nodes it entered from ``output``, closed first.
     """
     inner = reverse.__contains__
-    finished: list[str] = []
-    entered: set[str] = set()
-    for root in reverse:
-        if root in entered:
+    # Each entered node's low link: the lowest stack position it is known to
+    # reach, starting at its own; past any position once its component closes.
+    low: dict[str, int] = {}
+    closed = len(reverse)
+    stack: list[str] = []
+    order: list[str] = []
+    components: list[list[str]] = []
+    from_output = 0
+    for root in chain((output,), reverse):
+        if root in low or not inner(root):
             continue
-        entered.add(root)
-        walk = [(root, filter(inner, reverse[root]))]
+        low[root] = 0
+        stack.append(root)
+        walk = [(root, filter(inner, reverse[root]), 0)]
         while walk:
-            node, upstream = walk[-1]
+            node, upstream, position = walk[-1]
             for source in upstream:
-                if source not in entered:
-                    entered.add(source)
-                    walk.append((source, filter(inner, reverse[source])))
+                if source not in low:
+                    low[source] = len(stack)
+                    walk.append((source, filter(inner, reverse[source]), len(stack)))
+                    stack.append(source)
                     break
+                if low[source] < low[node]:
+                    low[node] = low[source]
             else:
                 walk.pop()
-                finished.append(node)
-
-    forward: dict[str, list[str]] = {}
-    for node, upstream in reverse.items():
-        for source in filter(inner, upstream):
-            forward.setdefault(source, []).append(node)
-
-    flooded: set[str] = set()
-    components: list[list[str]] = []
-    for root in reversed(finished):
-        if root in flooded or flooded.issuperset(forward.get(root, ())):
-            flooded.add(root)  # all it leads to is flooded: a component of one
-        elif len(component := _flood(forward, root, flooded)) > 1:
-            components.append(sorted(component))
-    return sorted(components), finished
-
-
-def _flood(edges: Mapping[str, list[str]], start: str, seen: set[str]) -> list[str]:
-    """Add to ``seen`` ``start`` and each node ``edges`` leads to from it
-    without passing a node already in ``seen``; return the nodes added.
-
-    The graph's one flood. Over the reverse map from the output it fills
-    ``seen`` with the nodes that have a path to it, for the path-to-output
-    rule; over a forward map it collects one component for
-    :func:`_cyclic_components`. It steps in Python only through the keys of
-    ``edges`` (no leaf of the reverse map), each step adding its node's new
-    neighbours in C; a graph's edges are unique, so no list repeats one.
-    """
-    inner, is_seen = edges.__contains__, seen.__contains__
-    seen.add(start)
-    added = [start]
-    frontier = [start]
-    while frontier:
-        new = list(filterfalse(is_seen, edges.get(frontier.pop(), ())))
-        seen.update(new)
-        added += new
-        frontier += filter(inner, new)
-    return added
+                order.append(node)
+                if low[node] == position:  # the first node of a component
+                    component = stack[position:]
+                    del stack[position:]
+                    low.update(zip(component, repeat(closed)))
+                    if len(component) > 1:
+                        components.append(sorted(component))
+                elif low[node] < low[walk[-1][0]]:
+                    low[walk[-1][0]] = low[node]
+        if root == output:
+            from_output = len(order)
+    return sorted(components), order, order[:from_output]
 
 
 def _leaf_sets_of(index: _GraphIndex) -> dict[str, tuple[str, ...]]:

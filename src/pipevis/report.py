@@ -10,10 +10,11 @@ Two display styles coexist, both deliberate:
   decimals (``4.00``, ``0.00``, ``-1.10``) so deltas line up column-wise.
 
 Both styles write every finite value in fixed point, however small or large
-(``0.0000000``, never ``0E-7``), and refuse an infinite or NaN value with a
-:class:`ReportError`, as they refuse a precision outside 0 to
-``PRECISION_MAX``. Machine documents skip display rounding entirely: computed
-indices are emitted as JSON numbers at 15 significant digits.
+(``0.0000000``, never ``0E-7``), and refuse an infinite or NaN value, or an
+int past the float range, with a :class:`ReportError`, as they refuse a
+precision outside 0 to ``PRECISION_MAX``. Machine documents skip display
+rounding entirely: computed indices are emitted as JSON numbers at 15
+significant digits.
 
 All renderers are pure; identical inputs produce byte-identical bodies, and
 every body ends with exactly one newline.
@@ -21,6 +22,7 @@ every body ends with exactly one newline.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -44,6 +46,7 @@ from .model import (
     RUBRIC,
     SCORE_MAX,
     SCORE_MIN,
+    _as_float,
     _is_precision,
 )
 
@@ -97,10 +100,11 @@ def _quantize(value: float, precision: int) -> Decimal:
             f"precision must be an integer between 0 and {PRECISION_MAX}, "
             f"got {precision!r}"
         )
+    # An int past the float range reads as ±inf, as it does in a WeightScheme.
+    if not math.isfinite(number := _as_float(value)):
+        raise ReportError(f"cannot format a non-finite value: {number!r}")
     # Decimal(float) is exact, so ties break on the value actually computed.
     exact = Decimal(value)
-    if not exact.is_finite():
-        raise ReportError(f"cannot format a non-finite value: {value!r}")
     quantized = _CONTEXT.quantize(exact, Decimal(1).scaleb(-precision))
     return quantized.copy_abs() if not quantized else quantized  # drop "-0.00"
 
@@ -119,6 +123,13 @@ def format_fixed(value: float, precision: int = 2) -> str:
 
 def _report(body_lines: list[str]) -> RenderedReport:
     return RenderedReport("\n".join(body_lines) + "\n")
+
+
+def _require_items(items: Sequence[object], kind: type, name: str) -> None:
+    """Refuse the first item that is not a ``kind``, naming its position."""
+    for position, item in enumerate(items):
+        if not isinstance(item, kind):
+            raise ReportError(f"item {position} is not {name}: {item!r}")
 
 
 def render_table(
@@ -163,6 +174,7 @@ def render_comparison(
     """Ranking table, one row per assessment, best first."""
     if not ranked:
         raise EmptyInputError("nothing to compare: ranking is empty")
+    _require_items(ranked, RankEntry, "a RankEntry")
     lines = [COMPARISON_HEADER]
     for entry in ranked:
         lines.append(
@@ -183,6 +195,7 @@ def render_series(
     """Date-ordered overall VIS for one asset, with the net change at the end."""
     if not assessments:
         raise EmptyInputError("nothing to render: series is empty")
+    _require_items(assessments, Assessment, "an Assessment")
     names = sorted({a.asset_name for a in assessments})
     if len(names) > 1:
         raise MixedAssetError(f"mixed assets in series: {', '.join(names)}")
@@ -207,6 +220,8 @@ def render_machine(
     scope_node: str | None = None,
 ) -> RenderedReport:
     """Input document echoed back with a full-precision ``results`` block."""
+    if scope_node is not None and not isinstance(scope_node, str):
+        raise ReportError(f"scope_node must be a string, got {scope_node!r}")
     # Not functools.cache: the weight column prints 0.0 and -0.0 apart, and
     # a cache would merge the equal keys.
     tails: dict[tuple[float, float, float, float], str] = {}

@@ -711,13 +711,13 @@ class TestSensitivity:
 class TestOneWalkPerGraph:
     def test_review_walks_the_graph_once(self, samples_dir, monkeypatch):
         calls = []
-        walk = model._cyclic_components
+        walk = model._depth_first
 
-        def counted(reverse):
+        def counted(reverse, output):
             calls.append(reverse)
-            return walk(reverse)
+            return walk(reverse, output)
 
-        monkeypatch.setattr(model, "_cyclic_components", counted)
+        monkeypatch.setattr(model, "_depth_first", counted)
         data = (samples_dir / "first_party_later.json").read_bytes()
         assessment = parse_document(data)
         overall_visibility(assessment)
@@ -787,13 +787,8 @@ class TestOneCheckPerAssessment:
         assert checked[1].judgements["DS"] == helpers.THREES
 
 
-def flooded_report(
-    assessment: model.Assessment, node_id: str
-) -> metrics.VisibilityReport:
-    """Derived-asset scoring as a flood of the reverse map from ``node_id``,
-    keeping the graph's leaves it reached."""
-    graph = assessment.graph
-    reverse = graph._index.reverse
+def flooded(reverse: dict[str, list[str]], node_id: str) -> set[str]:
+    """``node_id`` and every node with a path to it, by a flood of ``reverse``."""
     reached = {node_id}
     frontier = [node_id]
     while frontier:
@@ -801,6 +796,16 @@ def flooded_report(
             if source not in reached:
                 reached.add(source)
                 frontier.append(source)
+    return reached
+
+
+def flooded_report(
+    assessment: model.Assessment, node_id: str
+) -> metrics.VisibilityReport:
+    """Derived-asset scoring as a flood of the reverse map from ``node_id``,
+    keeping the graph's leaves it reached."""
+    graph = assessment.graph
+    reached = flooded(graph._index.reverse, node_id)
     all_leaves = graph.leaf_ids()
     leaf_ids = [nid for nid in all_leaves if nid in reached]
     weights = assessment.weights.resolve(leaf_ids)
@@ -860,8 +865,7 @@ class TestLeafSetsAreSortedTuples:
             for node_id, leaf_ids in leaf_sets.items():
                 assert type(leaf_ids) is tuple
                 assert list(leaf_ids) == sorted(set(leaf_ids))
-                reached = {node_id}
-                model._flood(reverse, node_id, reached)
+                reached = flooded(reverse, node_id)
                 assert set(leaf_ids) == reached.difference(reverse)
                 sources = reverse.get(node_id, ())
                 if len(sources) == 1:

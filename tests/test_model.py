@@ -415,9 +415,12 @@ class TestPipelineGraph:
             if len(c) > 1
         )
         assert expected
-        components, order = model._cyclic_components(reverse)
+        output = edges[-1][1]
+        components, order, entered = model._depth_first(reverse, output)
         assert components == expected
         assert sorted(order) == sorted(reverse)
+        ancestors = nx.ancestors(nx.DiGraph(edges), output) | {output}
+        assert sorted(entered) == sorted(ancestors.intersection(reverse))
 
     def test_cycle_search_enters_only_nodes_with_an_incoming_edge(self):
         class Entered(dict):
@@ -443,8 +446,10 @@ class TestPipelineGraph:
             nodes=(*leaves, *derived, node("M", NodeKind.OUTPUT_ASSET)), edges=edges
         )
         reverse = Entered(graph._index.reverse)
-        assert model._cyclic_components(reverse) == ([], graph._index.order)
+        components, order, entered = model._depth_first(reverse, "M")
+        assert (components, order) == ([], graph._index.order)
         assert reverse.entered == set(reverse) == {d.id for d in derived} | {"M"}
+        assert sorted(entered) == sorted(reverse)
         assert reverse.entered.isdisjoint(graph.leaf_ids())
 
     def test_id_index_is_invisible(self, example_graph):
@@ -667,6 +672,43 @@ class TestValidateGraph:
             "cycle detected: D0,D1,D2",
             *cut_off,
         )
+
+    def test_path_rule_on_random_broken_graphs_agrees_with_networkx(self):
+        """On graphs with one output and cycles, self-edges, unknown edge ends,
+        repeated ids and nodes cut off from the output, exactly the nodes
+        outside the output's ancestors are named, in node order."""
+        rng = random.Random(2424)
+        kinds = [kind for kind in NodeKind if kind is not NodeKind.OUTPUT_ASSET]
+        seen = {"cycle": 0, "self": 0, "unknown": 0, "repeat": 0, "cut": 0}
+        for _ in range(400):
+            ids = [f"N{i:02d}" for i in range(rng.randint(1, 25))]
+            repeats = rng.choices(ids, k=rng.randint(0, 2))
+            nodes = [node(nid, rng.choice(kinds)) for nid in ids + repeats]
+            nodes.append(node("M", NodeKind.OUTPUT_ASSET))
+            ends = [*ids, "M", "ghost"]
+            edges = [tuple(rng.choices(ends, k=2)) for _ in range(rng.randint(0, 40))]
+            graph = PipelineGraph(nodes=tuple(nodes), edges=edges)
+
+            known = nx.DiGraph()
+            known.add_nodes_from([*ids, "M"])
+            known.add_edges_from(e for e in graph.edges if "ghost" not in e)
+            reached = nx.ancestors(known, "M") | {"M"}
+            expected = [
+                f"node {n.id} has no path to the output"
+                for n in graph.nodes
+                if n.id not in reached
+            ]
+            violations = validate_graph(graph).violations
+            unreached = [v for v in violations if v.endswith("path to the output")]
+            assert unreached == expected
+
+            components = nx.strongly_connected_components(known)
+            seen["cycle"] += any(len(component) > 1 for component in components)
+            seen["self"] += any(src == dst for src, dst in graph.edges)
+            seen["unknown"] += any("ghost" in edge for edge in graph.edges)
+            seen["repeat"] += bool(repeats)
+            seen["cut"] += bool(expected)
+        assert min(seen.values()) > 50, seen
 
     def test_violations_are_deterministic(self):
         nodes = [

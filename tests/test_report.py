@@ -133,8 +133,13 @@ class TestFixedPoint:
         body = render_comparison([RankEntry("a", "1", 1e300)]).body
         assert body.splitlines()[1] == f"a | 1 | {int(1e300)}"
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+    @pytest.mark.parametrize(
+        "value",
+        [math.inf, -math.inf, math.nan, 10**400, -(10**400), 10**5000],
+        ids=["inf", "-inf", "nan", "10**400", "-10**400", "10**5000"],
+    )
     def test_a_non_finite_value_is_a_report_error(self, value):
+        # An int past the float range used to raise decimal.InvalidOperation.
         for formatter in (format_value, format_fixed):
             with pytest.raises(ReportError, match="^cannot format a non-finite"):
                 formatter(value, 12)
@@ -615,6 +620,26 @@ class TestRenderSensitivity:
             weights=WeightScheme.explicit({"DS": 0.8, "H1": 0.1, "H2": 0.1}),
         )
         assert "Modified | 2.77" in render_sensitivity(result).body
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize(
+        ("render", "message"),
+        [
+            (lambda report, a: render_series([5]), "item 0 is not an Assessment: 5"),
+            (lambda report, a: render_comparison([5]), "item 0 is not a RankEntry: 5"),
+            (
+                lambda report, a: render_machine(report, a, scope_node=5),
+                "scope_node must be a string, got 5",
+            ),
+        ],
+        ids=["series", "comparison", "machine-scope"],
+    )
+    def test_a_wrong_type_is_a_report_error(self, first_party, render, message):
+        # The two lists used to raise AttributeError, the scope TypeError.
+        report = overall_visibility(first_party)
+        with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
+            render(report, first_party)
 
 
 class TestBodyEnding:
