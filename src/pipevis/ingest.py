@@ -15,12 +15,14 @@ surrogates (``"\\ud800"``), the non-JSON tokens ``NaN`` and ``Infinity``,
 unknown keys and an explicit ``null`` for an optional key. ``lenient=True``
 only downgrades unknown keys to warnings.
 
-Nodes, edges and judgements each have a one-step reader, which builds the
-value of a plainly valid object (no unknown key, no null, every field of its
-type) or declines it. A node's kind is looked up by value and its field types
+Nodes, edges and judgements each have an array reader, which reads a whole
+array in a few C-level passes: it builds the values of an array whose every
+item is plainly valid (no unknown key, no null, every field of its type) or
+declines the array. A node's kind is looked up by value and its field types
 are left to :class:`~pipevis.model.ContributionNode`; a judgement is one of 64
-shared instances, one per valid state. A declined object goes to the full
-walker, which alone writes violation text and handles ``lenient``.
+shared instances, one per valid state. A declined array goes item by item to
+the full walker, which builds the same values, and alone writes violation
+text and handles ``lenient``.
 
 Serialization is canonical: fixed key order, nodes and edges sorted by id,
 ``"equal"`` for equal weighting, 2-space indentation and a trailing
@@ -44,6 +46,7 @@ import json
 import re
 from collections.abc import Callable
 from datetime import date
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Any, NamedTuple
@@ -133,8 +136,13 @@ def _reject_constant(token: str) -> Any:
     raise MalformedSyntaxError(f"{token} is not valid JSON")
 
 
-def _load_json(data: bytes | bytearray | str) -> Any:
+def _load_json(data: bytes | bytearray | memoryview | str) -> Any:
     """Decode UTF-8 JSON, mapping every decoding failure to a DocumentError."""
+    if not isinstance(data, (str, bytes, bytearray, memoryview)):
+        raise MalformedSyntaxError(
+            f"document must be str, bytes, bytearray or memoryview, "
+            f"got {type(data).__name__}"
+        )
     try:
         text = data if isinstance(data, str) else bytes(data).decode("utf-8")
         value = json.loads(
@@ -166,7 +174,9 @@ def _lone_surrogate(exc: UnicodeEncodeError) -> str:
     return f"lone surrogate {exc.object[exc.start]!r} in a string"
 
 
-def parse_document(data: bytes | bytearray | str, *, lenient: bool = False) -> Assessment:
+def parse_document(
+    data: bytes | bytearray | memoryview | str, *, lenient: bool = False
+) -> Assessment:
     """Decode one assessment document into a validated Assessment.
 
     With ``lenient=True`` unknown fields are logged and ignored instead of
@@ -192,7 +202,7 @@ def parse_document(data: bytes | bytearray | str, *, lenient: bool = False) -> A
     if errors:
         raise SchemaViolationError(errors)
 
-    graph = PipelineGraph(nodes=fields["nodes"].values(), edges=fields["edges"].values())
+    graph = PipelineGraph(nodes=fields["nodes"], edges=fields["edges"])
     assessment = Assessment(
         graph=graph,
         judgements=fields["judgements"],
@@ -369,15 +379,16 @@ class _Object(NamedTuple):
     ``read`` alone judges unknown keys, absent keys and explicit nulls: it
     returns ``build(values)``, or None after appending violations.
 
-    ``fast``, which every item kind of an ``_Each`` has, reads an object in
-    one step: it returns the built value of an object that has nothing to
-    report, or None. Every other object goes to ``read``, the full walker,
-    which alone writes violation text and handles ``lenient``.
+    ``fast``, which every item kind of an ``_Each`` has, reads a whole array:
+    it takes the list of the items and returns the list of their built values,
+    or None when any item is not plainly valid. Then each item goes to
+    ``read``, the full walker, which alone writes violation text and handles
+    ``lenient``.
     """
 
     rows: dict[str, tuple[Any, Any]]
     build: Callable[[dict[str, Any]], Any] = dict
-    fast: Callable[[Any], Any] | None = None
+    fast: Callable[[list[Any]], list[Any] | None] | None = None
 
     def read(self, obj: Any, path: str, errors: list[str], lenient: bool) -> Any:
         if not isinstance(obj, dict):
@@ -420,10 +431,12 @@ class _Object(NamedTuple):
 
 
 class _Each(NamedTuple):
-    """Items of one object kind, by index in an array or, ``keyed``, by node id.
+    """Items of one object kind, in an array or, ``keyed``, by node id.
 
-    Each item is first offered to the kind's one-step reader, ``fast``; the
-    item's path is formatted only for an item that goes to the walker.
+    The array, or the keyed object's values, is first offered whole to the
+    kind's array reader, ``fast``; only when it declines is each item walked
+    and its path formatted. An array's values come back as a list, a keyed
+    object's as a dict.
     """
 
     item: _Object
@@ -433,20 +446,19 @@ class _Each(NamedTuple):
         shape, expected = (dict, "an object") if self.keyed else (list, "an array")
         if not isinstance(value, shape):
             raise _Invalid(f"must be {expected}, got {_type_name(value)}")
-        before = len(errors)
-        fast = self.item.fast
-        built = {}
-        for key, item in value.items() if self.keyed else enumerate(value):
-            got = fast(item)
-            if got is not None:
-                built[key] = got
-                continue
-            name = f"{path}.{key}" if self.keyed else f"{path}[{key}]"
-            try:
-                built[key] = self.item.read(item, name, errors, lenient)
-            except _Invalid as exc:
-                errors.append(f"{name}: {exc}")
-        return None if len(errors) > before else built
+        built = self.item.fast(list(value.values()) if self.keyed else value)
+        if built is None:
+            before = len(errors)
+            built = []
+            for key, item in value.items() if self.keyed else enumerate(value):
+                name = f"{path}.{key}" if self.keyed else f"{path}[{key}]"
+                try:
+                    built.append(self.item.read(item, name, errors, lenient))
+                except _Invalid as exc:
+                    errors.append(f"{name}: {exc}")
+            if len(errors) > before:
+                return None
+        return dict(zip(value, built)) if self.keyed else built
 
 
 class _Weights:
@@ -520,40 +532,46 @@ def _date(value: Any) -> date:
         raise _Invalid(f"not a valid calendar date: {text!r}") from None
 
 
-def _plain_node(obj: Any) -> ContributionNode | None:
-    """The node of a plainly valid object, or None: this reader checks the
-    document's rules, and declines what the node's constructor refuses."""
-    if type(obj) is not dict or not obj.keys() <= _NODE.rows.keys():
-        return None
-    description = obj.get("description")
-    refs = obj.get("evidence_refs", ())
-    if description is None and "description" in obj or (
-        refs != () and type(refs) is not list  # a null, like any other non-array
-    ):
+def _plain_dicts(objs: list[Any], value_types: set[type]) -> bool:
+    """Whether every item is a dict, each value of exactly one of ``value_types``."""
+    return set(map(type, objs)) <= {dict} and set(
+        map(type, chain.from_iterable(map(dict.values, objs)))
+    ) <= value_types
+
+
+def _plain_nodes(objs: list[Any]) -> list[ContributionNode] | None:
+    """The nodes of an array of plainly valid objects, or None: this reader
+    checks the document's rules, and declines what the node's constructor
+    refuses."""
+    keys = _NODE.rows.keys()
+    if not _plain_dicts(objs, {str, list}) or not set(chain.from_iterable(objs)) <= keys:
         return None
     try:
-        node_id, kind, label = _NODE_REQUIRED(obj)
-        if node_id:
-            return ContributionNode(node_id, _KINDS[kind], label, description, refs)
+        ids = list(map(_ID, objs))
+        if all(ids):
+            return list(map(
+                ContributionNode, ids, map(_KINDS.__getitem__, map(_KIND, objs)),
+                map(_LABEL, objs), map(dict.get, objs, repeat("description")),
+                map(dict.get, objs, repeat("evidence_refs"), repeat(())),
+            ))
     except (KeyError, TypeError, ValueError):  # a key or kind missing, or a type
         pass
     return None
 
 
-def _plain_edge(obj: Any) -> tuple[str, str] | None:
-    """The ``(from, to)`` pair of an object of exactly two valid ids, or None."""
-    if type(obj) is not dict or len(obj) != 2:
+def _plain_edges(objs: list[Any]) -> list[tuple[str, str]] | None:
+    """The ``(from, to)`` pairs of an array of objects of exactly two
+    non-empty string ids, or None."""
+    if not _plain_dicts(objs, {str}) or not set(map(len, objs)) <= {2}:
         return None
     try:
-        src, dst = edge = _ENDS(obj)
+        edges = list(map(_ENDS, objs))
     except KeyError:
         return None
-    if type(src) is str and src and type(dst) is str and dst:
-        return edge
-    return None
+    return edges if all(chain.from_iterable(edges)) else None
 
 
-_NODE_REQUIRED = itemgetter("id", "kind", "label")
+_ID, _KIND, _LABEL = map(itemgetter, ("id", "kind", "label"))
 _ENDS = itemgetter("from", "to")
 _ASSET = _Object({"name": (_name, _CHECKED), "version": (_text, _CHECKED)})
 _NODE = _Object({
@@ -562,21 +580,21 @@ _NODE = _Object({
     "label": (_text, _CHECKED),
     "description": (_text, None),
     "evidence_refs": (_strings, ()),
-}, lambda fields: ContributionNode(**fields), _plain_node)
+}, lambda fields: ContributionNode(**fields), _plain_nodes)
 _EDGE = _Object(
-    {"from": (_name, _CHECKED), "to": (_name, _CHECKED)}, _ENDS, _plain_edge
+    {"from": (_name, _CHECKED), "to": (_name, _CHECKED)}, _ENDS, _plain_edges
 )
 _SCORES = itemgetter("quantity", "accuracy", "freshness")
 
 
-def _interned(obj: Any) -> Judgement | None:
-    """The shared judgement of an object of exactly three valid scores, or None."""
-    if type(obj) is not dict or obj.keys() != _JUDGEMENT.rows.keys():
-        return None
-    levels = _SCORES(obj)
-    quantity, accuracy, freshness = levels
-    if type(quantity) is int and type(accuracy) is int and type(freshness) is int:
-        return _JUDGEMENTS.get(levels)
+def _interned(objs: list[Any]) -> list[Judgement] | None:
+    """The shared judgements of an array of objects of exactly three integer
+    scores in range, or None."""
+    if _plain_dicts(objs, {int}) and set(map(len, objs)) <= {3}:
+        try:
+            return list(map(_JUDGEMENTS.__getitem__, map(_SCORES, objs)))
+        except KeyError:  # a score missing or out of range
+            pass
     return None
 
 

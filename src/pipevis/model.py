@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 from datetime import date, datetime
 from functools import cached_property
 from itertools import chain, filterfalse, product, repeat
-from operator import getitem
+from operator import attrgetter, getitem, itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -225,9 +225,12 @@ class PipelineGraph:
     Nodes and edges are normalised to a canonical sorted order at
     construction, so two graphs built from the same node/edge *sets* compare
     equal regardless of insertion order. Each node must be a
-    :class:`ContributionNode`, as the sort key checks, and each edge a pair;
-    other shapes raise ``ValueError``. Every other structural invariant is
-    checked by :func:`validate_graph`.
+    :class:`ContributionNode`, checked in one C-level pass, and each edge a
+    pair, whose ends are converted with ``str()``; other shapes raise
+    ``ValueError``. Nodes are sorted on their id and edges on each end in
+    turn, with C-level keys and stable sorts: the order of comparing the
+    pairs. Every other structural invariant is checked by
+    :func:`validate_graph`.
 
     Its index (:class:`_GraphIndex`) and its nodes' leaf ancestors are each
     derived once, on first use, and kept on the instance outside equality,
@@ -240,21 +243,26 @@ class PipelineGraph:
 
     def __post_init__(self) -> None:
         try:
-            nodes = sorted(self.nodes, key=_node_id)
+            nodes = list(self.nodes)
         except TypeError as error:
             raise ValueError(
                 f"nodes must be an iterable of ContributionNode: {error}"
             ) from None
+        if not all(map(isinstance, nodes, repeat(ContributionNode))):
+            list(map(_node_id, nodes))  # raises for the first non-node
+        nodes.sort(key=attrgetter("id"))
         object.__setattr__(self, "nodes", tuple(nodes))
         try:
             edges = list(self.edges)  # a string would unpack as two characters
             if any(issubclass(kind, str) for kind in set(map(type, edges))):
                 text = next(edge for edge in edges if isinstance(edge, str))
                 raise ValueError(f"a string is not a pair: {text!r}")
-            pairs = sorted((str(src), str(dst)) for src, dst in edges)
+            edges = [(str(src), str(dst)) for src, dst in edges]
         except (TypeError, ValueError) as error:
             raise ValueError(f"edges must be an iterable of pairs: {error}") from None
-        object.__setattr__(self, "edges", tuple(dict.fromkeys(pairs)))
+        edges.sort(key=itemgetter(1))
+        edges.sort(key=itemgetter(0))
+        object.__setattr__(self, "edges", tuple(dict.fromkeys(edges)))
 
     __reduce__ = _init_args
 
@@ -434,7 +442,10 @@ def validate_graph(graph: PipelineGraph) -> ValidationResult:
     Violations are data, not failures: the result lists each problem with
     the node/edge identifiers involved, in a deterministic order. They are
     computed with the graph's index, on its first use, and reused after it.
+    Anything but a graph fails, with one violation that names it.
     """
+    if not isinstance(graph, PipelineGraph):
+        return ValidationResult((f"not a PipelineGraph: {graph!r}",))
     return ValidationResult(graph._index.violations)
 
 
@@ -534,8 +545,11 @@ def validate_assessment(assessment: Assessment) -> ValidationResult:
     inherit their rating from their contributors, so giving them one would
     double count). Explicit weights must cover exactly the leaves and sum
     to 1 within ``WEIGHT_SUM_TOLERANCE``. Violations are computed on the
-    first call for an assessment and reused after it.
+    first call for an assessment and reused after it. Anything but an
+    assessment fails, with one violation that names it.
     """
+    if not isinstance(assessment, Assessment):
+        return ValidationResult((f"not an Assessment: {assessment!r}",))
     return ValidationResult(assessment._violations)
 
 

@@ -10,9 +10,10 @@ Two display styles coexist, both deliberate:
   decimals (``4.00``, ``0.00``, ``-1.10``) so deltas line up column-wise.
 
 Both styles write every finite value in fixed point, however small or large
-(``0.0000000``, never ``0E-7``), and refuse an infinite or NaN value, or an
-int past the float range, with a :class:`ReportError`, as they refuse a
-precision outside 0 to ``PRECISION_MAX``. Machine documents skip display
+(``0.0000000``, never ``0E-7``), and refuse an infinite or NaN value, an
+int past the float range or a value that is not an int or a float with a
+:class:`ReportError`, as they refuse a precision outside 0 to
+``PRECISION_MAX``, or an argument of the wrong type. Machine documents skip display
 rounding entirely: computed indices are emitted as JSON numbers at 15
 significant digits.
 
@@ -47,6 +48,7 @@ from .model import (
     SCORE_MAX,
     SCORE_MIN,
     _as_float,
+    _is_number,
     _is_precision,
 )
 
@@ -100,6 +102,8 @@ def _quantize(value: float, precision: int) -> Decimal:
             f"precision must be an integer between 0 and {PRECISION_MAX}, "
             f"got {precision!r}"
         )
+    if not _is_number(value):
+        raise ReportError(f"cannot format a value that is not a number: {value!r}")
     # An int past the float range reads as ±inf, as it does in a WeightScheme.
     if not math.isfinite(number := _as_float(value)):
         raise ReportError(f"cannot format a non-finite value: {number!r}")
@@ -125,6 +129,12 @@ def _report(body_lines: list[str]) -> RenderedReport:
     return RenderedReport("\n".join(body_lines) + "\n")
 
 
+def _require(name: str, value: object, kind: type, what: str) -> None:
+    """Refuse an argument that is not a ``kind``."""
+    if not isinstance(value, kind):
+        raise ReportError(f"{name} must be {what}, got {value!r}")
+
+
 def _require_items(items: Sequence[object], kind: type, name: str) -> None:
     """Refuse the first item that is not a ``kind``, naming its position."""
     for position, item in enumerate(items):
@@ -143,8 +153,11 @@ def render_table(
     row is labeled "Overall VIS for model". Each row reads its node's
     judgement from ``judgements``; other keys are ignored, so a derived-asset
     report takes the assessment's full mapping. A row whose node has no
-    judgement raises :class:`ReportError`.
+    judgement, or a judgement that is not a :class:`Judgement`, raises
+    :class:`ReportError`.
     """
+    _require("report", report, VisibilityReport, "a VisibilityReport")
+    _require("judgements", judgements, Mapping, "a mapping")
     if precision is None:
         precision = report.display_precision
     # A row past its node id depends only on its judgement's levels and its
@@ -160,9 +173,13 @@ def render_table(
     for node_id, _, quality, visibility, _ in report._cells():
         try:
             judgement = judgements[node_id]
+            levels = judgement.quantity, judgement.freshness, judgement.accuracy
         except KeyError:
             raise ReportError(f"no judgement for node {node_id}") from None
-        levels = judgement.quantity, judgement.freshness, judgement.accuracy
+        except AttributeError:
+            raise ReportError(
+                f"judgement for node {node_id} is not a Judgement: {judgement!r}"
+            ) from None
         lines.append(node_id + tail(*levels, quality, visibility))
     lines.append(f"{OVERALL_LABEL} | {format_value(report.overall, precision)}")
     return _report(lines)
@@ -176,16 +193,14 @@ def render_comparison(
         raise EmptyInputError("nothing to compare: ranking is empty")
     _require_items(ranked, RankEntry, "a RankEntry")
     lines = [COMPARISON_HEADER]
-    for entry in ranked:
-        lines.append(
-            " | ".join(
-                (
-                    entry.asset_name,
-                    entry.asset_version,
-                    format_value(entry.overall, precision),
-                )
-            )
-        )
+    for position, (name, version, overall) in enumerate(ranked):
+        try:
+            lines.append(" | ".join((name, version, format_value(overall, precision))))
+        except TypeError:
+            raise ReportError(
+                f"item {position} has a name or version that is not a string: "
+                f"{ranked[position]!r}"
+            ) from None
     return _report(lines)
 
 
@@ -220,8 +235,10 @@ def render_machine(
     scope_node: str | None = None,
 ) -> RenderedReport:
     """Input document echoed back with a full-precision ``results`` block."""
-    if scope_node is not None and not isinstance(scope_node, str):
-        raise ReportError(f"scope_node must be a string, got {scope_node!r}")
+    _require("report", report, VisibilityReport, "a VisibilityReport")
+    _require("assessment", assessment, Assessment, "an Assessment")
+    if scope_node is not None:
+        _require("scope_node", scope_node, str, "a string")
     # Not functools.cache: the weight column prints 0.0 and -0.0 apart, and
     # a cache would merge the equal keys.
     tails: dict[tuple[float, float, float, float], str] = {}
@@ -270,6 +287,7 @@ def render_sensitivity(
     result: SensitivityResult, precision: int | None = None
 ) -> RenderedReport:
     """Baseline, modified and delta overall VIS after a what-if."""
+    _require("result", result, SensitivityResult, "a SensitivityResult")
     if precision is None:
         precision = result.baseline.display_precision
     lines = [

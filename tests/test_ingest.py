@@ -343,6 +343,22 @@ class TestSyntaxErrors:
         with pytest.raises(MalformedSyntaxError, match="invalid UTF-8"):
             parse_document(b'\xff\xfe{"schema_version": "1.0"}')
 
+    @pytest.mark.parametrize(
+        ("data", "name"), [(5, "int"), (None, "NoneType"), ([b"{}"], "list")]
+    )
+    def test_input_that_is_not_text_or_bytes_is_named(self, data, name):
+        # 5 used to read as five NUL bytes, None to raise TypeError.
+        with pytest.raises(MalformedSyntaxError) as excinfo:
+            parse_document(data)
+        assert str(excinfo.value) == (
+            f"document must be str, bytes, bytearray or memoryview, got {name}"
+        )
+        assert excinfo.value.line is None
+
+    def test_a_memoryview_is_read_as_its_bytes(self):
+        blob = serialize_document(helpers.later_assessment())
+        assert parse_document(memoryview(blob)) == parse_document(blob)
+
     def test_trailing_garbage(self):
         with pytest.raises(MalformedSyntaxError):
             parse_document(b"{} {}")
@@ -913,13 +929,13 @@ class TestFieldFastPath:
         ids=[name for name in DECLINED if name.startswith("score")],
     )
     def test_judgement_lookup_declines(self, edits, expected):
-        judgement = edited(edits)["judgements"]["DS"]
-        assert ingest._JUDGEMENT.fast(judgement) is None
+        judgements = edited(edits)["judgements"]
+        assert ingest._JUDGEMENT.fast(list(judgements.values())) is None
 
     def test_extra_key_is_declined(self, caplog):
         doc = valid_doc()
         doc["judgements"]["DS"]["note"] = "x"
-        assert ingest._JUDGEMENT.fast(doc["judgements"]["DS"]) is None
+        assert ingest._JUDGEMENT.fast(list(doc["judgements"].values())) is None
         assert violations_of(doc) == ("judgements.DS.note: unknown field",)
         with caplog.at_level(logging.WARNING, logger="pipevis.ingest"):
             assessment = parse_document(dumps(doc), lenient=True)
@@ -973,6 +989,10 @@ EDGE_OBJECTS = st.fixed_dictionaries(
 ODD_VALUES = ("", True, 1, 2.5, ["a"], {"a": 1}, "Wizard", "x")
 NODE_KEYS = ("id", "kind", "label", "description", "evidence_refs")
 EDGE_KEYS = ("from", "to")
+JUDGEMENT_KEYS = ("quantity", "accuracy", "freshness")
+JUDGEMENT_OBJECTS = st.fixed_dictionaries(
+    dict.fromkeys(JUDGEMENT_KEYS, st.integers(1, 4))
+)
 EDITS = [("drop",), ("null",)] + [("retype", value) for value in ODD_VALUES]
 
 
@@ -997,33 +1017,42 @@ def single_edits(keys: tuple[str, ...]) -> list[tuple[str, tuple]]:
     return edits
 
 
-def assert_reader_agrees(item: ingest._Object, obj: object) -> None:
-    """The one-step reader returns None or exactly the walker's clean value,
-    in strict and lenient mode, and never misses a plainly valid object."""
-    fast = item.fast(copy.deepcopy(obj))
-    if isinstance(fast, ingest.ContributionNode):
-        assert type(fast.kind) is NodeKind
-        assert type(fast.evidence_refs) is tuple
+def assert_reader_agrees(item: ingest._Object, objs: list) -> None:
+    """The array reader returns None or exactly the walker's clean values,
+    in strict and lenient mode, and never declines a plainly valid array."""
+    fast = item.fast(copy.deepcopy(objs))
+    for value in fast or ():
+        if isinstance(value, ingest.ContributionNode):
+            assert type(value.kind) is NodeKind
+            assert type(value.evidence_refs) is tuple
+        elif isinstance(value, ingest.Judgement):
+            levels = value.quantity, value.accuracy, value.freshness
+            assert value is ingest._JUDGEMENTS[levels]
+        else:
+            assert type(value) is tuple
     for lenient in (False, True):
         errors: list[str] = []
-        try:
-            built = item.read(copy.deepcopy(obj), "items[0]", errors, lenient)
-        except ingest._Invalid as exc:  # not an object
-            built, errors = None, [str(exc)]
+        built = []
+        for position, obj in enumerate(copy.deepcopy(objs)):
+            try:
+                built.append(item.read(obj, f"items[{position}]", errors, lenient))
+            except ingest._Invalid as exc:  # not an object
+                errors.append(str(exc))
         if fast is not None:
             assert errors == []
             assert built == fast
-            assert type(built) is type(fast)
+            assert list(map(type, built)) == list(map(type, fast))
         elif not lenient:
             assert errors != []
 
 
 class TestOneStepReaders:
-    """The node and edge readers against the full walker."""
+    """The node, edge and judgement array readers against the full walker."""
 
     @pytest.mark.parametrize("spec", ["_NODE", "_EDGE", "_JUDGEMENT"])
     def test_every_item_kind_with_a_reader_is_read_in_one_step(self, spec):
         assert getattr(ingest, spec).fast is not None
+        assert getattr(ingest, spec).fast([]) == []
 
     @pytest.mark.parametrize(
         ("spec", "base", "keys"),
@@ -1039,13 +1068,15 @@ class TestOneStepReaders:
     )
     def test_every_single_edit(self, spec, base, keys):
         item = getattr(ingest, spec)
-        assert item.fast(base) is not None
+        assert item.fast([base]) is not None
         for key, edit in single_edits(keys):
             obj = copy.deepcopy(base)
             edit_object(obj, key, edit)
-            assert_reader_agrees(item, obj)
+            assert_reader_agrees(item, [obj])
+            assert_reader_agrees(item, [base, obj, base])
         for value in ODD_VALUES + (None, [], 0):
-            assert_reader_agrees(item, value)
+            assert_reader_agrees(item, [value])
+            assert_reader_agrees(item, [base, value])
 
     @given(
         node=NODE_OBJECTS,
@@ -1054,7 +1085,7 @@ class TestOneStepReaders:
     def test_edited_nodes(self, node, edits):
         for key, edit in edits:
             edit_object(node, key, edit)
-        assert_reader_agrees(ingest._NODE, node)
+        assert_reader_agrees(ingest._NODE, [node])
 
     @given(
         edge=EDGE_OBJECTS,
@@ -1063,7 +1094,30 @@ class TestOneStepReaders:
     def test_edited_edges(self, edge, edits):
         for key, edit in edits:
             edit_object(edge, key, edit)
-        assert_reader_agrees(ingest._EDGE, edge)
+        assert_reader_agrees(ingest._EDGE, [edge])
+
+    @pytest.mark.parametrize(
+        ("item", "objects", "keys"),
+        [
+            (ingest._NODE, NODE_OBJECTS, NODE_KEYS),
+            (ingest._EDGE, EDGE_OBJECTS, EDGE_KEYS),
+            (ingest._JUDGEMENT, JUDGEMENT_OBJECTS, JUDGEMENT_KEYS),
+        ],
+        ids=["nodes", "edges", "judgements"],
+    )
+    @given(data=st.data())
+    def test_one_edited_item_in_an_array(self, item, objects, keys, data):
+        objs = data.draw(st.lists(objects, min_size=1, max_size=5))
+        position = data.draw(st.integers(0, len(objs) - 1))
+        if data.draw(st.booleans()):
+            objs[position] = copy.deepcopy(data.draw(st.sampled_from(ODD_VALUES)))
+        else:
+            edits = single_edits(keys)
+            if item is ingest._JUDGEMENT:  # scores out of range
+                edits += [(key, ("retype", v)) for key in keys for v in (0, 5)]
+            for key, edit in data.draw(st.lists(st.sampled_from(edits), max_size=3)):
+                edit_object(objs[position], key, edit)
+        assert_reader_agrees(item, objs)
 
     @pytest.mark.parametrize("extra", [False, True], ids=["read", "walked"])
     def test_parsed_kinds_are_the_members_themselves(self, extra):

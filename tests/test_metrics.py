@@ -317,6 +317,22 @@ class TestRowsOnFirstRead:
 
 
 class TestOverallVisibility:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            overall_visibility,
+            partial(derived_asset_visibility, node_id="LD"),
+            sensitivity,
+            serialize_document,
+        ],
+        ids=["overall", "derived", "sensitivity", "serialize"],
+    )
+    def test_an_object_of_another_type_is_an_invalid_assessment(self, call):
+        # Each used to raise AttributeError: '_violations'.
+        with pytest.raises(InvalidAssessmentError) as excinfo:
+            call(5)
+        assert excinfo.value.violations == ("not an Assessment: 5",)
+
     def test_first_party_golden(self, first_party):
         report = overall_visibility(first_party)
         assert report.overall == 4.0

@@ -11,6 +11,7 @@ import re
 from dataclasses import MISSING, fields, replace
 from datetime import date, datetime
 from fractions import Fraction
+from itertools import chain
 
 import networkx as nx
 import pytest
@@ -31,6 +32,10 @@ from pipevis import (
     validate_graph,
 )
 from pipevis import model
+
+
+class Label(str):
+    """A plain str subclass: an edge end that ``str()`` turns into a str."""
 
 
 def node(node_id: str, kind: NodeKind = NodeKind.DATA_SOURCE) -> ContributionNode:
@@ -299,6 +304,31 @@ class TestPipelineGraph:
         # Each of the first three used to raise TypeError.
         with pytest.raises(ValueError, match=message):
             PipelineGraph(nodes=nodes, edges=edges)
+
+    def test_sort_matches_the_reference_on_random_graphs(self):
+        # The sort keys are C-level; the reference sorts by _node_id and by
+        # comparing the str() pairs, as the graph once did.
+        rng = random.Random(2525)
+        ends = ["A", "B", "b", "AB", "", 1, 2.5, None, Label("A")]
+        for _ in range(500):
+            nodes = [
+                node(rng.choice(["A", "B", "b", "AB", "M"]), rng.choice(list(NodeKind)))
+                for _ in range(rng.randrange(8))
+            ]
+            edges = []
+            for _ in range(rng.randrange(12)):
+                pair = (rng.choice(ends), rng.choice(ends))
+                if rng.random() < 0.5:
+                    pair = tuple(map(str, pair))
+                edges.append(list(pair) if rng.random() < 0.2 else pair)
+                if rng.random() < 0.2:
+                    edges.append(edges[-1])
+            graph = PipelineGraph(nodes=nodes, edges=edges)
+            expected = sorted(nodes, key=model._node_id)
+            assert list(map(id, graph.nodes)) == list(map(id, expected))
+            pairs = sorted((str(src), str(dst)) for src, dst in edges)
+            assert graph.edges == tuple(dict.fromkeys(pairs))
+            assert set(map(type, chain.from_iterable(graph.edges))) <= {str}
 
     def test_fig1_leaves(self, example_graph):
         assert example_graph.leaf_ids() == ["DS", "H1", "H2"]
@@ -869,6 +899,19 @@ class TestAssessmentViolationsAtOnce:
 class TestValidateAssessment:
     def test_valid(self, first_party_later):
         assert validate_assessment(first_party_later).ok
+
+    @pytest.mark.parametrize(
+        ("validate", "violation"),
+        [
+            (validate_assessment, "not an Assessment: 5"),
+            (validate_graph, "not a PipelineGraph: 5"),
+        ],
+        ids=["assessment", "graph"],
+    )
+    def test_an_object_of_another_type_fails_by_name(self, validate, violation):
+        # Each used to raise AttributeError.
+        assert validate(5).violations == (violation,)
+        assert not validate(5).ok
 
     def test_missing_judgement(self):
         a = helpers.example_assessment(

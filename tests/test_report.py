@@ -632,11 +632,48 @@ class TestRefusedInputs:
                 lambda report, a: render_machine(report, a, scope_node=5),
                 "scope_node must be a string, got 5",
             ),
+            (
+                lambda report, a: render_table(report, {**a.judgements, "DS": 5}),
+                "judgement for node DS is not a Judgement: 5",
+            ),
+            (
+                lambda report, a: render_table(5, {}),
+                "report must be a VisibilityReport, got 5",
+            ),
+            (
+                lambda report, a: render_table(report, 5),
+                "judgements must be a mapping, got 5",
+            ),
+            (
+                lambda report, a: render_machine(report, 5),
+                "assessment must be an Assessment, got 5",
+            ),
+            (
+                lambda report, a: render_machine(5, a),
+                "report must be a VisibilityReport, got 5",
+            ),
+            (
+                lambda report, a: render_sensitivity(5),
+                "result must be a SensitivityResult, got 5",
+            ),
+            (
+                lambda report, a: render_comparison([RankEntry(5, "1", 1.0)]),
+                "item 0 has a name or version that is not a string: "
+                "RankEntry(asset_name=5, asset_version='1', overall=1.0)",
+            ),
+            (
+                lambda report, a: render_comparison([RankEntry("a", "1", "x")]),
+                "cannot format a value that is not a number: 'x'",
+            ),
         ],
-        ids=["series", "comparison", "machine-scope"],
+        ids=[
+            "series", "comparison", "machine-scope",
+            "table-judgement", "table-report", "table-judgements", "machine-assessment",
+            "machine-report", "sensitivity", "comparison-name", "comparison-overall",
+        ],
     )
     def test_a_wrong_type_is_a_report_error(self, first_party, render, message):
-        # The two lists used to raise AttributeError, the scope TypeError.
+        # Each used to raise AttributeError, TypeError or ValueError.
         report = overall_visibility(first_party)
         with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
             render(report, first_party)
