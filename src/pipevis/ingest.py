@@ -15,6 +15,25 @@ surrogates (``"\\ud800"``), the non-JSON tokens ``NaN`` and ``Infinity``,
 unknown keys and an explicit ``null`` for an optional key. ``lenient=True``
 only downgrades unknown keys to warnings.
 
+A strict parse first decodes without the duplicate-key hook, which the C
+decoder would call once per object, reads the fields, and then proves from
+the text that no key repeated. JSON has a raw ``:`` only as a member
+separator or inside a string. Without the hook a repeated key keeps only its
+last member; an earlier member is dropped with its separator, its key and
+its value, which takes at least one colon out of the decoded document. So
+the text's colons equal the decoded objects' key counts plus the colons of
+the decoded keys and strings exactly when no member was dropped, provided no
+``\\u003a`` escape put a colon into a string that the text does not show.
+After a strict read the only objects are the root, ``asset``, each node,
+edge and judgement, ``judgements`` and explicit ``weights``, so the key
+count is a few C-level sums; the strings' colons are counted only when the
+text has more colons than keys. Bytes are counted as bytes: a colon byte is
+never part of a multi-byte UTF-8 sequence. Any other outcome (a decoding
+error, any violation, a count that does not match, a colon escape, or
+``lenient=True``) decodes the document again with the hook, from the start,
+so the error it reports is the one a repeated key or the first problem
+raises, in the order the decoder meets them.
+
 Nodes, edges and judgements each have an array reader, which reads a whole
 array in a few C-level passes: it builds the values of an array whose every
 item is plainly valid (no unknown key, no null, every field of its type) or
@@ -136,22 +155,31 @@ def _reject_constant(token: str) -> Any:
     raise MalformedSyntaxError(f"{token} is not valid JSON")
 
 
-def _load_json(data: bytes | bytearray | memoryview | str) -> Any:
-    """Decode UTF-8 JSON, mapping every decoding failure to a DocumentError."""
-    if not isinstance(data, (str, bytes, bytearray, memoryview)):
-        raise MalformedSyntaxError(
-            f"document must be str, bytes, bytearray or memoryview, "
-            f"got {type(data).__name__}"
-        )
+def _source(data: bytes | bytearray | memoryview | str) -> str | bytes:
+    """``data`` as a str or bytes, or a MalformedSyntaxError naming its type."""
+    if isinstance(data, (str, bytes)):
+        return data
+    if isinstance(data, (bytearray, memoryview)):
+        return bytes(data)
+    raise MalformedSyntaxError(
+        f"document must be str, bytes, bytearray or memoryview, "
+        f"got {type(data).__name__}"
+    )
+
+
+def _load_json(source: str | bytes, hook: Callable[..., Any] | None) -> Any:
+    """Decode UTF-8 JSON, mapping every decoding failure to a DocumentError.
+
+    ``hook`` is the decoder's ``object_pairs_hook``: _reject_duplicate_keys,
+    or None, which keeps the last of a repeated key's values.
+    """
     try:
-        text = data if isinstance(data, str) else bytes(data).decode("utf-8")
+        text = source if isinstance(source, str) else source.decode("utf-8")
         value = json.loads(
-            text,
-            object_pairs_hook=_reject_duplicate_keys,
-            parse_constant=_reject_constant,
+            text, object_pairs_hook=hook, parse_constant=_reject_constant
         )
         # A lone surrogate, from a str argument or a \\u escape, fails to encode.
-        if isinstance(data, str) or re.search(r"\\u[dD][89a-fA-F]", text):
+        if isinstance(source, str) or re.search(r"\\u[dD][89a-fA-F]", text):
             json.dumps(value, ensure_ascii=False).encode("utf-8")
         return value
     except UnicodeDecodeError as exc:
@@ -174,15 +202,11 @@ def _lone_surrogate(exc: UnicodeEncodeError) -> str:
     return f"lone surrogate {exc.object[exc.start]!r} in a string"
 
 
-def parse_document(
-    data: bytes | bytearray | memoryview | str, *, lenient: bool = False
-) -> Assessment:
-    """Decode one assessment document into a validated Assessment.
-
-    With ``lenient=True`` unknown fields are logged and ignored instead of
-    rejected.
-    """
-    raw = _load_json(data)
+def _read(
+    source: str | bytes, hook: Callable[..., Any] | None, lenient: bool
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """The decoded document and its fields, or its first DocumentError."""
+    raw = _load_json(source, hook)
     if not isinstance(raw, dict):
         raise SchemaViolationError(
             [f"document root must be an object, got {_type_name(raw)}"]
@@ -201,6 +225,67 @@ def parse_document(
     fields = _DOCUMENT.read(raw, "", errors, lenient)
     if errors:
         raise SchemaViolationError(errors)
+    return raw, fields
+
+
+def _unrepeated_fields(source: str | bytes) -> dict[str, Any] | None:
+    """The fields of a strict read without the duplicate-key hook, when the
+    colon count proves that no key repeated; else None."""
+    try:
+        raw, fields = _read(source, None, False)
+    except DocumentError:  # the hooked read reports it, or a repeat before it
+        return None
+    return fields if _no_key_repeated(source, raw) else None
+
+
+def _no_key_repeated(source: str | bytes, raw: dict[str, Any]) -> bool:
+    """Whether ``source``'s colons prove that no object of ``raw``, which the
+    strict read accepted, lost a repeated key (see the module docstring)."""
+    if isinstance(source, str):
+        colon, backslash, escape = ":", "\\", r"\\u003[aA]"
+    else:
+        colon, backslash, escape = b":", b"\\", rb"\\u003[aA]"
+    if backslash in source and re.search(escape, source):
+        return False
+    asset, nodes, edges, judgements, weights = _OBJECTS(raw)
+    explicit = weights if isinstance(weights, dict) else {}
+    keys = (
+        len(raw) + len(asset) + sum(map(len, nodes)) + sum(map(len, edges))
+        + len(judgements) + sum(map(len, judgements.values())) + len(explicit)
+    )
+    colons = source.count(colon)
+    if colons == keys:
+        return True
+    strings = chain(
+        (raw["schema_version"], raw["assessed_at"], raw["assessor"]),
+        asset.values(),
+        *(
+            map(dict.get, nodes, repeat(key), repeat(""))
+            for key in ("id", "kind", "label", "description")
+        ),
+        chain.from_iterable(map(dict.get, nodes, repeat("evidence_refs"), repeat(()))),
+        chain.from_iterable(map(dict.values, edges)),
+        judgements,
+        explicit,
+    )
+    return colons == keys + sum(map(str.count, strings, repeat(":")))
+
+
+_OBJECTS = itemgetter("asset", "nodes", "edges", "judgements", "weights")
+
+
+def parse_document(
+    data: bytes | bytearray | memoryview | str, *, lenient: bool = False
+) -> Assessment:
+    """Decode one assessment document into a validated Assessment.
+
+    With ``lenient=True`` unknown fields are logged and ignored instead of
+    rejected.
+    """
+    source = _source(data)
+    fields = None if lenient else _unrepeated_fields(source)
+    if fields is None:
+        fields = _read(source, _reject_duplicate_keys, lenient)[1]
 
     graph = PipelineGraph(nodes=fields["nodes"], edges=fields["edges"])
     assessment = Assessment(

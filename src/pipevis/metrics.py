@@ -16,7 +16,8 @@ builds its ``per_node`` rows on the first read, so a caller that reads only
 ``overall`` and ``leaf_count`` pays for no rows; the renderers and
 :func:`rank` read the columns without building rows. Equality, hashing, repr,
 :func:`dataclasses.replace`, copies and pickles read the rows, so they see
-a plain report.
+a plain report; they go through the constructor, which checks each field's
+type, while scoring builds its reports past it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .model import (
     NodeKind,
     WeightScheme,
     InvalidAssessmentError,
+    _is_integer,
+    _is_number,
     validate_assessment,
 )
 
@@ -115,12 +118,36 @@ class VisibilityReport:
 
     A report that scoring returns builds ``per_node`` on its first read (see
     the module docstring); copying and unpickling go through the constructor.
+    The constructor raises ``ValueError`` unless ``per_node`` is a tuple of
+    rows, each a string id and four numbers, ``overall`` is a number and
+    ``leaf_count`` an integer. ``display_precision`` is left to the
+    renderers, which refuse it as they refuse a precision argument.
     """
 
     per_node: tuple[NodeVisibility, ...]
     overall: float
     leaf_count: int
     display_precision: int = 2
+
+    def __post_init__(self) -> None:
+        rows = self.per_node
+        if type(rows) is not tuple:
+            raise ValueError(
+                f"report per_node must be a tuple, got {type(rows).__name__}"
+            )
+        for row in rows:
+            if not (isinstance(row, NodeVisibility) and isinstance(row[0], str)
+                    and all(map(_is_number, row[1:]))):
+                raise ValueError(
+                    f"report row must be a NodeVisibility of a string id and "
+                    f"four numbers, got {row!r}"
+                )
+        if not _is_number(self.overall):
+            raise ValueError(f"report overall must be a number, got {self.overall!r}")
+        if not _is_integer(self.leaf_count):
+            raise ValueError(
+                f"report leaf_count must be an integer, got {self.leaf_count!r}"
+            )
 
     def __getattr__(self, name: str) -> object:
         # Runs only for a name the instance lacks.
@@ -153,11 +180,26 @@ class RankEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class SensitivityResult:
-    """Baseline and what-if reports, with the full-precision overall delta."""
+    """Baseline and what-if reports, with the full-precision overall delta.
+
+    The constructor raises ``ValueError`` unless both reports are
+    :class:`VisibilityReport` instances and the delta is a number.
+    """
 
     baseline: VisibilityReport
     modified: VisibilityReport
     overall_delta: float
+
+    def __post_init__(self) -> None:
+        for name in ("baseline", "modified"):
+            if not isinstance(report := getattr(self, name), VisibilityReport):
+                raise ValueError(
+                    f"sensitivity {name} must be a VisibilityReport, got {report!r}"
+                )
+        if not _is_number(self.overall_delta):
+            raise ValueError(
+                f"sensitivity overall_delta must be a number, got {self.overall_delta!r}"
+            )
 
 
 def quality_index(judgement: Judgement) -> float:

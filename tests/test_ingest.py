@@ -9,6 +9,7 @@ import logging
 import random
 import re
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -1249,3 +1250,242 @@ class TestFuzzSafety:
                 continue
             assert assessment.graph.nodes, f"case {i} produced a bogus assessment"
 
+
+
+class Members(list):
+    """One JSON object's ``(key, value)`` members in text order; a key may repeat."""
+
+
+class Raw(str):
+    """Text that goes into a document as it is: a bare token or an escape."""
+
+
+def as_members(value):
+    if isinstance(value, dict):
+        return Members((key, as_members(item)) for key, item in value.items())
+    if isinstance(value, list):
+        return [as_members(item) for item in value]
+    return value
+
+
+def write(value, string=json.dumps) -> str:
+    """JSON text of ``value``, each string (key or value) written by ``string``."""
+    if isinstance(value, Members):
+        return "{" + ", ".join(f"{string(k)}: {write(v, string)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(write(item, string) for item in value) + "]"
+    if isinstance(value, Raw):
+        return value
+    return string(value) if isinstance(value, str) else json.dumps(value)
+
+
+def member(obj: Members, key: str):
+    return next(value for k, value in obj if k == key)
+
+
+def put(obj: Members, key: str, value) -> None:
+    """Set the first ``key`` member of ``obj``, or add one at the end."""
+    for position, (k, _) in enumerate(obj):
+        if k == key:
+            obj[position] = (key, value)
+            return
+    obj.append((key, value))
+
+
+def objects_in(value):
+    """Every object in ``value``, outer first."""
+    if isinstance(value, Members):
+        yield value
+        value = [item for _, item in value]
+    if isinstance(value, list):
+        for item in value:
+            yield from objects_in(item)
+
+
+#: Each object level of a document, and its objects.
+LEVELS = {
+    "root": lambda doc: [doc],
+    "asset": lambda doc: [member(doc, "asset")],
+    "node": lambda doc: member(doc, "nodes"),
+    "edge": lambda doc: member(doc, "edges"),
+    "judgements": lambda doc: [member(doc, "judgements")],
+    "judgement": lambda doc: [value for _, value in member(doc, "judgements")],
+    "weights": lambda doc: [w] if isinstance(w := member(doc, "weights"), Members) else [],
+}
+#: Problems a document may have besides a repeated key.
+PROBLEMS = (None, "syntax", "nan", "surrogate", "version", "unknown")
+
+
+def spoil(doc: Members, problem: str | None, target: Members) -> None:
+    """Give ``doc`` a problem; an unknown field goes into ``target``."""
+    if problem == "nan":
+        put(doc, "display_precision", Raw("NaN"))
+    elif problem == "surrogate":
+        put(doc, "assessor", Raw('"\\ud800"'))
+    elif problem == "version":
+        put(doc, "schema_version", "2.0")
+    elif problem == "unknown":
+        target.append(("extra", 1))
+
+
+def with_colons(doc: dict) -> dict:
+    """``doc`` with a colon in every node id, label and evidence ref."""
+    name = "src:{}".format
+    for node in doc["nodes"]:
+        node["id"] = name(node["id"])
+        node["label"] += ": see notes"
+        refs = node.get("evidence_refs", ["notes"])
+        node["evidence_refs"] = [f"https://example.org/{ref}" for ref in refs]
+    doc["edges"] = [{"from": name(e["from"]), "to": name(e["to"])} for e in doc["edges"]]
+    doc["judgements"] = {name(k): v for k, v in doc["judgements"].items()}
+    if isinstance(doc["weights"], dict):
+        doc["weights"] = {name(k): v for k, v in doc["weights"].items()}
+    return doc
+
+
+def outcome(data, lenient: bool = False):
+    """The assessment ``data`` parses to, or its error's class and fields."""
+    try:
+        return parse_document(data, lenient=lenient)
+    except DocumentError as exc:
+        return type(exc), exc.violations, getattr(exc, "line", 0), getattr(exc, "column", 0)
+
+
+def hooked_outcome(data, lenient: bool = False):
+    """``outcome`` with every key checked by the duplicate-key hook."""
+    with mock.patch.object(ingest, "_unrepeated_fields", lambda source: None):
+        return outcome(data, lenient)
+
+
+def hook_calls(data) -> int:
+    """How many objects of ``data`` the duplicate-key hook saw while parsing it."""
+    hook = ingest._reject_duplicate_keys
+    calls = []
+
+    def spy(pairs):
+        calls.append(pairs)
+        return hook(pairs)
+
+    with mock.patch.object(ingest, "_reject_duplicate_keys", spy):
+        outcome(data)
+    return len(calls)
+
+
+@st.composite
+def repeat_documents(draw):
+    """``(data, lenient)``: a document that may repeat a key at any level,
+    and may have a later problem, colons, colon escapes and an escaped
+    backslash before ``u003a``."""
+    doc = json.loads(ingest.document_text(draw(tricky_assessments())))
+    if draw(st.booleans()):
+        doc = with_colons(doc)
+    doc = as_members(doc)
+    level = draw(st.sampled_from([None, *LEVELS]))
+    if level == "weights" and not LEVELS["weights"](doc):
+        ids = [nid for nid, _ in member(doc, "judgements")]
+        put(doc, "weights", Members((nid, 1 / len(ids)) for nid in ids))
+    if level is not None:
+        objects = LEVELS[level](doc)
+        obj = objects[draw(st.integers(0, len(objects) - 1))]
+        key, value = obj[draw(st.integers(0, len(obj) - 1))]
+        if draw(st.booleans()):
+            value = as_members(draw(st.sampled_from(ODD_VALUES)))
+        obj.insert(draw(st.integers(0, len(obj))), (key, copy.deepcopy(value)))
+    problem = draw(st.sampled_from(PROBLEMS))
+    every = list(objects_in(doc))
+    spoil(doc, problem, every[draw(st.integers(0, len(every) - 1))])
+    if draw(st.booleans()):
+        put(doc, "assessor", "\\u003a")  # an escaped backslash: no colon
+    escape = draw(st.sampled_from([None, "\\u003a", "\\u003A"]))
+    ascii_only = draw(st.booleans())
+
+    def string(value: str) -> str:
+        text = json.dumps(value, ensure_ascii=ascii_only)
+        return text.replace(":", escape) if escape else text
+
+    text = write(doc, string)
+    if problem == "syntax":
+        text = draw(st.sampled_from([text[:-1], text + "x", text[:-1] + ","]))
+    data = text.encode("utf-8") if draw(st.booleans()) else text
+    return data, draw(st.booleans())
+
+
+class TestHooklessDecode:
+    """A strict parse decodes without the duplicate-key hook when the colon
+    count proves that no key repeated, and parses as the hooked decode does."""
+
+    @given(repeat_documents())
+    def test_hookless_and_hooked_parses_agree(self, case):
+        data, lenient = case
+        assert outcome(data, lenient) == hooked_outcome(data, lenient)
+
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_a_repeated_key_at_each_level(self, level, problem):
+        doc = as_members(with_colons(valid_doc()))
+        put(doc, "weights", Members((f"src:{n}", 1 / 3) for n in ("DS", "H1", "H2")))
+        obj = LEVELS[level](doc)[0]
+        key, value = obj[-1]  # repeated as it is: only the hook tells the two apart
+        obj.append((key, copy.deepcopy(value)))
+        spoil(doc, problem, doc)
+        text = write(doc)
+        if problem == "syntax":
+            text = text[:-1]
+        found = outcome(text)
+        assert found == hooked_outcome(text)
+        if problem is None:
+            assert found == (SchemaViolationError, (f"duplicate key: {key}",), 0, 0)
+        assert found[0] in (SchemaViolationError, MalformedSyntaxError)
+
+    def test_golden_samples_skip_the_hook(self, samples_dir):
+        paths = sorted(samples_dir.glob("*.json"))
+        assert len(paths) == 4
+        for path in paths:
+            blob = path.read_bytes()
+            assert hook_calls(blob) == 0, path.name
+            assert hook_calls(blob.decode("utf-8")) == 0, path.name
+            assert outcome(blob) == hooked_outcome(blob), path.name
+        # Its URLs put colons in strings: the count reads them too.
+        assert b'"https://' in (samples_dir / "third_party_documented.json").read_bytes()
+
+    @pytest.mark.parametrize("weights", [None, (0.5, 0.25, 0.25)], ids=["equal", "explicit"])
+    def test_colon_ids_skip_the_hook(self, weights):
+        assessment = weighted(*weights) if weights else helpers.later_assessment()
+        doc = with_colons(json.loads(serialize_document(assessment)))
+        blob = dumps(doc).encode("utf-8")
+        assert hook_calls(blob) == 0
+        parsed = parse_document(blob)
+        assert "src:DS" in parsed.judgements
+        assert parsed == hooked_outcome(blob)
+
+    @pytest.mark.parametrize("escape", ["\\u003a", "\\u003A"])
+    def test_a_colon_escape_takes_the_hook(self, escape):
+        doc = valid_doc()
+        doc["nodes"][0]["label"] = "see: notes"
+        text = dumps(doc).replace("see:", "see" + escape)
+        assert "see:" not in text
+        assert hook_calls(text) > 0
+        assessment = parse_document(text)
+        assert assessment.graph.nodes[0].label == "see: notes"
+
+    def test_an_escaped_colon_cannot_hide_a_repeated_key(self):
+        # The escape's colon, which the text does not show, makes up for the
+        # separator the repeat took away: only the escape check tells.
+        doc = as_members(valid_doc())
+        put(doc, "assessor", Raw('"internal\\u003a audit"'))
+        doc.append(("display_precision", 2))
+        text = write(doc)
+        assert text.count(":") == sum(map(len, objects_in(doc)))  # separators only
+        assert outcome(text) == (
+            SchemaViolationError, ("duplicate key: display_precision",), 0, 0
+        )
+
+    def test_a_repeated_key_takes_the_hook(self):
+        blob = dumps(valid_doc()).replace(
+            '"assessor": "internal-audit"',
+            '"assessor": "internal-audit", "assessor": "internal-audit"',
+        )
+        assert hook_calls(blob) > 0
+        assert outcome(blob) == (
+            SchemaViolationError, ("duplicate key: assessor",), 0, 0
+        )

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import copy
+import pickle
 import re
 import sys
 from dataclasses import replace
@@ -23,6 +25,7 @@ from pipevis import (
     NodeVisibility,
     RankEntry,
     ReportError,
+    SensitivityResult,
     VisibilityReport,
     WeightScheme,
     derived_asset_visibility,
@@ -677,6 +680,123 @@ class TestRefusedInputs:
         report = overall_visibility(first_party)
         with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
             render(report, first_party)
+
+
+ROW = NodeVisibility("DS", 3.0, 2.449489742783178, 2.710806010829534, 1.0)
+
+
+class TestReportFieldTypes:
+    """A report or what-if result built with a field of the wrong type is
+    refused by its constructor, before a renderer reads it."""
+
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (
+                lambda report: VisibilityReport(per_node=5, overall=1.0, leaf_count=0),
+                "report per_node must be a tuple, got int",
+            ),
+            (
+                lambda report: VisibilityReport([ROW], 1.0, 1),
+                "report per_node must be a tuple, got list",
+            ),
+            (
+                lambda report: VisibilityReport((tuple(ROW),), 1.0, 1),
+                "report row must be a NodeVisibility of a string id and four "
+                "numbers, got ('DS', 3.0, 2.449489742783178, 2.710806010829534, 1.0)",
+            ),
+            (
+                lambda report: VisibilityReport((ROW._replace(node_id=5),), 1.0, 1),
+                "report row must be a NodeVisibility of a string id and four "
+                "numbers, got NodeVisibility(node_id=5, quantity_index=3.0, "
+                "quality_index=2.449489742783178, visibility_index=2.710806010829534, "
+                "weight=1.0)",
+            ),
+            (
+                lambda report: VisibilityReport((ROW._replace(weight="1"),), 1.0, 1),
+                "report row must be a NodeVisibility of a string id and four "
+                "numbers, got NodeVisibility(node_id='DS', quantity_index=3.0, "
+                "quality_index=2.449489742783178, visibility_index=2.710806010829534, "
+                "weight='1')",
+            ),
+            (
+                lambda report: VisibilityReport((), "x", 0),
+                "report overall must be a number, got 'x'",
+            ),
+            (
+                lambda report: VisibilityReport((), True, 0),
+                "report overall must be a number, got True",
+            ),
+            (
+                lambda report: VisibilityReport(per_node=(), overall=1.0, leaf_count="x"),
+                "report leaf_count must be an integer, got 'x'",
+            ),
+            (
+                lambda report: VisibilityReport((), 1.0, 0.0),
+                "report leaf_count must be an integer, got 0.0",
+            ),
+            (
+                lambda report: replace(report, overall=None),
+                "report overall must be a number, got None",
+            ),
+            (
+                lambda report: SensitivityResult(5, report, 0.0),
+                "sensitivity baseline must be a VisibilityReport, got 5",
+            ),
+            (
+                lambda report: SensitivityResult(report, None, 0.0),
+                "sensitivity modified must be a VisibilityReport, got None",
+            ),
+            (
+                lambda report: SensitivityResult(report, report, "0"),
+                "sensitivity overall_delta must be a number, got '0'",
+            ),
+        ],
+        ids=[
+            "per_node-int", "per_node-list", "row-tuple", "row-id", "row-weight",
+            "overall-str", "overall-bool", "leaf_count-str", "leaf_count-float",
+            "replace", "baseline", "modified", "delta",
+        ],
+    )
+    def test_a_wrong_type_is_refused_at_construction(self, first_party, build, message):
+        report = overall_visibility(first_party)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(report)
+
+    def test_the_renderer_repros_fail_at_construction(self, first_party):
+        # These escaped the renderers as TypeError, TypeError and AttributeError.
+        report = overall_visibility(first_party)
+        with pytest.raises(ValueError, match="^report per_node must be a tuple"):
+            render_table(VisibilityReport(per_node=5, overall=1.0, leaf_count=0), {})
+        with pytest.raises(ValueError, match="^report leaf_count must be an integer"):
+            render_machine(
+                VisibilityReport(per_node=(), overall=1.0, leaf_count="x"), first_party
+            )
+        with pytest.raises(ValueError, match="^sensitivity baseline must be a"):
+            render_sensitivity(SensitivityResult(5, report, 0.0))
+
+    def test_well_typed_fields_are_kept(self):
+        report = VisibilityReport((ROW, ROW._replace(weight=0)), 1, 2, display_precision="2")
+        assert report.per_node == (ROW, ROW._replace(weight=0))
+        assert (report.overall, report.leaf_count, report.display_precision) == (1, 2, "2")
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [replace, copy.copy, copy.deepcopy]
+        + [
+            lambda result, p=p: pickle.loads(pickle.dumps(result, p))
+            for p in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+        ids=["replace", "copy", "deepcopy"]
+        + [f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_scored_results_still_copy(self, first_party, first_party_later, duplicate):
+        result = sensitivity(first_party, {"DS": helpers.FIRST_PARTY_LATER_DS})
+        twin = duplicate(result)
+        assert twin == result
+        assert render_sensitivity(twin).body == render_sensitivity(result).body
+        for report in (result.baseline, overall_visibility(first_party_later)):
+            assert duplicate(report) == report
 
 
 class TestBodyEnding:
