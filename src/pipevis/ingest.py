@@ -28,11 +28,14 @@ After a strict read the only objects are the root, ``asset``, each node,
 edge and judgement, ``judgements`` and explicit ``weights``, so the key
 count is a few C-level sums; the strings' colons are counted only when the
 text has more colons than keys. Bytes are counted as bytes: a colon byte is
-never part of a multi-byte UTF-8 sequence. Any other outcome (a decoding
-error, any violation, a count that does not match, a colon escape, or
-``lenient=True``) decodes the document again with the hook, from the start,
-so the error it reports is the one a repeated key or the first problem
-raises, in the order the decoder meets them.
+never part of a multi-byte UTF-8 sequence. A text with a colon escape, and a
+``lenient=True`` parse, decode with the hook from the start. A count that
+does not match means a repeat, and the document is read again with the hook,
+which raises it. A failed strict read decodes again with the hook only
+to find a repeat, which the decoder would have raised first; without one
+the read's own error stands, as the same read of the same objects would
+raise it. So every error is the one the hooked parse reports, in the order
+the decoder meets them.
 
 Nodes, edges and judgements each have an array reader, which reads a whole
 array in a few C-level passes: it builds the values of an array whose every
@@ -228,42 +231,51 @@ def _read(
     return raw, fields
 
 
-def _unrepeated_fields(source: str | bytes) -> dict[str, Any] | None:
-    """The fields of a strict read without the duplicate-key hook, when the
-    colon count proves that no key repeated; else None."""
+def _strict_fields(source: str | bytes) -> dict[str, Any]:
+    """The fields of a strict read, decoded without the duplicate-key hook
+    when the colon count proves that no key repeated (see the module
+    docstring), or the DocumentError a hooked read raises."""
     try:
         raw, fields = _read(source, None, False)
-    except DocumentError:  # the hooked read reports it, or a repeat before it
-        return None
-    return fields if _no_key_repeated(source, raw) else None
+    except DocumentError:
+        # A hooked read fails the same way unless a key repeated, which its
+        # decode reports first.
+        try:
+            _load_json(source, _reject_duplicate_keys)
+        except DocumentError as first:
+            raise first from None
+        raise
+    if _no_key_repeated(source, raw):
+        return fields
+    return _read(source, _reject_duplicate_keys, False)[1]  # raises the repeat
+
+
+def _colon_escaped(source: str | bytes) -> bool:
+    """Whether ``source`` has a ``\\u003a`` escape, whose colon the count
+    cannot see; the backslash test spares the search in most documents."""
+    if isinstance(source, str):
+        return "\\" in source and re.search(r"\\u003[aA]", source) is not None
+    return b"\\" in source and re.search(rb"\\u003[aA]", source) is not None
 
 
 def _no_key_repeated(source: str | bytes, raw: dict[str, Any]) -> bool:
     """Whether ``source``'s colons prove that no object of ``raw``, which the
     strict read accepted, lost a repeated key (see the module docstring)."""
-    if isinstance(source, str):
-        colon, backslash, escape = ":", "\\", r"\\u003[aA]"
-    else:
-        colon, backslash, escape = b":", b"\\", rb"\\u003[aA]"
-    if backslash in source and re.search(escape, source):
-        return False
     asset, nodes, edges, judgements, weights = _OBJECTS(raw)
     explicit = weights if isinstance(weights, dict) else {}
     keys = (
         len(raw) + len(asset) + sum(map(len, nodes)) + sum(map(len, edges))
         + len(judgements) + sum(map(len, judgements.values())) + len(explicit)
     )
-    colons = source.count(colon)
+    colons = source.count(":" if isinstance(source, str) else b":")
     if colons == keys:
         return True
+    # A node's values are strings and lists of strings; a list's str() adds
+    # no colon to its items'.
     strings = chain(
         (raw["schema_version"], raw["assessed_at"], raw["assessor"]),
         asset.values(),
-        *(
-            map(dict.get, nodes, repeat(key), repeat(""))
-            for key in ("id", "kind", "label", "description")
-        ),
-        chain.from_iterable(map(dict.get, nodes, repeat("evidence_refs"), repeat(()))),
+        map(str, chain.from_iterable(map(dict.values, nodes))),
         chain.from_iterable(map(dict.values, edges)),
         judgements,
         explicit,
@@ -283,9 +295,10 @@ def parse_document(
     rejected.
     """
     source = _source(data)
-    fields = None if lenient else _unrepeated_fields(source)
-    if fields is None:
+    if lenient or _colon_escaped(source):
         fields = _read(source, _reject_duplicate_keys, lenient)[1]
+    else:
+        fields = _strict_fields(source)
 
     graph = PipelineGraph(nodes=fields["nodes"], edges=fields["edges"])
     assessment = Assessment(
@@ -688,6 +701,9 @@ _JUDGEMENT = _Object({
     "accuracy": (_score, _REQUIRED),
     "freshness": (_score, _REQUIRED),
 }, lambda fields: _JUDGEMENTS[_SCORES(fields)], _interned)
+#: The colon count in ``_no_key_repeated`` follows this shape: an object that
+#: a schema change adds, or a string field outside a node, must join it, or
+#: every document that has one parses through the hook (correctly, but slower).
 _DOCUMENT = _Object({
     "schema_version": (_string, _PRESENT),
     "asset": (_ASSET, _REQUIRED),

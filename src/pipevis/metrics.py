@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter, getitem, itemgetter, mul, truediv
 from typing import NamedTuple
 
@@ -135,13 +135,14 @@ class VisibilityReport:
             raise ValueError(
                 f"report per_node must be a tuple, got {type(rows).__name__}"
             )
-        for row in rows:
-            if not (isinstance(row, NodeVisibility) and isinstance(row[0], str)
-                    and all(map(_is_number, row[1:]))):
-                raise ValueError(
-                    f"report row must be a NodeVisibility of a string id and "
-                    f"four numbers, got {row!r}"
-                )
+        if not _plain_rows(rows):
+            for row in rows:
+                if not (isinstance(row, NodeVisibility) and isinstance(row[0], str)
+                        and all(map(_is_number, row[1:]))):
+                    raise ValueError(
+                        f"report row must be a NodeVisibility of a string id "
+                        f"and four numbers, got {row!r}"
+                    )
         if not _is_number(self.overall):
             raise ValueError(f"report overall must be a number, got {self.overall!r}")
         if not _is_integer(self.leaf_count):
@@ -170,6 +171,20 @@ class VisibilityReport:
                    map(_visibility, indices), weights)
 
     __reduce__ = _init_args
+
+
+def _plain_rows(rows: tuple[object, ...]) -> bool:
+    """Whether each row is exactly a NodeVisibility of a str id and four
+    ints or floats, checked in C-level passes; a row of a subclass goes to
+    the constructor's row-by-row check."""
+    return (
+        set(map(type, rows)) <= {NodeVisibility}
+        and set(map(type, map(_node_id, rows))) <= {str}
+        and set(map(type, chain.from_iterable(map(_numbers, rows)))) <= {int, float}
+    )
+
+
+_node_id, _numbers = itemgetter(0), itemgetter(slice(1, None))
 
 
 class RankEntry(NamedTuple):

@@ -1329,11 +1329,13 @@ def spoil(doc: Members, problem: str | None, target: Members) -> None:
 
 
 def with_colons(doc: dict) -> dict:
-    """``doc`` with a colon in every node id, label and evidence ref."""
+    """``doc`` with a colon in every node id, label, description and
+    evidence ref; every node then has each optional field."""
     name = "src:{}".format
     for node in doc["nodes"]:
         node["id"] = name(node["id"])
         node["label"] += ": see notes"
+        node["description"] = "origin: " + node.get("description", "unknown")
         refs = node.get("evidence_refs", ["notes"])
         node["evidence_refs"] = [f"https://example.org/{ref}" for ref in refs]
     doc["edges"] = [{"from": name(e["from"]), "to": name(e["to"])} for e in doc["edges"]]
@@ -1353,7 +1355,7 @@ def outcome(data, lenient: bool = False):
 
 def hooked_outcome(data, lenient: bool = False):
     """``outcome`` with every key checked by the duplicate-key hook."""
-    with mock.patch.object(ingest, "_unrepeated_fields", lambda source: None):
+    with mock.patch.object(ingest, "_colon_escaped", lambda source: True):
         return outcome(data, lenient)
 
 
@@ -1369,6 +1371,20 @@ def hook_calls(data) -> int:
     with mock.patch.object(ingest, "_reject_duplicate_keys", spy):
         outcome(data)
     return len(calls)
+
+
+def decodes(data, lenient: bool = False) -> list[bool]:
+    """For each JSON decode while parsing ``data``, whether it had the hook."""
+    load = ingest._load_json
+    hooks = []
+
+    def spy(source, hook):
+        hooks.append(hook is not None)
+        return load(source, hook)
+
+    with mock.patch.object(ingest, "_load_json", spy):
+        outcome(data, lenient)
+    return hooks
 
 
 @st.composite
@@ -1479,6 +1495,32 @@ class TestHooklessDecode:
         assert outcome(text) == (
             SchemaViolationError, ("duplicate key: display_precision",), 0, 0
         )
+
+    def test_each_path_decodes_at_most_twice(self):
+        text = dumps(valid_doc())
+        repeat = text.replace('"assessor"', '"assessor": "a", "assessor"')
+        unknown = text.replace('"assessor"', '"extra": 1, "assessor"')
+        escape = text.replace('"internal-audit"', '"internal\\u003a audit"')
+        assert decodes(text) == [False]
+        assert decodes(text, lenient=True) == [True]
+        assert decodes(escape) == [True]
+        # A repeat, or a failed read, decodes again with the hook.
+        assert decodes(repeat) == [False, True]
+        assert decodes(unknown) == [False, True]
+        assert decodes(text[:-2]) == [False, True]
+        assert outcome(unknown) == (
+            SchemaViolationError, ("unknown field: extra",), 0, 0
+        )
+
+    def test_a_failed_read_reports_the_hooked_error_alone(self):
+        # The repeat comes before the unknown field, which a hookless read
+        # meets first: the repeat's error is raised, with no chained one.
+        text = dumps(valid_doc()).replace(
+            '"assessor"', '"asset": {"name": "x", "version": "1"}, "extra": 1, "assessor"'
+        )
+        with pytest.raises(SchemaViolationError, match="duplicate key: asset") as info:
+            parse_document(text)
+        assert info.value.__suppress_context__
 
     def test_a_repeated_key_takes_the_hook(self):
         blob = dumps(valid_doc()).replace(

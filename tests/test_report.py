@@ -720,6 +720,13 @@ class TestReportFieldTypes:
                 "weight='1')",
             ),
             (
+                lambda report: VisibilityReport((ROW, ROW._replace(weight=True)), 1.0, 2),
+                "report row must be a NodeVisibility of a string id and four "
+                "numbers, got NodeVisibility(node_id='DS', quantity_index=3.0, "
+                "quality_index=2.449489742783178, visibility_index=2.710806010829534, "
+                "weight=True)",
+            ),
+            (
                 lambda report: VisibilityReport((), "x", 0),
                 "report overall must be a number, got 'x'",
             ),
@@ -753,7 +760,7 @@ class TestReportFieldTypes:
             ),
         ],
         ids=[
-            "per_node-int", "per_node-list", "row-tuple", "row-id", "row-weight",
+            "per_node-int", "per_node-list", "row-tuple", "row-id", "row-weight", "row-bool",
             "overall-str", "overall-bool", "leaf_count-str", "leaf_count-float",
             "replace", "baseline", "modified", "delta",
         ],
@@ -779,6 +786,18 @@ class TestReportFieldTypes:
         report = VisibilityReport((ROW, ROW._replace(weight=0)), 1, 2, display_precision="2")
         assert report.per_node == (ROW, ROW._replace(weight=0))
         assert (report.overall, report.leaf_count, report.display_precision) == (1, 2, "2")
+
+    def test_subclassed_row_fields_are_kept(self):
+        # Not the exact types the constructor's C-level passes accept: the
+        # row-by-row check decides.
+        class Row(NodeVisibility):
+            pass
+
+        class Id(str):
+            pass
+
+        rows = (ROW, Row(*ROW), ROW._replace(node_id=Id("H1"), weight=math.pi))
+        assert VisibilityReport(rows, 1.0, 3).per_node == rows
 
     @pytest.mark.parametrize(
         "duplicate",
