@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from datetime import date
 from itertools import chain, repeat
 from json.encoder import encode_basestring
@@ -181,9 +181,11 @@ def _load_json(source: str | bytes, hook: Callable[..., Any] | None) -> Any:
         value = json.loads(
             text, object_pairs_hook=hook, parse_constant=_reject_constant
         )
-        # A lone surrogate, from a str argument or a \\u escape, fails to encode.
-        if isinstance(source, str) or re.search(r"\\u[dD][89a-fA-F]", text):
+        # The first lone surrogate, escaped or raw, fails to encode.
+        if "\\" in text and re.search(r"\\u[dD][89a-fA-F]", text):
             json.dumps(value, ensure_ascii=False).encode("utf-8")
+        elif isinstance(source, str):  # raw ones only; bytes hold none
+            source.encode("utf-8")
         return value
     except UnicodeDecodeError as exc:
         raise MalformedSyntaxError(
@@ -388,12 +390,13 @@ _SCORES_TEXT = {
 }
 
 
-def document_text(assessment: Assessment, members: str = "") -> str:
+def document_text(assessment: Assessment, members: Iterable[str] = ()) -> str:
     """The canonical text of ``assessment``, written without a validity check.
 
-    ``members`` is the text of further top-level members, each ``,\n  "key":
-    value`` at one level of indent; it goes after ``display_precision``. A
-    ``NodeKind`` is a ``str``, so ``encode_basestring`` writes its value.
+    ``members`` are the pieces of further top-level members, each ``,\n  "key":
+    value`` at one level of indent; they go after ``display_precision``. Every
+    piece goes into one list, joined once. A ``NodeKind`` is a ``str``, so
+    ``encode_basestring`` writes its value.
     """
     text = encode_basestring
     nodes = []
@@ -417,38 +420,43 @@ def document_text(assessment: Assessment, members: str = "") -> str:
         f"{text(nid)}: {_SCORES_TEXT[j.quantity, j.accuracy, j.freshness]}"
         for nid, j in zip(ids, map(assessment.judgements.__getitem__, ids))
     ]
-    explicit = assessment.weights.weights
-    weights = '"equal"' if explicit is None else _block(
-        [f"{text(k)}: {float.__repr__(explicit[k])}" for k in sorted(explicit)],
-        "{}",
-        1,
-    )
-    return (
+    pieces = [
         f'{{\n  "schema_version": "{SCHEMA_VERSION}",'
         f'\n  "asset": {{\n    "name": {text(assessment.asset_name)},'
         f'\n    "version": {text(assessment.asset_version)}\n  }},'
         f'\n  "assessed_at": {text(assessment.assessed_at.isoformat())},'
-        f'\n  "assessor": {text(assessment.assessor)},'
-        f'\n  "nodes": {_block(nodes, "[]", 1)},'
-        f'\n  "edges": {_block(edges, "[]", 1)},'
-        f'\n  "judgements": {_block(judgements, "{}", 1)},'
-        f'\n  "weights": {weights},'
-        f'\n  "display_precision": {int.__repr__(assessment.display_precision)}'
-        f"{members}\n}}\n"
-    )
+        f'\n  "assessor": {text(assessment.assessor)},\n  "nodes": '
+    ]
+    _put(pieces, nodes, "[]", 1, ',\n  "edges": ')
+    _put(pieces, edges, "[]", 1, ',\n  "judgements": ')
+    _put(pieces, judgements, "{}", 1, ',\n  "weights": ')
+    explicit = assessment.weights.weights
+    tail = f',\n  "display_precision": {int.__repr__(assessment.display_precision)}'
+    if explicit is None:
+        pieces.append('"equal"' + tail)
+    else:
+        items = [f"{text(k)}: {float.__repr__(explicit[k])}" for k in sorted(explicit)]
+        _put(pieces, items, "{}", 1, tail)
+    pieces += [*members, "\n}\n"]
+    return "".join(pieces)
 
 
-def _block(items: list[str], brackets: str, depth: int) -> str:
-    """A JSON array or object (``brackets``) of formatted items at ``depth``.
-
-    Each item is on a line of its own, one level of indent deeper; an item's
-    own later lines carry their full indent already.
-    """
+def _put(
+    pieces: list[str], items: list[str], brackets: str, depth: int, after: str
+) -> None:
+    """Append to ``pieces`` a JSON array or object (``brackets``) of ``items``
+    at ``depth``, then ``after``. Each item goes on a line of its own, one
+    level deeper (its own later lines carry their full indent already), put
+    between the separators by one C-level slice assignment."""
     if not items:
-        return brackets
+        pieces.append(brackets + after)
+        return
     inner = "\n" + "  " * (depth + 1)
-    close = "\n" + "  " * depth
-    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{close}{brackets[1]}"
+    start = len(pieces)
+    pieces += repeat("," + inner, 2 * len(items) + 1)
+    pieces[start] = brackets[0] + inner
+    pieces[start + 1::2] = items
+    pieces[-1] = "\n" + "  " * depth + brackets[1] + after
 
 
 def _type_name(value: Any) -> str:

@@ -30,7 +30,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import cache
 from json.encoder import encode_basestring
 
-from .ingest import _block, document_text
+from .ingest import _put, document_text
 # Unused here, but the benchmark's tracer wraps ``pipevis.report.document_dict``.
 from .ingest import document_dict  # noqa: F401
 from .metrics import (
@@ -126,7 +126,8 @@ def format_fixed(value: float, precision: int = 2) -> str:
 
 
 def _report(body_lines: list[str]) -> RenderedReport:
-    return RenderedReport("\n".join(body_lines) + "\n")
+    body_lines.append("")  # the newline every body ends with
+    return RenderedReport("\n".join(body_lines))
 
 
 def _require(name: str, value: object, kind: type, what: str) -> None:
@@ -257,12 +258,12 @@ def render_machine(
                 tails[key] = tail
         rows.append(f'{{\n        "node": {encode_basestring(node_id)}{tail}')
     scope = scope_node if scope_node is not None else "overall"
-    results = (
+    results = [
         f',\n  "results": {{\n    "scope": {encode_basestring(scope)},'
-        f'\n    "leaf_count": {int.__repr__(report.leaf_count)},'
-        f'\n    "per_node": {_block(rows, "[]", 2)},'
-        f'\n    "overall_visibility": {_sig15(report.overall)!r}\n  }}'
-    )
+        f'\n    "leaf_count": {int.__repr__(report.leaf_count)},\n    "per_node": '
+    ]
+    overall = f',\n    "overall_visibility": {_sig15(report.overall)!r}\n  }}'
+    _put(results, rows, "[]", 2, overall)
     return RenderedReport(document_text(assessment, results))
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import warnings
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,14 @@ import pytest
 import helpers
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# A failing @given test makes the hypothesis plugin import this module, whose
+# libcst import warns that mypy_extensions.TypedDict is deprecated; under
+# filterwarnings = ["error"] the run would end in INTERNALERROR with no
+# falsifying example. libcst is not a test dependency, so it may be missing.
+with suppress(ImportError), warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")

@@ -271,6 +271,48 @@ class TestWriter:
             expected = machine_reference(scoped, assessment, scope_node=node.id)
             assert body == reference_text(expected)
 
+    def test_a_large_assessment_matches_json_dumps(self):
+        # 2,000 leaves under 20 derived assets, each leaf with a description,
+        # 0-2 evidence refs and a weight of its own: every block has many
+        # items to interleave with its separators, and every optional field.
+        rng = random.Random(2000)
+        leaves = [f"L{i:04d}" for i in range(2000)]
+        derived = [f"D{i:02d}" for i in range(20)]
+        nodes = [
+            ContributionNode(
+                id=nid,
+                kind=rng.choice((NodeKind.DATA_SOURCE, NodeKind.HUMAN_CONTRIBUTOR)),
+                label=f"leaf {nid}",
+                description=f"origin of {nid}",
+                evidence_refs=tuple(f"refs/{nid}/{j}" for j in range(i % 3)),
+            )
+            for i, nid in enumerate(leaves)
+        ]
+        nodes += [ContributionNode(id=d, kind=NodeKind.DERIVED_ASSET, label=d) for d in derived]
+        nodes.append(ContributionNode(id="OUT", kind=NodeKind.OUTPUT_ASSET, label="output"))
+        edges = [(nid, derived[i % 20]) for i, nid in enumerate(leaves)]
+        edges += [(d, "OUT") for d in derived]
+        raw = [rng.uniform(0.05, 1.0) for _ in leaves]
+        assessment = helpers.example_assessment(
+            graph=PipelineGraph(nodes=tuple(nodes), edges=tuple(edges)),
+            judgements={nid: helpers.random_judgement(rng) for nid in leaves},
+            weights=WeightScheme.explicit(
+                {nid: w / sum(raw) for nid, w in zip(leaves, raw)}
+            ),
+        )
+        assert validate_assessment(assessment).ok
+        expected = reference_text(ingest.document_dict(assessment))
+        assert ingest.document_text(assessment) == expected
+        assert serialize_document(assessment) == expected.encode("utf-8")
+        for scope in (None, derived[7]):
+            if scope is None:
+                report = overall_visibility(assessment)
+            else:
+                report = derived_asset_visibility(assessment, scope)
+                assert report.leaf_count == 100
+            body = render_machine(report, assessment, scope_node=scope).body
+            assert body == reference_text(machine_reference(report, assessment, scope))
+
     def test_empty_containers_match_json_dumps(self):
         # Never valid, but the writer still owes the reference's text.
         assessment = helpers.example_assessment(
@@ -409,6 +451,44 @@ class TestSyntaxErrors:
             blob = json.dumps(doc, ensure_ascii=False)
         with pytest.raises(MalformedSyntaxError, match="lone surrogate"):
             parse_document(blob)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda doc: doc.update(assessor="\ud800"), lambda doc: doc.update({"\ud800": 1})],
+        ids=["value", "key"],
+    )
+    def test_raw_lone_surrogate_in_a_str_is_named(self, edit):
+        doc = valid_doc()
+        edit(doc)
+        text = json.dumps(doc, ensure_ascii=False)
+        assert "\\" not in text  # no escape: the argument itself is encoded
+        with pytest.raises(MalformedSyntaxError) as excinfo:
+            parse_document(text)
+        assert excinfo.value.violations == ("lone surrogate '\\ud800' in a string",)
+
+    @pytest.mark.parametrize("escaped", ["\ud801", "\ud802"])
+    def test_the_first_lone_surrogate_in_document_order_is_named(self, escaped):
+        # One escaped and one raw, either of them first.
+        doc = valid_doc()
+        doc["assessor"] = "\ud801"
+        doc["nodes"][-1]["label"] = "\ud802"
+        text = json.dumps(doc, ensure_ascii=False)
+        text = text.replace(escaped, f"\\u{ord(escaped):04x}")
+        with pytest.raises(MalformedSyntaxError) as excinfo:
+            parse_document(text)
+        assert excinfo.value.violations == ("lone surrogate '\\ud801' in a string",)
+
+    @pytest.mark.parametrize("surrogate", ["\ud800", "\\ud800"], ids=["raw", "escaped"])
+    @pytest.mark.parametrize("kept", [False, True], ids=["dropped", "kept"])
+    def test_a_repeated_key_is_reported_before_a_surrogate(self, surrogate, kept):
+        # Without the hook the first assessor is dropped; the surrogate is in
+        # the dropped value or in the kept one.
+        first, last = ("a", surrogate) if kept else (surrogate, "internal-audit")
+        text = dumps(valid_doc()).replace(
+            '"assessor": "internal-audit"',
+            f'"assessor": "{first}", "assessor": "{last}"',
+        )
+        assert outcome(text) == (SchemaViolationError, ("duplicate key: assessor",), 0, 0)
 
     def test_surrogate_pair_round_trips(self):
         doc = valid_doc()
