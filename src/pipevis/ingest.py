@@ -15,27 +15,25 @@ surrogates (``"\\ud800"``), the non-JSON tokens ``NaN`` and ``Infinity``,
 unknown keys and an explicit ``null`` for an optional key. ``lenient=True``
 only downgrades unknown keys to warnings.
 
-A strict parse first decodes without the duplicate-key hook, which the C
-decoder would call once per object, reads the fields, and then proves from
-the text that no key repeated. JSON has a raw ``:`` only as a member
-separator or inside a string. Without the hook a repeated key keeps only its
-last member; an earlier member is dropped with its separator, its key and
-its value, which takes at least one colon out of the decoded document. So
-the text's colons equal the decoded objects' key counts plus the colons of
-the decoded keys and strings exactly when no member was dropped, provided no
-``\\u003a`` escape put a colon into a string that the text does not show.
-After a strict read the only objects are the root, ``asset``, each node,
-edge and judgement, ``judgements`` and explicit ``weights``, so the key
-count is a few C-level sums; the strings' colons are counted only when the
-text has more colons than keys. Bytes are counted as bytes: a colon byte is
-never part of a multi-byte UTF-8 sequence. A text with a colon escape, and a
-``lenient=True`` parse, decode with the hook from the start. A count that
-does not match means a repeat, and the document is read again with the hook,
-which raises it. A failed strict read decodes again with the hook only
-to find a repeat, which the decoder would have raised first; without one
-the read's own error stands, as the same read of the same objects would
-raise it. So every error is the one the hooked parse reports, in the order
-the decoder meets them.
+A strict parse decodes without the duplicate-key hook, which the C decoder
+would call once per object, reads the fields, and then proves from the text
+that no key repeated. JSON has a raw ``:`` only as a member separator or
+inside a string, where a ``\\u003a`` escape also writes one. Without the hook
+a repeated key keeps only its last member; an earlier member is dropped with
+its separator, its key and its value, which takes at least one colon out of
+the decoded document. So the text's colons and colon escapes equal the
+decoded objects' key counts plus the colons of the decoded keys and strings
+exactly when no member was dropped. A ``\\u003a`` after an escaped backslash
+is no escape and adds to the text's side only: it can fail the count without
+a repeat, never pass it with one. After a strict read the only objects are
+the root, ``asset``, each node, edge and judgement, ``judgements`` and
+explicit ``weights``, so the key count is a few C-level sums; the escapes are
+counted only when the text has a backslash, the strings' colons only when
+the text has more colons than keys. Bytes are counted as bytes: no byte of a
+multi-byte UTF-8 sequence is ASCII. A failed read, or a count that does not
+match, decodes again with the hook only to name a repeat; without one the
+read's own error, or its fields, stand: every error is the hooked parse's,
+in the order the decoder meets them. ``lenient=True`` decodes once, hooked.
 
 Nodes, edges and judgements each have an array reader, which reads a whole
 array in a few C-level passes: it builds the values of an array whose every
@@ -207,69 +205,61 @@ def _lone_surrogate(exc: UnicodeEncodeError) -> str:
     return f"lone surrogate {exc.object[exc.start]!r} in a string"
 
 
-def _read(
-    source: str | bytes, hook: Callable[..., Any] | None, lenient: bool
-) -> tuple[dict[str, Any], dict[str, Any]]:
-    """The decoded document and its fields, or its first DocumentError."""
-    raw = _load_json(source, hook)
-    if not isinstance(raw, dict):
-        raise SchemaViolationError(
-            [f"document root must be an object, got {_type_name(raw)}"]
-        )
-
+def _read(source: str | bytes, lenient: bool) -> dict[str, Any]:
+    """The document's fields, or its first DocumentError; a strict read
+    decodes without the duplicate-key hook (see the module docstring)."""
     try:
-        if "schema_version" not in raw:
-            raise _Invalid("required field missing")
-        version = _string(raw["schema_version"])
-    except _Invalid as exc:
-        raise SchemaViolationError([f"schema_version: {exc}"]) from None
-    if version != SCHEMA_VERSION:
-        raise UnknownSchemaVersionError(version)
+        raw = _load_json(source, _reject_duplicate_keys if lenient else None)
+        if not isinstance(raw, dict):
+            raise SchemaViolationError(
+                [f"document root must be an object, got {_type_name(raw)}"]
+            )
 
-    errors: list[str] = []
-    fields = _DOCUMENT.read(raw, "", errors, lenient)
-    if errors:
-        raise SchemaViolationError(errors)
-    return raw, fields
-
-
-def _strict_fields(source: str | bytes) -> dict[str, Any]:
-    """The fields of a strict read, decoded without the duplicate-key hook
-    when the colon count proves that no key repeated (see the module
-    docstring), or the DocumentError a hooked read raises."""
-    try:
-        raw, fields = _read(source, None, False)
-    except DocumentError:
-        # A hooked read fails the same way unless a key repeated, which its
-        # decode reports first.
         try:
-            _load_json(source, _reject_duplicate_keys)
-        except DocumentError as first:
-            raise first from None
+            if "schema_version" not in raw:
+                raise _Invalid("required field missing")
+            version = _string(raw["schema_version"])
+        except _Invalid as exc:
+            raise SchemaViolationError([f"schema_version: {exc}"]) from None
+        if version != SCHEMA_VERSION:
+            raise UnknownSchemaVersionError(version)
+
+        errors: list[str] = []
+        fields = _DOCUMENT.read(raw, "", errors, lenient)
+        if errors:
+            raise SchemaViolationError(errors)
+    except DocumentError:
+        if not lenient:
+            _repeat(source)
         raise
-    if _no_key_repeated(source, raw):
-        return fields
-    return _read(source, _reject_duplicate_keys, False)[1]  # raises the repeat
+    if not lenient and not _no_key_repeated(source, raw):
+        _repeat(source)
+    return fields
 
 
-def _colon_escaped(source: str | bytes) -> bool:
-    """Whether ``source`` has a ``\\u003a`` escape, whose colon the count
-    cannot see; the backslash test spares the search in most documents."""
-    if isinstance(source, str):
-        return "\\" in source and re.search(r"\\u003[aA]", source) is not None
-    return b"\\" in source and re.search(rb"\\u003[aA]", source) is not None
+def _repeat(source: str | bytes) -> None:
+    """Raise what a hooked decode of ``source`` raises, if anything: a
+    repeated key, which the decoder meets first, or the hookless decode's error."""
+    try:
+        _load_json(source, _reject_duplicate_keys)
+    except DocumentError as exc:
+        raise exc from None
 
 
 def _no_key_repeated(source: str | bytes, raw: dict[str, Any]) -> bool:
-    """Whether ``source``'s colons prove that no object of ``raw``, which the
-    strict read accepted, lost a repeated key (see the module docstring)."""
+    """Whether ``source``'s colons and colon escapes prove that no object of
+    ``raw``, which the strict read accepted, lost a repeated key (see the
+    module docstring)."""
     asset, nodes, edges, judgements, weights = _OBJECTS(raw)
     explicit = weights if isinstance(weights, dict) else {}
     keys = (
         len(raw) + len(asset) + sum(map(len, nodes)) + sum(map(len, edges))
         + len(judgements) + sum(map(len, judgements.values())) + len(explicit)
     )
-    colons = source.count(":" if isinstance(source, str) else b":")
+    is_str = isinstance(source, str)
+    colons = source.count(":" if is_str else b":")
+    if ("\\" if is_str else b"\\") in source:
+        colons += len(re.findall(r"\\u003[aA]" if is_str else rb"\\u003[aA]", source))
     if colons == keys:
         return True
     # A node's values are strings and lists of strings; a list's str() adds
@@ -296,11 +286,7 @@ def parse_document(
     With ``lenient=True`` unknown fields are logged and ignored instead of
     rejected.
     """
-    source = _source(data)
-    if lenient or _colon_escaped(source):
-        fields = _read(source, _reject_duplicate_keys, lenient)[1]
-    else:
-        fields = _strict_fields(source)
+    fields = _read(_source(data), lenient)
 
     graph = PipelineGraph(nodes=fields["nodes"], edges=fields["edges"])
     assessment = Assessment(
@@ -711,7 +697,7 @@ _JUDGEMENT = _Object({
 }, lambda fields: _JUDGEMENTS[_SCORES(fields)], _interned)
 #: The colon count in ``_no_key_repeated`` follows this shape: an object that
 #: a schema change adds, or a string field outside a node, must join it, or
-#: every document that has one parses through the hook (correctly, but slower).
+#: every document that has one decodes twice (correctly, but slower).
 _DOCUMENT = _Object({
     "schema_version": (_string, _PRESENT),
     "asset": (_ASSET, _REQUIRED),

@@ -301,17 +301,22 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
     return _weighted_report(assessment, leaf_ids, weights)
 
 
-def rank(assessments: Sequence[Assessment]) -> list[RankEntry]:
+def rank(assessments: Iterable[Assessment]) -> list[RankEntry]:
     """Order assessments by unrounded overall index, descending.
 
     Ties break on the higher minimum node index, then lexicographically on
     (asset name, asset version), so the result is stable and deterministic.
-    Raises :class:`~pipevis.model.InvalidAssessmentError` naming the
-    offending assessment if any input is invalid, or the position of an
-    item that is not an :class:`~pipevis.model.Assessment`.
+    Raises :class:`~pipevis.model.InvalidAssessmentError` naming an invalid
+    assessment, an item that is not an :class:`~pipevis.model.Assessment` by
+    position, or a non-iterable argument by type.
     """
+    try:
+        items = iter(assessments)
+    except TypeError:
+        violation = f"assessments must be iterable, got {type(assessments).__name__}"
+        raise InvalidAssessmentError([violation]) from None
     scored = []
-    for position, assessment in enumerate(assessments):
+    for position, assessment in enumerate(items):
         if not isinstance(assessment, Assessment):
             violation = f"item {position} is not an Assessment: {assessment!r}"
             raise InvalidAssessmentError([violation])

@@ -24,11 +24,12 @@ every body ends with exactly one newline.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import cache
 from json.encoder import encode_basestring
+from typing import Any
 
 from .ingest import _put, document_text
 # Unused here, but the benchmark's tracer wraps ``pipevis.report.document_dict``.
@@ -136,11 +137,18 @@ def _require(name: str, value: object, kind: type, what: str) -> None:
         raise ReportError(f"{name} must be {what}, got {value!r}")
 
 
-def _require_items(items: Sequence[object], kind: type, name: str) -> None:
-    """Refuse the first item that is not a ``kind``, naming its position."""
-    for position, item in enumerate(items):
+def _items(name: str, items: Iterable[Any], kind: type, what: str) -> list[Any]:
+    """``items`` as one list; refuse a non-iterable or an item not a ``kind``."""
+    try:
+        iterator = iter(items)
+    except TypeError:
+        got = type(items).__name__
+        raise ReportError(f"{name} must be iterable, got {got}") from None
+    listed = list(iterator)
+    for position, item in enumerate(listed):
         if not isinstance(item, kind):
-            raise ReportError(f"item {position} is not {name}: {item!r}")
+            raise ReportError(f"item {position} is not {what}: {item!r}")
+    return listed
 
 
 def render_table(
@@ -187,12 +195,12 @@ def render_table(
 
 
 def render_comparison(
-    ranked: Sequence[RankEntry], precision: int = 2
+    ranked: Iterable[RankEntry], precision: int = 2
 ) -> RenderedReport:
     """Ranking table, one row per assessment, best first."""
+    ranked = _items("ranked", ranked, RankEntry, "a RankEntry")
     if not ranked:
         raise EmptyInputError("nothing to compare: ranking is empty")
-    _require_items(ranked, RankEntry, "a RankEntry")
     lines = [COMPARISON_HEADER]
     for position, (name, version, overall) in enumerate(ranked):
         try:
@@ -206,12 +214,12 @@ def render_comparison(
 
 
 def render_series(
-    assessments: Sequence[Assessment], precision: int | None = None
+    assessments: Iterable[Assessment], precision: int | None = None
 ) -> RenderedReport:
     """Date-ordered overall VIS for one asset, with the net change at the end."""
+    assessments = _items("assessments", assessments, Assessment, "an Assessment")
     if not assessments:
         raise EmptyInputError("nothing to render: series is empty")
-    _require_items(assessments, Assessment, "an Assessment")
     names = sorted({a.asset_name for a in assessments})
     if len(names) > 1:
         raise MixedAssetError(f"mixed assets in series: {', '.join(names)}")

@@ -1434,8 +1434,13 @@ def outcome(data, lenient: bool = False):
 
 
 def hooked_outcome(data, lenient: bool = False):
-    """``outcome`` with every key checked by the duplicate-key hook."""
-    with mock.patch.object(ingest, "_colon_escaped", lambda source: True):
+    """``outcome`` with every decode using the duplicate-key hook."""
+    load = ingest._load_json
+
+    def hooked(source, hook):
+        return load(source, ingest._reject_duplicate_keys)
+
+    with mock.patch.object(ingest, "_load_json", hooked):
         return outcome(data, lenient)
 
 
@@ -1555,12 +1560,12 @@ class TestHooklessDecode:
         assert parsed == hooked_outcome(blob)
 
     @pytest.mark.parametrize("escape", ["\\u003a", "\\u003A"])
-    def test_a_colon_escape_takes_the_hook(self, escape):
+    def test_a_colon_escape_skips_the_hook(self, escape):
         doc = valid_doc()
         doc["nodes"][0]["label"] = "see: notes"
         text = dumps(doc).replace("see:", "see" + escape)
         assert "see:" not in text
-        assert hook_calls(text) > 0
+        assert hook_calls(text) == 0
         assessment = parse_document(text)
         assert assessment.graph.nodes[0].label == "see: notes"
 
@@ -1581,15 +1586,25 @@ class TestHooklessDecode:
         repeat = text.replace('"assessor"', '"assessor": "a", "assessor"')
         unknown = text.replace('"assessor"', '"extra": 1, "assessor"')
         escape = text.replace('"internal-audit"', '"internal\\u003a audit"')
+        # An escaped backslash: the text shows "\u003a", the string no colon.
+        no_escape = text.replace('"internal-audit"', '"internal\\\\u003a audit"')
         assert decodes(text) == [False]
         assert decodes(text, lenient=True) == [True]
-        assert decodes(escape) == [True]
-        # A repeat, or a failed read, decodes again with the hook.
+        assert decodes(escape) == [False]
+        # A repeat, a failed read, or a count whose text side is larger
+        # without a repeat, decodes again with the hook.
         assert decodes(repeat) == [False, True]
         assert decodes(unknown) == [False, True]
         assert decodes(text[:-2]) == [False, True]
+        assert decodes(no_escape) == [False, True]
         assert outcome(unknown) == (
             SchemaViolationError, ("unknown field: extra",), 0, 0
+        )
+        assert parse_document(no_escape).assessor == "internal\\u003a audit"
+        repeated = no_escape.replace('"assessor"', '"assessor": "a", "assessor"')
+        assert decodes(repeated) == [False, True]
+        assert outcome(repeated) == (
+            SchemaViolationError, ("duplicate key: assessor",), 0, 0
         )
 
     def test_a_failed_read_reports_the_hooked_error_alone(self):

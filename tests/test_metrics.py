@@ -638,6 +638,14 @@ class TestRank:
         assert excinfo.value.violations == (violation,)
         assert str(excinfo.value) == f"invalid assessment: {violation}"
 
+    @pytest.mark.parametrize("value", [5, None], ids=["int", "None"])
+    def test_an_argument_that_is_not_iterable_is_named_by_type(self, value):
+        # Each used to raise TypeError.
+        violation = f"assessments must be iterable, got {type(value).__name__}"
+        with pytest.raises(InvalidAssessmentError) as excinfo:
+            rank(value)
+        assert excinfo.value.violations == (violation,)
+
 
 class TestSensitivity:
     def test_no_changes_is_identity(self, first_party_later):

@@ -429,6 +429,16 @@ class TestRenderComparison:
     def test_empty_input_raises(self):
         with pytest.raises(EmptyInputError):
             render_comparison([])
+        with pytest.raises(EmptyInputError):
+            render_comparison(iter([]))
+
+    def test_an_iterator_is_taken_once(
+        self, first_party_later, third_party_minimal
+    ):
+        ranked = rank([first_party_later, third_party_minimal])
+        body = render_comparison(iter(ranked)).body
+        assert body == render_comparison(ranked).body
+        assert body.count("\n") == 3
 
 
 class TestRenderSeries:
@@ -464,6 +474,12 @@ class TestRenderSeries:
     def test_empty_series_rejected(self):
         with pytest.raises(EmptyInputError):
             render_series([])
+        with pytest.raises(EmptyInputError):
+            render_series(x for x in [])
+
+    def test_a_generator_is_taken_once(self, first_party, first_party_later):
+        body = render_series(x for x in [first_party_later, first_party]).body
+        assert body == render_series([first_party_later, first_party]).body
 
 
 class TestRenderMachine:
@@ -668,11 +684,20 @@ class TestRefusedInputs:
                 lambda report, a: render_comparison([RankEntry("a", "1", "x")]),
                 "cannot format a value that is not a number: 'x'",
             ),
+            (
+                lambda report, a: render_comparison(5),
+                "ranked must be iterable, got int",
+            ),
+            (
+                lambda report, a: render_series(5),
+                "assessments must be iterable, got int",
+            ),
         ],
         ids=[
             "series", "comparison", "machine-scope",
             "table-judgement", "table-report", "table-judgements", "machine-assessment",
             "machine-report", "sensitivity", "comparison-name", "comparison-overall",
+            "comparison-not-iterable", "series-not-iterable",
         ],
     )
     def test_a_wrong_type_is_a_report_error(self, first_party, render, message):
