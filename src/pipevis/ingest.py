@@ -77,13 +77,14 @@ from .model import (
     InvalidAssessmentError,
     Judgement,
     NodeKind,
-    PRECISION_MAX,
     PipelineGraph,
     SCORE_MAX,
     SCORE_MIN,
     WeightScheme,
     _JUDGEMENTS,
+    _PRECISION,
     _is_integer,
+    _is_nonempty_str,
     _is_number,
     _is_precision,
     validate_assessment,
@@ -596,7 +597,7 @@ def _score(value: Any) -> int:
 _KINDS = {kind.value: kind for kind in NodeKind}
 _string = _must("a string", lambda v: isinstance(v, str), _type_name)
 _text = _must("a string", lambda v: isinstance(v, str))
-_name = _must("a non-empty string", lambda v: isinstance(v, str) and v != "")
+_name = _must("a non-empty string", _is_nonempty_str)
 _kind = _must(
     "one of " + ", ".join(sorted(_KINDS)),
     lambda v: isinstance(v, str) and v in _KINDS,
@@ -606,11 +607,7 @@ _strings = _must(
     "an array of strings",
     lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
 )
-_precision = _must(
-    f"an integer between 0 and {PRECISION_MAX}",
-    _is_precision,
-    repr,
-)
+_precision = _must(_PRECISION, _is_precision, repr)
 
 
 def _date(value: Any) -> date:

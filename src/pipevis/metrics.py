@@ -38,6 +38,8 @@ from .model import (
     InvalidAssessmentError,
     _is_integer,
     _is_number,
+    _items,
+    _require,
     validate_assessment,
 )
 
@@ -136,19 +138,11 @@ class VisibilityReport:
                 f"report per_node must be a tuple, got {type(rows).__name__}"
             )
         if not _plain_rows(rows):
+            what = "a NodeVisibility of a string id and four numbers"
             for row in rows:
-                if not (isinstance(row, NodeVisibility) and isinstance(row[0], str)
-                        and all(map(_is_number, row[1:]))):
-                    raise ValueError(
-                        f"report row must be a NodeVisibility of a string id "
-                        f"and four numbers, got {row!r}"
-                    )
-        if not _is_number(self.overall):
-            raise ValueError(f"report overall must be a number, got {self.overall!r}")
-        if not _is_integer(self.leaf_count):
-            raise ValueError(
-                f"report leaf_count must be an integer, got {self.leaf_count!r}"
-            )
+                _require("report row", row, _is_row, what)
+        _require("report overall", self.overall, _is_number, "a number")
+        _require("report leaf_count", self.leaf_count, _is_integer, "an integer")
 
     def __getattr__(self, name: str) -> object:
         # Runs only for a name the instance lacks.
@@ -187,6 +181,11 @@ def _plain_rows(rows: tuple[object, ...]) -> bool:
 _node_id, _numbers = itemgetter(0), itemgetter(slice(1, None))
 
 
+def _is_row(row: object) -> bool:
+    return (isinstance(row, NodeVisibility) and isinstance(row[0], str)
+            and all(map(_is_number, row[1:])))
+
+
 class RankEntry(NamedTuple):
     asset_name: str
     asset_version: str
@@ -207,14 +206,10 @@ class SensitivityResult:
 
     def __post_init__(self) -> None:
         for name in ("baseline", "modified"):
-            if not isinstance(report := getattr(self, name), VisibilityReport):
-                raise ValueError(
-                    f"sensitivity {name} must be a VisibilityReport, got {report!r}"
-                )
-        if not _is_number(self.overall_delta):
-            raise ValueError(
-                f"sensitivity overall_delta must be a number, got {self.overall_delta!r}"
-            )
+            _require(f"sensitivity {name}", getattr(self, name), VisibilityReport,
+                     "a VisibilityReport")
+        delta = self.overall_delta
+        _require("sensitivity overall_delta", delta, _is_number, "a number")
 
 
 def quality_index(judgement: Judgement) -> float:
@@ -231,6 +226,14 @@ def _require_valid(assessment: Assessment, subject: str | None = None) -> None:
     result = validate_assessment(assessment)
     if not result.ok:
         raise InvalidAssessmentError(result.violations, subject=subject)
+
+
+def _invalid(violation: str) -> InvalidAssessmentError:
+    return InvalidAssessmentError([violation])
+
+
+def _is_pair(item: object) -> bool:
+    return isinstance(item, tuple) and len(item) == 2
 
 
 _quantity, _quality, _visibility = map(itemgetter, range(3))
@@ -308,18 +311,12 @@ def rank(assessments: Iterable[Assessment]) -> list[RankEntry]:
     (asset name, asset version), so the result is stable and deterministic.
     Raises :class:`~pipevis.model.InvalidAssessmentError` naming an invalid
     assessment, an item that is not an :class:`~pipevis.model.Assessment` by
-    position, or a non-iterable argument by type.
+    position, or a non-iterable argument by type. Every item's type is checked
+    before any item is validated.
     """
-    try:
-        items = iter(assessments)
-    except TypeError:
-        violation = f"assessments must be iterable, got {type(assessments).__name__}"
-        raise InvalidAssessmentError([violation]) from None
+    items = _items("assessments", assessments, Assessment, "an Assessment", _invalid)
     scored = []
-    for position, assessment in enumerate(items):
-        if not isinstance(assessment, Assessment):
-            violation = f"item {position} is not an Assessment: {assessment!r}"
-            raise InvalidAssessmentError([violation])
+    for assessment in items:
         subject = f"{assessment.asset_name} {assessment.asset_version}"
         _require_valid(assessment, subject=subject)
         report = overall_visibility(assessment)
@@ -348,11 +345,14 @@ def sensitivity(
 
     The baseline assessment is untouched; the modified report is recomputed
     from scratch. The delta is modified minus baseline at full precision.
-    Judgement changes must target existing leaf nodes.
+    Judgement changes must target existing leaf nodes. Changes and weights of
+    the wrong type raise :class:`~pipevis.model.InvalidAssessmentError`.
     """
     baseline = overall_visibility(assessment)
 
-    items = changes.items() if isinstance(changes, Mapping) else changes
+    items = changes.items() if isinstance(changes, Mapping) else _items(
+        "changes", changes, _is_pair, "a (node id, judgement) pair", _invalid
+    )
     new_judgements = dict(assessment.judgements)
     for node_id, judgement in items:
         # A valid assessment judges exactly its leaves.
@@ -364,11 +364,14 @@ def sensitivity(
             raise UnknownNodeError(node_id)
         new_judgements[node_id] = judgement
 
-    modified_assessment = replace(
-        assessment,
-        judgements=new_judgements,
-        weights=assessment.weights if weights is None else weights,
-    )
+    try:
+        modified_assessment = replace(
+            assessment,
+            judgements=new_judgements,
+            weights=assessment.weights if weights is None else weights,
+        )
+    except ValueError as error:  # the constructor refused a change or the weights
+        raise _invalid(str(error)) from None
     result = validate_assessment(modified_assessment)
     if not result.ok:
         raise InvalidWeightsError(result.violations)

@@ -25,6 +25,7 @@ each :class:`Judgement` derives its indices once.
 A :class:`ContributionNode`, a :class:`Judgement` and a :class:`WeightScheme`
 each check their own fields' types in their constructor, so a value built by
 hand, by :func:`dataclasses.replace`, by copying or by the parser meets them.
+The library's argument rules (:func:`_require`, :func:`_items`) live here too.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import defaultdict
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from datetime import date, datetime
@@ -40,7 +41,7 @@ from functools import cached_property
 from itertools import chain, filterfalse, product, repeat
 from operator import attrgetter, getitem, itemgetter
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 __all__ = [
     "Assessment",
@@ -60,6 +61,8 @@ __all__ = [
 SCORE_MIN = 1
 SCORE_MAX = 4
 PRECISION_MAX = 12
+#: What a display precision must be, in every refusal of one.
+_PRECISION = f"an integer between 0 and {PRECISION_MAX}"
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 
@@ -77,6 +80,42 @@ def _is_precision(value: object) -> bool:
 def _is_number(value: object) -> bool:
     """The one weight-number rule: an int or a float, and not a boolean."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_nonempty_str(value: object) -> bool:
+    return isinstance(value, str) and bool(value)
+
+
+def _is_calendar_date(value: object) -> bool:
+    return isinstance(value, date) and not isinstance(value, datetime)
+
+
+def _passes(value: object, kind: type | Callable[[Any], bool]) -> bool:
+    """Whether ``value`` is a ``kind``, or passes it when it is a test."""
+    return isinstance(value, kind) if isinstance(kind, type) else kind(value)
+
+
+def _require(name: str, value: object, kind: type | Callable[[Any], bool], what: str,
+             error: Callable[[str], Exception] = ValueError) -> None:
+    """Refuse ``value`` unless it passes ``kind``: the one wording of a refused
+    argument, raised through ``error``, an exception class or factory."""
+    if not _passes(value, kind):
+        raise error(f"{name} must be {what}, got {value!r}")
+
+
+def _items(name: str, items: object, kind: type | Callable[[Any], bool], what: str,
+           error: Callable[[str], Exception] = ValueError) -> list[Any]:
+    """``items`` as one list; refuse a non-iterable, or an item that does not
+    pass ``kind``, by position, as :func:`_require` does."""
+    try:
+        iterator = iter(items)
+    except TypeError:
+        raise error(f"{name} must be iterable, got {type(items).__name__}") from None
+    listed = list(iterator)
+    for position, item in enumerate(listed):
+        if not _passes(item, kind):
+            raise error(f"item {position} is not {what}: {item!r}")
+    return listed
 
 
 class Criterion(str, enum.Enum):
@@ -112,8 +151,7 @@ class Judgement:
     def __post_init__(self) -> None:
         for name in ("quantity", "accuracy", "freshness"):
             value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _require(name, value, _is_integer, "an integer")
             if not SCORE_MIN <= value <= SCORE_MAX:
                 raise ValueError(
                     f"{name} must be between {SCORE_MIN} and {SCORE_MAX}, got {value}"
@@ -213,8 +251,7 @@ _set_node_evidence_refs = ContributionNode.evidence_refs.__set__
 
 
 def _node_id(node: object) -> str:
-    if not isinstance(node, ContributionNode):
-        raise ValueError(f"node must be a ContributionNode, got {node!r}")
+    _require("node", node, ContributionNode, "a ContributionNode")
     return node.id
 
 
@@ -300,8 +337,7 @@ class WeightScheme:
 
     def __post_init__(self) -> None:
         if self.weights is not None:
-            if not isinstance(self.weights, Mapping):
-                raise ValueError(f"weights must be a mapping, got {self.weights!r}")
+            _require("weights", self.weights, Mapping, "a mapping")
             weights: dict[str, float] = {}
             for node_id, weight in self.weights.items():
                 if not isinstance(node_id, str):
@@ -321,8 +357,7 @@ class WeightScheme:
 
     @classmethod
     def explicit(cls, weights: Mapping[str, float]) -> WeightScheme:
-        if not isinstance(weights, Mapping):
-            return cls(weights)  # the constructor refuses them
+        _require("weights", weights, Mapping, "a mapping")
         converted: dict[str, float] = {}
         for key, value in weights.items():
             if (node_id := str(key)) in converted:
@@ -373,12 +408,9 @@ class Assessment:
     display_precision: int = 2
 
     def __post_init__(self) -> None:
-        if not isinstance(self.graph, PipelineGraph):
-            raise ValueError(f"graph must be a PipelineGraph, got {self.graph!r}")
-        if not isinstance(self.weights, WeightScheme):
-            raise ValueError(f"weights must be a WeightScheme, got {self.weights!r}")
-        if not isinstance(self.judgements, Mapping):
-            raise ValueError(f"judgements must be a mapping, got {self.judgements!r}")
+        _require("graph", self.graph, PipelineGraph, "a PipelineGraph")
+        _require("weights", self.weights, WeightScheme, "a WeightScheme")
+        _require("judgements", self.judgements, Mapping, "a mapping")
         judgements = dict(self.judgements)
         for node_id, judgement in judgements.items():
             if not isinstance(node_id, str):
@@ -389,24 +421,11 @@ class Assessment:
                 )
         object.__setattr__(self, "judgements", MappingProxyType(judgements))
         # The document's rules: other values would serialize to a rejected document.
-        name = self.asset_name
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"asset_name must be a non-empty string, got {name!r}")
+        _require("asset_name", self.asset_name, _is_nonempty_str, "a non-empty string")
         for field in ("asset_version", "assessor"):
-            if not isinstance(value := getattr(self, field), str):
-                raise ValueError(f"{field} must be a string, got {value!r}")
-        if isinstance(self.assessed_at, datetime) or not isinstance(
-            self.assessed_at, date
-        ):
-            raise ValueError(
-                f"assessed_at must be a calendar date, got {self.assessed_at!r}"
-            )
-        precision = self.display_precision
-        if not _is_precision(precision):
-            raise ValueError(
-                f"display_precision must be an integer between 0 and {PRECISION_MAX}, "
-                f"got {precision!r}"
-            )
+            _require(field, getattr(self, field), str, "a string")
+        _require("assessed_at", self.assessed_at, _is_calendar_date, "a calendar date")
+        _require("display_precision", self.display_precision, _is_precision, _PRECISION)
 
     __reduce__ = _init_args
 

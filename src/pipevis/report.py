@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 from functools import cache
 from json.encoder import encode_basestring
-from typing import Any
 
 from .ingest import _put, document_text
 # Unused here, but the benchmark's tracer wraps ``pipevis.report.document_dict``.
@@ -44,13 +43,15 @@ from .model import (
     Assessment,
     Criterion,
     Judgement,
-    PRECISION_MAX,
     RUBRIC,
     SCORE_MAX,
     SCORE_MIN,
+    _PRECISION,
     _as_float,
     _is_number,
     _is_precision,
+    _items,
+    _require,
 )
 
 __all__ = [
@@ -98,11 +99,7 @@ _CONTEXT = Context(prec=330, rounding=ROUND_HALF_UP)
 
 
 def _quantize(value: float, precision: int) -> Decimal:
-    if not _is_precision(precision):
-        raise ReportError(
-            f"precision must be an integer between 0 and {PRECISION_MAX}, "
-            f"got {precision!r}"
-        )
+    _require("precision", precision, _is_precision, _PRECISION, ReportError)
     if not _is_number(value):
         raise ReportError(f"cannot format a value that is not a number: {value!r}")
     # An int past the float range reads as ±inf, as it does in a WeightScheme.
@@ -131,26 +128,6 @@ def _report(body_lines: list[str]) -> RenderedReport:
     return RenderedReport("\n".join(body_lines))
 
 
-def _require(name: str, value: object, kind: type, what: str) -> None:
-    """Refuse an argument that is not a ``kind``."""
-    if not isinstance(value, kind):
-        raise ReportError(f"{name} must be {what}, got {value!r}")
-
-
-def _items(name: str, items: Iterable[Any], kind: type, what: str) -> list[Any]:
-    """``items`` as one list; refuse a non-iterable or an item not a ``kind``."""
-    try:
-        iterator = iter(items)
-    except TypeError:
-        got = type(items).__name__
-        raise ReportError(f"{name} must be iterable, got {got}") from None
-    listed = list(iterator)
-    for position, item in enumerate(listed):
-        if not isinstance(item, kind):
-            raise ReportError(f"item {position} is not {what}: {item!r}")
-    return listed
-
-
 def render_table(
     report: VisibilityReport,
     judgements: Mapping[str, Judgement],
@@ -165,8 +142,8 @@ def render_table(
     judgement, or a judgement that is not a :class:`Judgement`, raises
     :class:`ReportError`.
     """
-    _require("report", report, VisibilityReport, "a VisibilityReport")
-    _require("judgements", judgements, Mapping, "a mapping")
+    _require("report", report, VisibilityReport, "a VisibilityReport", ReportError)
+    _require("judgements", judgements, Mapping, "a mapping", ReportError)
     if precision is None:
         precision = report.display_precision
     # A row past its node id depends only on its judgement's levels and its
@@ -198,7 +175,7 @@ def render_comparison(
     ranked: Iterable[RankEntry], precision: int = 2
 ) -> RenderedReport:
     """Ranking table, one row per assessment, best first."""
-    ranked = _items("ranked", ranked, RankEntry, "a RankEntry")
+    ranked = _items("ranked", ranked, RankEntry, "a RankEntry", ReportError)
     if not ranked:
         raise EmptyInputError("nothing to compare: ranking is empty")
     lines = [COMPARISON_HEADER]
@@ -217,7 +194,9 @@ def render_series(
     assessments: Iterable[Assessment], precision: int | None = None
 ) -> RenderedReport:
     """Date-ordered overall VIS for one asset, with the net change at the end."""
-    assessments = _items("assessments", assessments, Assessment, "an Assessment")
+    assessments = _items(
+        "assessments", assessments, Assessment, "an Assessment", ReportError
+    )
     if not assessments:
         raise EmptyInputError("nothing to render: series is empty")
     names = sorted({a.asset_name for a in assessments})
@@ -244,10 +223,10 @@ def render_machine(
     scope_node: str | None = None,
 ) -> RenderedReport:
     """Input document echoed back with a full-precision ``results`` block."""
-    _require("report", report, VisibilityReport, "a VisibilityReport")
-    _require("assessment", assessment, Assessment, "an Assessment")
+    _require("report", report, VisibilityReport, "a VisibilityReport", ReportError)
+    _require("assessment", assessment, Assessment, "an Assessment", ReportError)
     if scope_node is not None:
-        _require("scope_node", scope_node, str, "a string")
+        _require("scope_node", scope_node, str, "a string", ReportError)
     # Not functools.cache: the weight column prints 0.0 and -0.0 apart, and
     # a cache would merge the equal keys.
     tails: dict[tuple[float, float, float, float], str] = {}
@@ -296,7 +275,7 @@ def render_sensitivity(
     result: SensitivityResult, precision: int | None = None
 ) -> RenderedReport:
     """Baseline, modified and delta overall VIS after a what-if."""
-    _require("result", result, SensitivityResult, "a SensitivityResult")
+    _require("result", result, SensitivityResult, "a SensitivityResult", ReportError)
     if precision is None:
         precision = result.baseline.display_precision
     lines = [

@@ -536,6 +536,12 @@ class TestDerivedAssetVisibility:
 
 
 class TestRank:
+    def test_every_item_is_typed_before_any_is_validated(self):
+        broken = helpers.example_assessment(judgements={})
+        with pytest.raises(InvalidAssessmentError) as excinfo:
+            rank([broken, 5])
+        assert excinfo.value.violations == ("item 1 is not an Assessment: 5",)
+
     def test_scenario_ordering(
         self, first_party_later, third_party_minimal, third_party_documented
     ):
@@ -717,6 +723,32 @@ class TestSensitivity:
         # A list used to raise TypeError: unhashable type: 'list'.
         with pytest.raises(UnknownNodeError, match=r"^unknown node: "):
             sensitivity(first_party, [(node_id, Judgement(1, 1, 1))])
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (5, "changes must be iterable, got int"),
+            (None, "changes must be iterable, got NoneType"),
+            # A string is not a pair: it used to read as the node "D".
+            (["DS"], "item 0 is not a (node id, judgement) pair: 'DS'"),
+            (
+                [("DS", helpers.THREES, 1)],
+                "item 0 is not a (node id, judgement) pair: "
+                f"('DS', {helpers.THREES!r}, 1)",
+            ),
+            ({"DS": 5}, "judgement for DS must be a Judgement, got 5"),
+        ],
+        ids=["int", "None", "string", "triple", "not-a-judgement"],
+    )
+    def test_changes_of_the_wrong_shape_are_refused(self, first_party, changes, message):
+        with pytest.raises(InvalidAssessmentError) as excinfo:
+            sensitivity(first_party, changes)
+        assert excinfo.value.violations == (message,)
+
+    def test_weights_that_are_not_a_scheme_are_refused(self, first_party):
+        with pytest.raises(InvalidAssessmentError) as excinfo:
+            sensitivity(first_party, (), weights=5)
+        assert excinfo.value.violations == ("weights must be a WeightScheme, got 5",)
 
     def test_invalid_replacement_weights_rejected(self, first_party):
         with pytest.raises(InvalidWeightsError) as excinfo:

@@ -70,6 +70,11 @@ class TestScoreLevels:
             with pytest.raises(ValueError, match=f"^{name} must be an integer"):
                 judgement_with(name, value)
 
+    def test_a_boolean_level_is_refused_in_full(self):
+        with pytest.raises(ValueError) as excinfo:
+            Judgement(quantity=True, accuracy=1, freshness=1)
+        assert str(excinfo.value) == "quantity must be an integer, got True"
+
     def test_judgement_validates_each_field(self):
         with pytest.raises(ValueError, match="freshness"):
             Judgement(quantity=1, accuracy=1, freshness=9)
@@ -1032,6 +1037,22 @@ class TestAssessment:
     def test_rejects_datetime(self):
         with pytest.raises(ValueError, match="calendar date"):
             helpers.example_assessment(assessed_at=datetime(2024, 1, 1, 12, 0))
+
+    def test_a_datetime_is_refused_in_full(self):
+        with pytest.raises(ValueError) as excinfo:
+            helpers.example_assessment(assessed_at=datetime(2024, 1, 1, 12, 0))
+        assert str(excinfo.value) == (
+            "assessed_at must be a calendar date, got "
+            "datetime.datetime(2024, 1, 1, 12, 0)"
+        )
+
+    @pytest.mark.parametrize("precision", [13, True])
+    def test_a_bad_precision_is_refused_in_full(self, precision):
+        with pytest.raises(ValueError) as excinfo:
+            helpers.example_assessment(display_precision=precision)
+        assert str(excinfo.value) == (
+            f"display_precision must be an integer between 0 and 12, got {precision!r}"
+        )
 
     @pytest.mark.parametrize("precision", [-1, 13, True, 2.0])
     def test_rejects_bad_precision(self, precision):
