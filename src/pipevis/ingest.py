@@ -78,12 +78,12 @@ from .model import (
     Judgement,
     NodeKind,
     PipelineGraph,
-    SCORE_MAX,
-    SCORE_MIN,
     WeightScheme,
     _JUDGEMENTS,
+    _LEVEL,
     _PRECISION,
     _is_integer,
+    _is_level,
     _is_nonempty_str,
     _is_number,
     _is_precision,
@@ -587,8 +587,8 @@ def _must(expected: str, test: Callable[[Any], bool],
 def _score(value: Any) -> int:
     if not _is_integer(value):
         raise _Invalid(f"must be an integer, got {_type_name(value)}")
-    if not SCORE_MIN <= value <= SCORE_MAX:
-        raise _Invalid(f"must be between {SCORE_MIN} and {SCORE_MAX}, got {value}")
+    if not _is_level(value):
+        raise _Invalid(f"must be {_LEVEL}, got {value}")
     return value
 
 

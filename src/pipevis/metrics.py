@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import repeat
 from operator import attrgetter, getitem, itemgetter, mul, truediv
 from typing import NamedTuple
 
@@ -137,10 +137,9 @@ class VisibilityReport:
             raise ValueError(
                 f"report per_node must be a tuple, got {type(rows).__name__}"
             )
-        if not _plain_rows(rows):
-            what = "a NodeVisibility of a string id and four numbers"
-            for row in rows:
-                _require("report row", row, _is_row, what)
+        what = "a NodeVisibility of a string id and four numbers"
+        for row in rows:
+            _require("report row", row, _is_row, what)
         _require("report overall", self.overall, _is_number, "a number")
         _require("report leaf_count", self.leaf_count, _is_integer, "an integer")
 
@@ -165,20 +164,6 @@ class VisibilityReport:
                    map(_visibility, indices), weights)
 
     __reduce__ = _init_args
-
-
-def _plain_rows(rows: tuple[object, ...]) -> bool:
-    """Whether each row is exactly a NodeVisibility of a str id and four
-    ints or floats, checked in C-level passes; a row of a subclass goes to
-    the constructor's row-by-row check."""
-    return (
-        set(map(type, rows)) <= {NodeVisibility}
-        and set(map(type, map(_node_id, rows))) <= {str}
-        and set(map(type, chain.from_iterable(map(_numbers, rows)))) <= {int, float}
-    )
-
-
-_node_id, _numbers = itemgetter(0), itemgetter(slice(1, None))
 
 
 def _is_row(row: object) -> bool:
@@ -214,11 +199,13 @@ class SensitivityResult:
 
 def quality_index(judgement: Judgement) -> float:
     """Geometric mean of the accuracy and freshness scores."""
+    _require("judgement", judgement, Judgement, "a Judgement", _invalid)
     return judgement._indices[1]
 
 
 def visibility_index(judgement: Judgement) -> float:
     """Geometric mean of the quantity and quality indices, in [1, 4]."""
+    _require("judgement", judgement, Judgement, "a Judgement", _invalid)
     return judgement._indices[2]
 
 

@@ -60,6 +60,8 @@ __all__ = [
 
 SCORE_MIN = 1
 SCORE_MAX = 4
+#: What a judgement level must be, in every refusal of one.
+_LEVEL = f"between {SCORE_MIN} and {SCORE_MAX}"
 PRECISION_MAX = 12
 #: What a display precision must be, in every refusal of one.
 _PRECISION = f"an integer between 0 and {PRECISION_MAX}"
@@ -70,6 +72,11 @@ WEIGHT_SUM_TOLERANCE = 1e-9
 def _is_integer(value: object) -> bool:
     """The one integer rule: not ``True``, not ``3.0``; both scales are discrete."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_level(value: object) -> bool:
+    """The one level rule: an integer from ``SCORE_MIN`` to ``SCORE_MAX``."""
+    return _is_integer(value) and SCORE_MIN <= value <= SCORE_MAX
 
 
 def _is_precision(value: object) -> bool:
@@ -104,7 +111,7 @@ def _require(name: str, value: object, kind: type | Callable[[Any], bool], what:
 
 
 def _items(name: str, items: object, kind: type | Callable[[Any], bool], what: str,
-           error: Callable[[str], Exception] = ValueError) -> list[Any]:
+           error: Callable[[str], Exception]) -> list[Any]:
     """``items`` as one list; refuse a non-iterable, or an item that does not
     pass ``kind``, by position, as :func:`_require` does."""
     try:
@@ -152,10 +159,8 @@ class Judgement:
         for name in ("quantity", "accuracy", "freshness"):
             value = getattr(self, name)
             _require(name, value, _is_integer, "an integer")
-            if not SCORE_MIN <= value <= SCORE_MAX:
-                raise ValueError(
-                    f"{name} must be between {SCORE_MIN} and {SCORE_MAX}, got {value}"
-                )
+            if not _is_level(value):
+                raise ValueError(f"{name} must be {_LEVEL}, got {value}")
 
     @cached_property
     def _indices(self) -> tuple[float, float, float]:

@@ -1476,37 +1476,54 @@ def decodes(data, lenient: bool = False) -> list[bool]:
 def repeat_documents(draw):
     """``(data, lenient)``: a document that may repeat a key at any level,
     and may have a later problem, colons, colon escapes and an escaped
-    backslash before ``u003a``."""
+    backslash before ``u003a``.
+
+    A balanced repeat comes first, so it is the member dropped, and the kept
+    asset version ends in as many colon escapes as the dropped member has
+    colons, separators and raw string colons alike; every other colon is raw.
+    Only the escape count tells such a document from one without a repeat.
+    """
     doc = json.loads(ingest.document_text(draw(tricky_assessments())))
     if draw(st.booleans()):
         doc = with_colons(doc)
     doc = as_members(doc)
-    level = draw(st.sampled_from([None, *LEVELS]))
+    balanced = draw(st.booleans())
+    level = draw(st.sampled_from([*LEVELS] if balanced else [None, *LEVELS]))
     if level == "weights" and not LEVELS["weights"](doc):
         ids = [nid for nid, _ in member(doc, "judgements")]
         put(doc, "weights", Members((nid, 1 / len(ids)) for nid in ids))
     if level is not None:
         objects = LEVELS[level](doc)
         obj = objects[draw(st.integers(0, len(objects) - 1))]
-        key, value = obj[draw(st.integers(0, len(obj) - 1))]
+        position = draw(st.integers(0, len(obj) - 1))
+        key, value = obj[position]
         if draw(st.booleans()):
             value = as_members(draw(st.sampled_from(ODD_VALUES)))
-        obj.insert(draw(st.integers(0, len(obj))), (key, copy.deepcopy(value)))
+        if not balanced:
+            position = draw(st.integers(0, len(obj)))
+        obj.insert(position, (key, copy.deepcopy(value)))
     problem = draw(st.sampled_from(PROBLEMS))
     every = list(objects_in(doc))
     spoil(doc, problem, every[draw(st.integers(0, len(every) - 1))])
     if draw(st.booleans()):
         put(doc, "assessor", "\\u003a")  # an escaped backslash: no colon
-    escape = draw(st.sampled_from([None, "\\u003a", "\\u003A"]))
+    escapes = ["\\u003a", "\\u003A"]
+    escape = draw(st.sampled_from(escapes if balanced else [None, *escapes]))
     # Every string colon, or only the first few: a repeat whose dropped
     # colons the kept escapes make up for matches the count only with them.
-    escaped = draw(st.sampled_from([-1, 1, 2, 3]))
+    escaped = 0 if balanced else draw(st.sampled_from([-1, 1, 2, 3]))
     ascii_only = draw(st.booleans())
 
     def string(value: str) -> str:
         text = json.dumps(value, ensure_ascii=ascii_only)
         return text.replace(":", "\0") if escape else text  # dumps writes no NUL
 
+    if balanced:
+        colons = write(Members([obj[position]])).count(":")
+        asset = [value for key, value in doc if key == "asset"][-1]
+        at = [i for i, (key, _) in enumerate(asset) if key == "version"][-1]
+        version = json.dumps(asset[at][1], ensure_ascii=ascii_only)
+        asset[at] = ("version", Raw(version[:-1] + escape * colons + '"'))
     text = write(doc, string)
     if escape:
         text = text.replace("\0", escape, escaped).replace("\0", ":")

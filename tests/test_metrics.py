@@ -164,6 +164,15 @@ class TestIndices:
             )
             assert indices == (2.0, math.sqrt(3 * 4), math.sqrt(2 * math.sqrt(3 * 4)))
 
+    @pytest.mark.parametrize("index", [quality_index, visibility_index])
+    @pytest.mark.parametrize("value", [5, None], ids=repr)
+    def test_a_non_judgement_is_refused(self, index, value):
+        # Each used to raise AttributeError: no attribute '_indices'.
+        with pytest.raises(InvalidAssessmentError) as excinfo:
+            index(value)
+        message = f"judgement must be a Judgement, got {value}"
+        assert excinfo.value.violations == (message,)
+
 
 class TestNodeVisibility:
     def test_is_a_read_only_tuple_of_the_five_fields(self):

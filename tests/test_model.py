@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import inspect
+import json
 import math
 import pickle
 import random
@@ -13,6 +14,7 @@ from datetime import date, datetime
 from fractions import Fraction
 from itertools import chain
 
+import jsonschema
 import networkx as nx
 import pytest
 
@@ -21,6 +23,7 @@ from pipevis import (
     Assessment,
     ContributionNode,
     Criterion,
+    DocumentError,
     Judgement,
     NodeKind,
     PipelineGraph,
@@ -81,6 +84,47 @@ class TestScoreLevels:
 
     def test_judgement_equality(self):
         assert Judgement(3, 2, 3) == Judgement(quantity=3, accuracy=2, freshness=3)
+
+    @pytest.mark.parametrize("value", [-1, 0, 1, 4, 5, True], ids=repr)
+    def test_the_owners_agree(self, samples_dir, assessment_schema, value):
+        """The constructor, the parser, the schema and ``whatif --set`` refuse
+        the same levels, and each range refusal reads ``between 1 and 4``.
+        (``2.0`` is left out: the schema takes it as an integer.)"""
+        refusals = []
+        try:
+            Judgement(value, 2, 3)
+        except ValueError as error:
+            refusals.append(str(error))
+        built = not refusals
+        sample = samples_dir / "first_party_later.json"
+        document = json.loads(sample.read_bytes())
+        document["judgements"]["DS"]["quantity"] = value
+        try:
+            parse_document(json.dumps(document))
+        except DocumentError as error:
+            found = [
+                violation for violation in error.violations
+                if violation.startswith("judgements.DS.quantity: must be ")
+            ]
+        else:
+            found = []
+        parsed = not found
+        refusals += found
+        validator = jsonschema.Draft202012Validator(assessment_schema)
+        schema_valid = all(
+            list(error.absolute_path) != ["judgements", "DS", "quantity"]
+            for error in validator.iter_errors(document)
+        )
+        assert built == parsed == schema_valid
+        if value is True:
+            return
+        result = helpers.run_cli(["whatif", str(sample), "--set", f"DS:{value},2,3"])
+        assert (result.exit_code != 2) == built
+        if not built:
+            refusals.append(result.stderr.splitlines()[-1])
+            assert len(refusals) == 3
+            for refusal in refusals:
+                assert refusal.endswith(f" must be between 1 and 4, got {value}")
 
 
 #: ``pickle.dumps(Judgement(2, 3, 4))`` as made before judgements carried their

@@ -36,6 +36,7 @@ from pipevis import (
     format_fixed,
     format_value,
     overall_visibility,
+    quality_index,
     rank,
     render_comparison,
     render_machine,
@@ -46,6 +47,7 @@ from pipevis import (
     serialize_document,
     validate_assessment,
     validate_graph,
+    visibility_index,
 )
 
 
@@ -145,6 +147,8 @@ def test_constructors_refuse_with_value_error_and_functions_stay_documented(data
     def either(*good):
         return draw(st.sampled_from(good) | wrong)
 
+    for index in (quality_index, visibility_index):
+        documented(index, either(judgement))
     changes = either({}, {"DS": judgement}, [("DS", judgement)])
     what_if = documented(
         sensitivity, assessment, changes, weights=either(None, scheme, explicit)
