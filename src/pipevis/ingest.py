@@ -28,12 +28,12 @@ is no escape and adds to the text's side only: it can fail the count without
 a repeat, never pass it with one. After a strict read the only objects are
 the root, ``asset``, each node, edge and judgement, ``judgements`` and
 explicit ``weights``, so the key count is a few C-level sums; the escapes are
-counted only when the text has a backslash, the strings' colons only when
-the text has more colons than keys. Bytes are counted as bytes: no byte of a
-multi-byte UTF-8 sequence is ASCII. A failed read, or a count that does not
-match, decodes again with the hook only to name a repeat; without one the
-read's own error, or its fields, stand: every error is the hooked parse's,
-in the order the decoder meets them. ``lenient=True`` decodes once, hooked.
+counted only when the text has a backslash, the strings' colons (six times
+the cost) only when the text has more colons than keys. A failed read, or a
+count that does not match, decodes again with the hook only to name a repeat;
+without one the read's own error, or its fields, stand: every error is the
+hooked parse's, in the order the decoder meets them. ``lenient=True`` decodes
+once, hooked.
 
 Nodes, edges and judgements each have an array reader, which reads a whole
 array in a few C-level passes: it builds the values of an array whose every
@@ -76,13 +76,15 @@ from .model import (
     ContributionNode,
     InvalidAssessmentError,
     Judgement,
-    NodeKind,
     PipelineGraph,
     WeightScheme,
     _JUDGEMENTS,
+    _KIND,
+    _KINDS,
     _LEVEL,
     _PRECISION,
     _is_integer,
+    _is_kind,
     _is_level,
     _is_nonempty_str,
     _is_number,
@@ -169,23 +171,20 @@ def _source(data: bytes | bytearray | memoryview | str) -> str | bytes:
     )
 
 
-def _load_json(source: str | bytes, hook: Callable[..., Any] | None) -> Any:
-    """Decode UTF-8 JSON, mapping every decoding failure to a DocumentError.
-
-    ``hook`` is the decoder's ``object_pairs_hook``: _reject_duplicate_keys,
-    or None, which keeps the last of a repeated key's values.
+def _load_json(source: str | bytes, hook: Callable[..., Any] | None) -> tuple[str, Any]:
+    """Decode UTF-8 JSON to its text and value, mapping every decoding failure
+    to a DocumentError. ``hook`` is the decoder's ``object_pairs_hook``:
+    _reject_duplicate_keys, or None, which keeps the last of a repeated key's values.
     """
     try:
         text = source if isinstance(source, str) else source.decode("utf-8")
-        value = json.loads(
-            text, object_pairs_hook=hook, parse_constant=_reject_constant
-        )
+        value = json.loads(text, object_pairs_hook=hook, parse_constant=_reject_constant)
         # The first lone surrogate, escaped or raw, fails to encode.
         if "\\" in text and re.search(r"\\u[dD][89a-fA-F]", text):
             json.dumps(value, ensure_ascii=False).encode("utf-8")
         elif isinstance(source, str):  # raw ones only; bytes hold none
             source.encode("utf-8")
-        return value
+        return text, value
     except UnicodeDecodeError as exc:
         raise MalformedSyntaxError(
             f"invalid UTF-8 at byte {exc.start}: {exc.reason}"
@@ -210,7 +209,7 @@ def _read(source: str | bytes, lenient: bool) -> dict[str, Any]:
     """The document's fields, or its first DocumentError; a strict read
     decodes without the duplicate-key hook (see the module docstring)."""
     try:
-        raw = _load_json(source, _reject_duplicate_keys if lenient else None)
+        text, raw = _load_json(source, _reject_duplicate_keys if lenient else None)
         if not isinstance(raw, dict):
             raise SchemaViolationError(
                 [f"document root must be an object, got {_type_name(raw)}"]
@@ -233,7 +232,7 @@ def _read(source: str | bytes, lenient: bool) -> dict[str, Any]:
         if not lenient:
             _repeat(source)
         raise
-    if not lenient and not _no_key_repeated(source, raw):
+    if not lenient and not _no_key_repeated(text, raw):
         _repeat(source)
     return fields
 
@@ -247,8 +246,8 @@ def _repeat(source: str | bytes) -> None:
         raise exc from None
 
 
-def _no_key_repeated(source: str | bytes, raw: dict[str, Any]) -> bool:
-    """Whether ``source``'s colons and colon escapes prove that no object of
+def _no_key_repeated(text: str, raw: dict[str, Any]) -> bool:
+    """Whether ``text``'s colons and colon escapes prove that no object of
     ``raw``, which the strict read accepted, lost a repeated key (see the
     module docstring)."""
     asset, nodes, edges, judgements, weights = _OBJECTS(raw)
@@ -257,10 +256,9 @@ def _no_key_repeated(source: str | bytes, raw: dict[str, Any]) -> bool:
         len(raw) + len(asset) + sum(map(len, nodes)) + sum(map(len, edges))
         + len(judgements) + sum(map(len, judgements.values())) + len(explicit)
     )
-    is_str = isinstance(source, str)
-    colons = source.count(":" if is_str else b":")
-    if ("\\" if is_str else b"\\") in source:
-        colons += len(re.findall(r"\\u003[aA]" if is_str else rb"\\u003[aA]", source))
+    colons = text.count(":")
+    if "\\" in text:
+        colons += len(re.findall(r"\\u003[aA]", text))
     if colons == keys:
         return True
     # A node's values are strings and lists of strings; a list's str() adds
@@ -487,7 +485,7 @@ class _Object(NamedTuple):
         if not isinstance(obj, dict):
             raise _Invalid(f"must be an object, got {_type_name(obj)}")
         before = len(errors)
-        if not obj.keys() <= self.rows.keys():
+        if not obj.keys() <= self.rows.keys():  # in C; most objects pass it
             for key in sorted(obj.keys() - self.rows.keys()):
                 name = f"{path}.{key}" if path else key
                 if lenient:
@@ -592,17 +590,10 @@ def _score(value: Any) -> int:
     return value
 
 
-#: Each kind's member by value: the one-step node reader looks a kind up
-#: instead of calling ``NodeKind`` on it.
-_KINDS = {kind.value: kind for kind in NodeKind}
 _string = _must("a string", lambda v: isinstance(v, str), _type_name)
 _text = _must("a string", lambda v: isinstance(v, str))
 _name = _must("a non-empty string", _is_nonempty_str)
-_kind = _must(
-    "one of " + ", ".join(sorted(_KINDS)),
-    lambda v: isinstance(v, str) and v in _KINDS,
-    repr,
-)
+_kind = _must(_KIND, _is_kind, repr)
 _strings = _must(
     "an array of strings",
     lambda v: isinstance(v, list) and all(isinstance(r, str) for r in v),
@@ -639,7 +630,7 @@ def _plain_nodes(objs: list[Any]) -> list[ContributionNode] | None:
         ids = list(map(_ID, objs))
         if all(ids):
             return list(map(
-                ContributionNode, ids, map(_KINDS.__getitem__, map(_KIND, objs)),
+                ContributionNode, ids, map(_KINDS.__getitem__, map(_KIND_OF, objs)),
                 map(_LABEL, objs), map(dict.get, objs, repeat("description")),
                 map(dict.get, objs, repeat("evidence_refs"), repeat(())),
             ))
@@ -660,7 +651,7 @@ def _plain_edges(objs: list[Any]) -> list[tuple[str, str]] | None:
     return edges if all(chain.from_iterable(edges)) else None
 
 
-_ID, _KIND, _LABEL = map(itemgetter, ("id", "kind", "label"))
+_ID, _KIND_OF, _LABEL = map(itemgetter, ("id", "kind", "label"))
 _ENDS = itemgetter("from", "to")
 _ASSET = _Object({"name": (_name, _CHECKED), "version": (_text, _CHECKED)})
 _NODE = _Object({

@@ -1637,6 +1637,28 @@ class TestHooklessDecode:
             SchemaViolationError, ("duplicate key: assessor",), 0, 0
         )
 
+    def test_str_and_bytes_take_one_proof(self):
+        # The proof counts the decoded text: a raw colon and a colon escape in
+        # a non-ASCII label, and each route past them, read the same from the
+        # document's str and its UTF-8 bytes.
+        doc = valid_doc()
+        doc["nodes"][0]["label"] = "Köln: Daten: über"
+        text = json.dumps(doc, ensure_ascii=False).replace("Köln:", "Köln\\u003a")
+        assert "Köln\\u003a Daten: über" in text
+        repeat = text.replace('"assessor"', '"assessor": "ä:", "assessor"')
+        escaped_repeat = text.replace('"assessor"', '"assessor": "é\\u003a", "assessor"')
+        no_escape = text.replace("Köln\\u003a", "Köln\\\\u003a")
+        cases = {
+            text: [False], repeat: [False, True], escaped_repeat: [False, True],
+            no_escape: [False, True], text[:-2]: [False, True],
+        }
+        for case, routes in cases.items():
+            blob = case.encode("utf-8")
+            assert decodes(case) == decodes(blob) == routes, case
+            assert outcome(case) == outcome(blob), case
+        assert parse_document(text).graph.nodes[0].label == "Köln: Daten: über"
+        assert outcome(repeat)[:2] == (SchemaViolationError, ("duplicate key: assessor",))
+
     def test_a_failed_read_reports_the_hooked_error_alone(self):
         # The repeat comes before the unknown field, which a hookless read
         # meets first: the repeat's error is raised, with no chained one.

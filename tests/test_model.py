@@ -186,6 +186,54 @@ class TestContributionNode:
         with pytest.raises(ValueError):
             ContributionNode(id="DS", kind="Wizard", label="x")
 
+    def test_a_bad_kind_is_refused_in_the_kind_rule_wording(self):
+        with pytest.raises(ValueError) as excinfo:
+            ContributionNode("x", "Nope", "l")
+        assert str(excinfo.value) == (
+            "node kind must be one of DataSource, DerivedAsset, HumanContributor,"
+            " OutputAsset, got 'Nope'"
+        )
+
+    @pytest.mark.parametrize(
+        "value",
+        ["DataSource", NodeKind.OUTPUT_ASSET, "Nope", "datasource", "", 5, None],
+        ids=repr,
+    )
+    def test_the_kind_rule_owners_agree(self, samples_dir, assessment_schema, value):
+        """The constructor, the parser and the schema refuse the same kinds, and
+        each refusal reads the one wording of the kind rule."""
+        refusals = []
+        try:
+            ContributionNode("X", value, "x")
+        except ValueError as error:
+            refusals.append(str(error))
+        built = not refusals
+        document = json.loads((samples_dir / "first_party_later.json").read_bytes())
+        document["nodes"][0]["kind"] = value
+        try:
+            parse_document(json.dumps(document))
+        except DocumentError as error:
+            found = [
+                violation for violation in error.violations
+                if violation.startswith("nodes[0].kind: must be ")
+            ]
+        else:
+            found = []
+        parsed = not found
+        refusals += found
+        validator = jsonschema.Draft202012Validator(assessment_schema)
+        schema_valid = all(
+            list(error.absolute_path) != ["nodes", 0, "kind"]
+            for error in validator.iter_errors(document)
+        )
+        assert built == parsed == schema_valid
+        assert len(refusals) == (0 if built else 2)
+        for refusal in refusals:
+            assert refusal.endswith(
+                " must be one of DataSource, DerivedAsset, HumanContributor,"
+                f" OutputAsset, got {value!r}"
+            )
+
     @pytest.mark.parametrize("node_id", [1, None, b"DS"], ids=repr)
     def test_non_string_id_rejected(self, node_id):
         # A graph sorts its nodes by id, so one int id among strings would
@@ -355,8 +403,8 @@ class TestPipelineGraph:
             PipelineGraph(nodes=nodes, edges=edges)
 
     def test_sort_matches_the_reference_on_random_graphs(self):
-        # The sort keys are C-level; the reference sorts by _node_id and by
-        # comparing the str() pairs, as the graph once did.
+        # The sort keys are C-level; the reference sorts by each node's id and
+        # by comparing the str() pairs, as the graph once did.
         rng = random.Random(2525)
         ends = ["A", "B", "b", "AB", "", 1, 2.5, None, Label("A")]
         for _ in range(500):
@@ -373,7 +421,7 @@ class TestPipelineGraph:
                 if rng.random() < 0.2:
                     edges.append(edges[-1])
             graph = PipelineGraph(nodes=nodes, edges=edges)
-            expected = sorted(nodes, key=model._node_id)
+            expected = sorted(nodes, key=lambda node: node.id)
             assert list(map(id, graph.nodes)) == list(map(id, expected))
             pairs = sorted((str(src), str(dst)) for src, dst in edges)
             assert graph.edges == tuple(dict.fromkeys(pairs))

@@ -75,6 +75,11 @@ CONSTRUCTORS = (
     "Assessment", "VisibilityReport", "SensitivityResult",
 )
 EXAMPLE = helpers.example_graph()
+#: How a node's refusal names each field it may refuse.
+NODE_FIELDS = {
+    "id": "node id ", "kind": "node kind ", "label": "node label ",
+    "description": "node description ", "evidence_refs": "node evidence",
+}
 
 
 def documented(call, *args, **kwargs):
@@ -93,13 +98,18 @@ def test_constructors_refuse_with_value_error_and_functions_stay_documented(data
 
     def build(name, make, fields, spoil=True):
         """``make(**fields)``; when ``name`` is the spoiled constructor, a drawn
-        set of fields is wrong. A refusal must be a ``ValueError``."""
+        set of fields is wrong. A refusal must be a ``ValueError``, and a node's
+        must name one of the wrong fields."""
+        names = set()
         if spoil and name == spoiled:
             names = draw(st.sets(st.sampled_from(sorted(fields)), min_size=1))
             fields = {**fields, **{field: draw(wrong) for field in sorted(names)}}
         try:
             return make(**fields)
-        except ValueError:
+        except ValueError as error:
+            if name == "ContributionNode":
+                named = tuple(NODE_FIELDS[field] for field in names)
+                assert str(error).startswith(named), (names, str(error))
             return draw(wrong)
 
     levels = st.integers(1, 4)
