@@ -38,24 +38,27 @@ once, hooked.
 Nodes, edges and judgements each have an array reader, which reads a whole
 array in a few C-level passes: it builds the values of an array whose every
 item is plainly valid (no unknown key, no null, every field of its type) or
-declines the array. A node's kind is looked up by value and its field types
-are left to :class:`~pipevis.model.ContributionNode`; a judgement is one of 64
-shared instances, one per valid state. A declined array goes item by item to
-the full walker, which builds the same values, and alone writes violation
-text and handles ``lenient``.
+declines the array. The node reader sorts the array by id and hands the graph
+its node columns, each kind looked up by value and each ``evidence_refs`` made
+a tuple, declining exactly what :class:`~pipevis.model.ContributionNode`
+refuses; a judgement is one of 64 shared instances, one per valid state. A
+declined array goes item by item to the full walker, which builds the same
+values (nodes, for the graph's constructor), and alone writes violation text
+and handles ``lenient``.
 
 Serialization is canonical: fixed key order, nodes and edges sorted by id,
 ``"equal"`` for equal weighting, 2-space indentation and a trailing
 newline. Two equal assessments serialize to identical bytes, and
 ``parse_document(serialize_document(a)) == a``.
 
-:func:`document_text` writes the canonical text straight from the model: it
-alone holds the key order, the indentation and the node, edge and judgement
-templates, and the machine document of :func:`pipevis.report.render_machine`
-is its text with a ``results`` member added. Strings are escaped by
-``json.encoder.encode_basestring``, floats written by ``float.__repr__`` and
-ints as ints, which is what ``json.dumps(indent=2, ensure_ascii=False)``
-writes; the texts of the 64 valid judgements are formatted once, at import.
+:func:`document_text` writes the canonical text straight from the model, the
+nodes from the graph's columns: it alone holds the key order, the indentation
+and the node, edge and judgement templates, and the machine document of
+:func:`pipevis.report.render_machine` is its text with a ``results`` member
+added. Strings are escaped by ``json.encoder.encode_basestring``, floats
+written by ``float.__repr__`` and ints as ints, which is what
+``json.dumps(indent=2, ensure_ascii=False)`` writes; the texts of the 64 valid
+judgements are formatted once, at import.
 :func:`document_dict` builds the same document as a dict and is the writer's
 reference: the tests check that ``json.dumps`` of it gives the same text.
 """
@@ -83,6 +86,7 @@ from .model import (
     _KINDS,
     _LEVEL,
     _PRECISION,
+    _graph_of,
     _is_integer,
     _is_kind,
     _is_level,
@@ -287,7 +291,10 @@ def parse_document(
     """
     fields = _read(_source(data), lenient)
 
-    graph = PipelineGraph(nodes=fields["nodes"], edges=fields["edges"])
+    nodes, edges = fields["nodes"], fields["edges"]
+    # The array reader hands over checked node columns, the walker nodes.
+    build = _graph_of if type(nodes) is tuple else PipelineGraph
+    graph = build(nodes, edges)
     assessment = Assessment(
         graph=graph,
         judgements=fields["judgements"],
@@ -385,15 +392,15 @@ def document_text(assessment: Assessment, members: Iterable[str] = ()) -> str:
     """
     text = encode_basestring
     nodes = []
-    for node in assessment.graph.nodes:
+    for nid, kind, label, description, refs in zip(*assessment.graph._columns):
         entry = (
-            f'{{\n      "id": {text(node.id)},\n      "kind": {text(node.kind)},'
-            f'\n      "label": {text(node.label)}'
+            f'{{\n      "id": {text(nid)},\n      "kind": {text(kind)},'
+            f'\n      "label": {text(label)}'
         )
-        if node.description is not None:
-            entry += f',\n      "description": {text(node.description)}'
-        if node.evidence_refs:
-            refs = ",\n        ".join(map(text, node.evidence_refs))
+        if description is not None:
+            entry += f',\n      "description": {text(description)}'
+        if refs:
+            refs = ",\n        ".join(map(text, refs))
             entry += f',\n      "evidence_refs": [\n        {refs}\n      ]'
         nodes.append(entry + "\n    }")
     edges = [
@@ -619,23 +626,27 @@ def _plain_dicts(objs: list[Any], value_types: set[type]) -> bool:
     ) <= value_types
 
 
-def _plain_nodes(objs: list[Any]) -> list[ContributionNode] | None:
-    """The nodes of an array of plainly valid objects, or None: this reader
-    checks the document's rules, and declines what the node's constructor
-    refuses."""
+def _plain_nodes(objs: list[Any]) -> tuple[list[Any], ...] | None:
+    """The node columns (see :class:`~pipevis.model.PipelineGraph`) of an array
+    of plainly valid objects, in id order, or None: this reader checks the
+    document's rules, and declines what the node's constructor refuses."""
     keys = _NODE.rows.keys()
     if not _plain_dicts(objs, {str, list}) or not set(chain.from_iterable(objs)) <= keys:
         return None
     try:
-        ids = list(map(_ID, objs))
-        if all(ids):
-            return list(map(
-                ContributionNode, ids, map(_KINDS.__getitem__, map(_KIND_OF, objs)),
-                map(_LABEL, objs), map(dict.get, objs, repeat("description")),
-                map(dict.get, objs, repeat("evidence_refs"), repeat(())),
-            ))
-    except (KeyError, TypeError, ValueError):  # a key or kind missing, or a type
-        pass
+        if list in set(map(type, map(_ID, objs))):  # before the sort compares ids
+            return None
+        objs = sorted(objs, key=_ID)
+        ids, labels = list(map(_ID, objs)), list(map(_LABEL, objs))
+        kinds = list(map(_KINDS.__getitem__, map(_KIND_OF, objs)))
+    except (KeyError, TypeError):  # a key or kind missing, or a list kind
+        return None
+    descriptions = list(map(dict.get, objs, repeat("description")))
+    refs = list(map(dict.get, objs, repeat("evidence_refs"), repeat(())))
+    if (all(ids) and list not in set(map(type, chain(labels, descriptions)))
+            and str not in set(map(type, refs))
+            and set(map(type, chain.from_iterable(refs))) <= {str}):
+        return ids, kinds, labels, descriptions, list(map(tuple, refs))
     return None
 
 

@@ -275,11 +275,11 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
     """
     _require_valid(assessment)
     graph = assessment.graph
-    node = graph.node_by_id(node_id)
-    if node is None:
+    kind = graph._kind_of(node_id)
+    if kind is None:
         raise UnknownNodeError(node_id)
-    if node.kind not in (NodeKind.DERIVED_ASSET, NodeKind.OUTPUT_ASSET):
-        raise LeafNodeError(node_id, node.kind)
+    if kind not in (NodeKind.DERIVED_ASSET, NodeKind.OUTPUT_ASSET):
+        raise LeafNodeError(node_id, kind)
 
     leaf_ids = graph._leaf_sets[node_id]
     weights = assessment.weights.resolve(leaf_ids).values()
@@ -344,7 +344,7 @@ def sensitivity(
     for node_id, judgement in items:
         # A valid assessment judges exactly its leaves.
         if not isinstance(node_id, str) or node_id not in assessment.judgements:
-            if assessment.graph.node_by_id(node_id) is not None:
+            if assessment.graph._kind_of(node_id) is not None:
                 raise UnknownNodeError(
                     node_id, f"node {node_id} is not a leaf and cannot be re-judged"
                 )

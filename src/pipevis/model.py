@@ -12,11 +12,12 @@ Validation here is collecting, not fail-fast: :func:`validate_graph` and
 :func:`validate_assessment` report *every* violation they find, in a
 deterministic order, so a document author can fix them in one pass.
 
-A :class:`PipelineGraph` is immutable, so one index -- its id map, reverse
-adjacency, leaf ids, violations and the order in which its one depth-first
-walk closes nodes -- is derived once per graph, on first use, by one function.
-That walk, Tarjan's search from the output, also finds the cycles and the
-nodes with a path to the output. The leaf ancestors of its nodes are derived
+A :class:`PipelineGraph` keeps its node fields as columns; a parsed one builds
+its nodes only when ``nodes`` is first read. A graph is immutable, so one index
+-- its id map, reverse adjacency, leaf ids, violations and the order in which
+its one depth-first walk closes nodes -- is derived once per graph, on first
+use, by one function. That walk, Tarjan's search from the output, also finds
+the cycles and the nodes with a path to the output. The leaf ancestors of its nodes are derived
 from that order, as sorted tuples, on the first derived-asset score. An
 :class:`Assessment` is immutable too (its judgements and explicit weights are
 read-only mappings), so its violations are computed once per assessment, and
@@ -32,13 +33,14 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Callable, Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from datetime import date, datetime
 from functools import cached_property
-from itertools import chain, filterfalse, product, repeat
+from itertools import chain, compress, filterfalse, product, repeat
 from operator import attrgetter, getitem, itemgetter
 from types import MappingProxyType
 from typing import Any, NamedTuple
@@ -67,6 +69,8 @@ PRECISION_MAX = 12
 _PRECISION = f"an integer between 0 and {PRECISION_MAX}"
 
 WEIGHT_SUM_TOLERANCE = 1e-9
+#: Values that a sequence argument would split into characters or ints.
+_UNSPLIT = (str, bytes, bytearray, memoryview)
 
 
 def _is_integer(value: object) -> bool:
@@ -238,7 +242,7 @@ class ContributionNode:
         if description is not None and not isinstance(description, str):
             raise ValueError(f"node description must be a string, got {description!r}")
         if type(evidence_refs) is not tuple:
-            if isinstance(evidence_refs, str):
+            if isinstance(evidence_refs, _UNSPLIT):
                 raise ValueError(
                     f"node evidence_refs must be strings, got one: {evidence_refs!r}"
                 )
@@ -264,6 +268,8 @@ _set_kind = ContributionNode.kind.__set__
 _set_label = ContributionNode.label.__set__
 _set_description = ContributionNode.description.__set__
 _set_evidence_refs = ContributionNode.evidence_refs.__set__
+#: The getters of a node's fields, in field order: a graph's columns.
+_FIELDS = tuple(map(attrgetter, ContributionNode.__match_args__))
 
 
 @dataclass(frozen=True)
@@ -274,16 +280,19 @@ class PipelineGraph:
     construction, so two graphs built from the same node/edge *sets* compare
     equal regardless of insertion order. Each node must be a
     :class:`ContributionNode`, checked in one C-level pass, and each edge a
-    pair, whose ends are converted with ``str()``; other shapes raise
-    ``ValueError``. Nodes are sorted on their id and edges on each end in
-    turn, with C-level keys and stable sorts: the order of comparing the
-    pairs. Every other structural invariant is checked by
-    :func:`validate_graph`.
+    pair, whose ends are converted with ``str()``; a string, bytes and a
+    mapping are not pairs, and other shapes raise ``ValueError``. Nodes are
+    sorted on their id and edges on each end in turn, with C-level keys and
+    stable sorts: the order of comparing the pairs. Every other structural
+    invariant is checked by :func:`validate_graph`.
 
-    Its index (:class:`_GraphIndex`) and its nodes' leaf ancestors are each
-    derived once, on first use, and kept on the instance outside equality,
-    hashing and repr. Copying, unpickling and :func:`dataclasses.replace` go
-    through the constructor, so they yield a graph that derives anew.
+    Its node fields are kept as columns in id order (``_columns``: ids, kinds,
+    labels, descriptions, evidence refs), taken from the given nodes, which are
+    kept; a parsed graph (:func:`_graph_of`) builds ``nodes`` on first read.
+    The columns give its index (:class:`_GraphIndex`) and the leaf ancestors,
+    each derived once, on first use, and kept outside equality, hashing and
+    repr. Those read ``nodes``, and so do copying, unpickling and
+    :func:`dataclasses.replace`, which yield a graph that derives anew.
     """
 
     nodes: tuple[ContributionNode, ...]
@@ -301,17 +310,17 @@ class PipelineGraph:
                 _require("node", node, ContributionNode, "a ContributionNode")
         nodes.sort(key=attrgetter("id"))
         object.__setattr__(self, "nodes", tuple(nodes))
-        try:
-            edges = list(self.edges)  # a string would unpack as two characters
-            if any(issubclass(kind, str) for kind in set(map(type, edges))):
-                text = next(edge for edge in edges if isinstance(edge, str))
-                raise ValueError(f"a string is not a pair: {text!r}")
-            edges = [(str(src), str(dst)) for src, dst in edges]
-        except (TypeError, ValueError) as error:
-            raise ValueError(f"edges must be an iterable of pairs: {error}") from None
-        edges.sort(key=itemgetter(1))
-        edges.sort(key=itemgetter(0))
-        object.__setattr__(self, "edges", tuple(dict.fromkeys(edges)))
+        columns = tuple(list(map(get, nodes)) for get in _FIELDS)
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "edges", _pairs(self.edges))
+
+    def __getattr__(self, name: str) -> object:
+        # Runs only for a name the instance lacks: the nodes of a parsed graph.
+        if name != "nodes":
+            return object.__getattribute__(self, name)  # raises AttributeError
+        nodes = tuple(map(ContributionNode, *self._columns))
+        # A thread that built them first wins, so every read sees one tuple.
+        return vars(self).setdefault("nodes", nodes)
 
     __reduce__ = _init_args
 
@@ -325,11 +334,42 @@ class PipelineGraph:
 
     def node_by_id(self, node_id: str) -> ContributionNode | None:
         """The node with this id; ``None`` for an unknown id or a non-string."""
+        if self._kind_of(node_id) is None:
+            return None
+        return self.nodes[bisect_left(self._columns[0], node_id)]  # the first, by id
+
+    def _kind_of(self, node_id: object) -> NodeKind | None:
+        """The kind of the node with this id, or ``None``; no node is built."""
         return self._index.by_id.get(node_id) if isinstance(node_id, str) else None
 
     def leaf_ids(self) -> list[str]:
         """Ids of zero-in-degree nodes, sorted. No validity check."""
         return list(self._index.leaves)
+
+
+def _pairs(edges: object) -> tuple[tuple[str, str], ...]:
+    """``edges`` as sorted ``(str, str)`` pairs without repeats, or a ValueError."""
+    try:
+        edges = list(edges)  # a string, bytes or a mapping would unpack
+        unpaired = (*_UNSPLIT, Mapping)
+        if any(issubclass(kind, unpaired) for kind in set(map(type, edges))):
+            item = next(edge for edge in edges if isinstance(edge, unpaired))
+            what = "a string" if isinstance(item, str) else type(item).__name__
+            raise ValueError(f"{what} is not a pair: {item!r}")
+        edges = [(str(src), str(dst)) for src, dst in edges]
+    except (TypeError, ValueError) as error:
+        raise ValueError(f"edges must be an iterable of pairs: {error}") from None
+    edges.sort(key=itemgetter(1))
+    edges.sort(key=itemgetter(0))
+    return tuple(dict.fromkeys(edges))
+
+
+def _graph_of(columns: tuple[list[Any], ...], edges: object) -> PipelineGraph:
+    """A graph of node columns in id order that hold what the node
+    constructor keeps as given; its nodes are built on first read."""
+    graph = object.__new__(PipelineGraph)
+    vars(graph).update(_columns=columns, edges=_pairs(edges))
+    return graph
 
 
 @dataclass(frozen=True)
@@ -483,8 +523,8 @@ def validate_graph(graph: PipelineGraph) -> ValidationResult:
 class _GraphIndex(NamedTuple):
     """What a graph's readers and its check need, derived together."""
 
-    #: The first node with each id, in id order; later duplicates are violations.
-    by_id: dict[str, ContributionNode]
+    #: The kind of the first node with each id, in id order; repeats are violations.
+    by_id: dict[str, NodeKind]
     #: Upstream ids per node with an incoming edge between known nodes.
     reverse: dict[str, list[str]]
     #: Ids without an incoming edge between known nodes, sorted.
@@ -497,35 +537,24 @@ class _GraphIndex(NamedTuple):
 def _index_graph(graph: PipelineGraph) -> _GraphIndex:
     """Index ``graph`` and check every invariant.
 
-    One walk over the nodes, one over the edges and one depth-first walk,
-    which starts at the single output. The nodes it entered from there, and
-    their sources, leaves among them, are the reach. The incoming-edge rule is
-    checked over the derived and output nodes collected in the node walk, and
-    the nodes are walked again for the path rule only when the reach missed
-    one. The nodes are in id order, so ``by_id`` and the leaves are too.
+    It reads the id and kind columns in C-level passes: they are in id order,
+    so ``by_id`` and the leaves are too, and a repeated id is a run. Then one
+    walk over the edges and one depth-first walk, which starts at the single
+    output. The nodes it entered from there, and their sources, leaves among
+    them, are the reach. The incoming-edge rule is checked over the derived
+    and output nodes, and the ids are walked again for the path rule only
+    when the reach missed one.
     """
     derived, output = NodeKind.DERIVED_ASSET, NodeKind.OUTPUT_ASSET
-    violations: list[str] = []
-
-    by_id: dict[str, ContributionNode] = {}
-    duplicates: set[str] = set()
-    outputs: list[str] = []
-    scoped: list[ContributionNode] = []
-    for node in graph.nodes:
-        nid = node.id
-        if not nid:
-            violations.append("empty node id")
-        if nid not in by_id:
-            by_id[nid] = node
-        elif nid:
-            duplicates.add(nid)
-        kind = node.kind
-        if kind is output:
-            outputs.append(nid)
-            scoped.append(node)
-        elif kind is derived:
-            scoped.append(node)
-    violations.extend(f"duplicate node id: {nid}" for nid in sorted(duplicates))
+    ids, kinds = graph._columns[:2]
+    violations = ["empty node id"] * ids.count("")
+    by_id = dict(zip(ids, kinds))
+    if len(by_id) < len(ids):  # each repeated id keeps its first node's kind
+        by_id.update(zip(reversed(ids), reversed(kinds)))
+        repeats = dict.fromkeys(nid for nid, after in zip(ids, ids[1:]) if nid == after)
+        violations.extend(f"duplicate node id: {nid}" for nid in repeats if nid)
+    scoped = list(compress(zip(ids, kinds), map({derived, output}.__contains__, kinds)))
+    outputs = [nid for nid, kind in scoped if kind is output]
 
     upstream: defaultdict[str, list[str]] = defaultdict(list)
     for src, dst in graph.edges:
@@ -545,10 +574,10 @@ def _index_graph(graph: PipelineGraph) -> _GraphIndex:
     elif len(outputs) > 1:
         violations.append("multiple OutputAsset nodes: " + ",".join(outputs))
 
-    for node in scoped:
-        if node.id not in reverse:
-            role = "output" if node.kind is output else "derived"
-            violations.append(f"{role} node {node.id} has no incoming edge")
+    for nid, kind in scoped:
+        if nid not in reverse:
+            role = "output" if kind is output else "derived"
+            violations.append(f"{role} node {nid} has no incoming edge")
 
     # The path rule needs a single output; without one, every node counts as
     # reached. The reach holds only known ids, so its size tells whether it
@@ -559,11 +588,8 @@ def _index_graph(graph: PipelineGraph) -> _GraphIndex:
     if single is not None:
         reached = {single, *chain.from_iterable(map(reverse.__getitem__, entered))}
         if len(reached) < len(by_id):
-            violations.extend(
-                f"node {node.id} has no path to the output"
-                for node in graph.nodes
-                if node.id not in reached
-            )
+            missed = filterfalse(reached.__contains__, ids)
+            violations.extend(f"node {nid} has no path to the output" for nid in missed)
 
     leaves = tuple(filterfalse(reverse.__contains__, by_id))
     return _GraphIndex(by_id, reverse, leaves, order, tuple(violations))

@@ -13,6 +13,7 @@ from dataclasses import MISSING, fields, replace
 from datetime import date, datetime
 from fractions import Fraction
 from itertools import chain
+from types import MappingProxyType
 
 import jsonschema
 import networkx as nx
@@ -25,16 +26,25 @@ from pipevis import (
     Criterion,
     DocumentError,
     Judgement,
+    LeafNodeError,
     NodeKind,
     PipelineGraph,
     RUBRIC,
+    SchemaViolationError,
+    SemanticViolationError,
+    UnknownNodeError,
     WeightScheme,
+    derived_asset_visibility,
+    overall_visibility,
     parse_document,
+    render_machine,
+    render_table,
+    sensitivity,
     serialize_document,
     validate_assessment,
     validate_graph,
 )
-from pipevis import model
+from pipevis import ingest, model
 
 
 class Label(str):
@@ -249,6 +259,18 @@ class TestContributionNode:
         with pytest.raises(ValueError, match=message):
             replace(node("DS"), evidence_refs="doc.pdf")
 
+    @pytest.mark.parametrize(
+        "refs",
+        [b"ab", bytearray(b"ab"), memoryview(b"ab")],
+        ids=["bytes", "bytearray", "memoryview"],
+    )
+    def test_bytes_as_evidence_refs_are_refused_as_given(self, refs):
+        # They used to be split into ints and refused as "got 97".
+        got = re.escape(repr(refs))
+        message = f"^node evidence_refs must be strings, got one: {got}$"
+        with pytest.raises(ValueError, match=message):
+            ContributionNode("DS", "DataSource", "x", evidence_refs=refs)
+
     def test_non_iterable_evidence_refs_are_refused_as_a_ref(self):
         # tuple() raises TypeError here; the constructor raises ValueError.
         message = "^node evidence ref must be a string, got 5$"
@@ -394,8 +416,35 @@ class TestPipelineGraph:
                 [*helpers.example_graph().edges, "DM"],
                 r"^edges must be an iterable of pairs: a string is not a pair: 'DM'$",
             ),
+            # Bytes became the edge ('65', '77'), and a two-key mapping an
+            # edge between its keys.
+            (
+                (node("A"), node("M", NodeKind.OUTPUT_ASSET)),
+                [b"AM"],
+                r"^edges must be an iterable of pairs: bytes is not a pair: b'AM'$",
+            ),
+            (
+                helpers.example_graph().nodes,
+                [*helpers.example_graph().edges, bytearray(b"DM")],
+                r"^edges must be an iterable of pairs: bytearray is not a pair: "
+                r"bytearray\(b'DM'\)$",
+            ),
+            (
+                (node("A"), node("M", NodeKind.OUTPUT_ASSET)),
+                [{"A": 1, "M": 2}],
+                r"^edges must be an iterable of pairs: dict is not a pair: "
+                r"\{'A': 1, 'M': 2\}$",
+            ),
+            (
+                (node("A"), node("M", NodeKind.OUTPUT_ASSET)),
+                [("A", "M"), MappingProxyType({"A": "M"})],
+                r"^edges must be an iterable of pairs: mappingproxy is not a pair: ",
+            ),
         ],
-        ids=["nodes-int", "edges-None", "edges-int-item", "edges-str", "edges-str-last"],
+        ids=[
+            "nodes-int", "edges-None", "edges-int-item", "edges-str", "edges-str-last",
+            "edges-bytes", "edges-bytearray-last", "edges-dict", "edges-mapping",
+        ],
     )
     def test_rejects_nodes_or_edges_of_the_wrong_shape(self, nodes, edges, message):
         # Each of the first three used to raise TypeError.
@@ -645,6 +694,199 @@ class TestPipelineGraph:
         cyclic = replace(example_graph, edges=example_graph.edges + (("M", "LD"),))
         assert "cycle detected: LD,M" in validate_graph(cyclic).violations
         assert validate_graph(example_graph).ok
+
+
+class TestNodeColumns:
+    """A parsed graph keeps its nodes as columns and builds them on first read;
+    a graph built from nodes keeps the same columns."""
+
+    IDS = ["", "A", "B", "b", "AB", "M", "D1", "D2", "Ä:"]
+
+    @classmethod
+    def random_objects(cls, rng):
+        """Node objects as a document holds them, and edge pairs: a valid graph,
+        or one over a few ids with repeated and empty ids, unknown ends,
+        self-edges and cycles."""
+        if rng.random() < 0.3:
+            graph = helpers.random_assessment(rng).graph
+            objs = json.loads(cls.text(graph))["nodes"]
+            rng.shuffle(objs)
+            return objs, list(graph.edges)
+        objs = []
+        for _ in range(rng.randrange(10)):
+            obj = {
+                "id": rng.choice(cls.IDS),
+                "kind": rng.choice(list(NodeKind)).value,
+                "label": rng.choice(["", "x", "l: \u00e9"]),
+            }
+            if rng.random() < 0.4:
+                obj["description"] = rng.choice(["", "d", "d\n\"e\""])
+            if rng.random() < 0.4:
+                obj["evidence_refs"] = rng.choices(["r", "s/1", ""], k=rng.randrange(3))
+            objs.append(obj)
+        ends = [*cls.IDS, "X"]
+        edges = [(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randrange(12))]
+        return objs, edges
+
+    @staticmethod
+    def columns_by_hand(objs):
+        ordered = sorted(objs, key=lambda obj: obj["id"])
+        return (
+            [obj["id"] for obj in ordered],
+            [NodeKind(obj["kind"]) for obj in ordered],
+            [obj["label"] for obj in ordered],
+            [obj.get("description") for obj in ordered],
+            [tuple(obj.get("evidence_refs", ())) for obj in ordered],
+        )
+
+    @staticmethod
+    def node_walk(nodes):
+        """The node rules as one Python walk over the nodes, the reference for
+        the index's C-level passes: the first node of each id, then the empty
+        and repeated ids."""
+        first, lines, repeated = {}, [], set()
+        for node in nodes:
+            if not node.id:
+                lines.append("empty node id")
+            if node.id not in first:
+                first[node.id] = node
+            elif node.id:
+                repeated.add(node.id)
+        return first, lines + [f"duplicate node id: {nid}" for nid in sorted(repeated)]
+
+    @staticmethod
+    def text(graph):
+        """The canonical document text of ``graph``, written without a check."""
+        return ingest.document_text(helpers.example_assessment({}, graph=graph))
+
+    def test_parsed_and_built_graphs_agree_on_random_graphs(self):
+        rng = random.Random(3232)
+        for _ in range(400):
+            objs, edges = self.random_objects(rng)
+            columns = ingest._NODE.fast(copy.deepcopy(objs))
+            if columns is None:  # an empty id, which only the walker reports
+                assert not all(obj["id"] for obj in objs)
+                columns = self.columns_by_hand(objs)
+            assert columns == self.columns_by_hand(objs)
+            parsed = model._graph_of(columns, edges)
+            given = [ContributionNode(**obj) for obj in objs]
+            built = PipelineGraph(nodes=given, edges=edges)
+            # Read before the parsed graph's nodes are built.
+            assert parsed._columns == built._columns
+            assert parsed._index == built._index
+            assert self.text(parsed) == self.text(built)
+            ids = [*self.IDS, *(obj["id"] for obj in objs), "X", 5]
+            for nid in ids:
+                assert parsed._kind_of(nid) == built._kind_of(nid)
+            assert "nodes" not in vars(parsed)
+            assert parsed == built and hash(parsed) == hash(built)
+            assert repr(parsed) == repr(built)
+            assert parsed.nodes == built.nodes
+            assert all(type(node) is ContributionNode for node in parsed.nodes)
+            assert parsed.nodes is parsed.nodes
+            assert list(map(id, built.nodes)) == list(
+                map(id, sorted(given, key=lambda node: node.id))
+            )
+            for graph in (parsed, built):
+                first, lines = self.node_walk(graph.nodes)
+                for nid in ids:
+                    assert graph.node_by_id(nid) is first.get(nid)
+                    kind = graph._kind_of(nid)
+                    assert kind is (first[nid].kind if nid in first else None)
+                assert list(graph._index.by_id) == list(first)
+                assert graph._index.violations[:len(lines)] == tuple(lines)
+            document = ingest.document_dict(helpers.example_assessment({}, graph=built))
+            reference = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+            assert self.text(parsed) == reference
+            for twin in (pickle.loads(pickle.dumps(parsed)), copy.deepcopy(parsed),
+                         replace(parsed)):
+                assert twin == built and twin._index == built._index
+
+    def test_parsed_documents_agree_with_built_assessments(self):
+        """The parser's whole route: a graph of columns when the reader takes the
+        nodes, the walker and the constructor otherwise."""
+        rng = random.Random(3233)
+        outcomes = set()
+        for _ in range(300):
+            objs, edges = self.random_objects(rng)
+            graph = PipelineGraph([ContributionNode(**obj) for obj in objs], edges)
+            built = helpers.example_assessment(
+                graph=graph, judgements=dict.fromkeys(graph.leaf_ids(), helpers.THREES)
+            )
+            document = json.loads(ingest.document_text(built))
+            document["nodes"] = objs  # in the drawn order, repeats and all
+            data = json.dumps(document)
+            try:
+                parsed = parse_document(data)
+            except SemanticViolationError as error:
+                outcomes.add("semantic")
+                assert error.violations == validate_assessment(built).violations
+            except SchemaViolationError as error:  # an empty id or edge end
+                outcomes.add("schema")
+                assert all(v.endswith("must be a non-empty string") for v in error.violations)
+            else:
+                outcomes.add("valid")
+                assert parsed == built and parsed.graph._index == built.graph._index
+                assert serialize_document(parsed) == serialize_document(built)
+        assert outcomes == {"semantic", "schema", "valid"}
+
+    @pytest.mark.parametrize(
+        ("key", "value", "violation"),
+        [
+            ("id", ["DS"], "nodes[0].id: must be a non-empty string"),
+            ("label", ["x"], "nodes[0].label: must be a string"),
+            ("description", ["d"], "nodes[0].description: must be a string"),
+            ("evidence_refs", "doc.pdf", "nodes[0].evidence_refs: must be an array of strings"),
+            ("evidence_refs", ["a", 5], "nodes[0].evidence_refs: must be an array of strings"),
+            ("kind", "Wizard", "nodes[0].kind: must be one of DataSource, DerivedAsset, "
+             "HumanContributor, OutputAsset, got 'Wizard'"),
+        ],
+        ids=["list-id", "list-label", "list-description", "str-refs", "int-ref", "kind"],
+    )
+    def test_the_reader_declines_what_the_constructor_refuses(
+        self, samples_dir, key, value, violation
+    ):
+        document = json.loads((samples_dir / "first_party_later.json").read_bytes())
+        document["nodes"][0][key] = value
+        assert ingest._NODE.fast(copy.deepcopy(document["nodes"])) is None
+        with pytest.raises(ValueError):
+            ContributionNode(**document["nodes"][0])
+        with pytest.raises(SchemaViolationError) as excinfo:
+            parse_document(json.dumps(document))
+        assert excinfo.value.violations == (violation,)
+
+    def test_scoring_and_writing_a_parsed_document_builds_no_node(self, monkeypatch):
+        assessment = helpers.shared_ancestor_assessment(random.Random(3234), 6, 2000)
+        data = serialize_document(assessment)
+        built = []
+        init = ContributionNode.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ContributionNode, "__init__", counted)
+        parsed = parse_document(data)
+        graph = parsed.graph
+        report = overall_visibility(parsed)
+        assert derived_asset_visibility(parsed, "D03").leaf_count > 0
+        with pytest.raises(LeafNodeError):
+            derived_asset_visibility(parsed, "L000")
+        with pytest.raises(UnknownNodeError):
+            derived_asset_visibility(parsed, "X")
+        sensitivity(parsed, [("L000", helpers.ALL_FOUR)], weights=WeightScheme.equal())
+        with pytest.raises(UnknownNodeError, match="is not a leaf"):
+            sensitivity(parsed, [("D03", helpers.ALL_FOUR)])
+        assert serialize_document(parsed) == data
+        render_machine(report, parsed)
+        render_table(report, parsed.judgements)
+        assert built == [] and "nodes" not in vars(graph)
+
+        nodes = graph.nodes
+        assert len(built) == len(nodes) == 2007
+        assert graph.nodes is nodes and len(built) == 2007
+        assert graph.node_by_id("D03") is nodes[[node.id for node in nodes].index("D03")]
+        assert nodes == assessment.graph.nodes
 
 
 class TestValidateGraph:
