@@ -258,8 +258,7 @@ def overall_visibility(assessment: Assessment) -> VisibilityReport:
     """
     _require_valid(assessment)
     leaf_ids = assessment.graph._index.leaves
-    weights = assessment.weights.resolve(leaf_ids)
-    return _weighted_report(assessment, leaf_ids, weights.values())
+    return _weighted_report(assessment, leaf_ids, assessment.weights._column(leaf_ids))
 
 
 def derived_asset_visibility(assessment: Assessment, node_id: str) -> VisibilityReport:
@@ -282,7 +281,7 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
         raise LeafNodeError(node_id, kind)
 
     leaf_ids = graph._leaf_sets[node_id]
-    weights = assessment.weights.resolve(leaf_ids).values()
+    weights = assessment.weights._column(leaf_ids)
     if not assessment.weights.is_equal and len(leaf_ids) < len(graph._index.leaves):
         total = math.fsum(weights)
         if total <= 0:

@@ -214,8 +214,9 @@ class ContributionNode:
     and unpickling all build a node through it. It raises ``ValueError``,
     naming the field, unless ``id``, ``label`` and each evidence ref are
     ``str``, ``kind`` is a ``NodeKind`` or its value and ``description`` is
-    ``None`` or a ``str``. It looks ``kind`` up and makes ``evidence_refs`` a
-    tuple only when they are not already so, and stores each field in its slot.
+    ``None`` or a ``str``, or if ``evidence_refs`` is a set or a mapping, whose
+    order is not the caller's. It looks ``kind`` up and makes ``evidence_refs``
+    a tuple only when they are not already so, and stores each field in its slot.
     """
 
     id: str
@@ -246,6 +247,9 @@ class ContributionNode:
                 raise ValueError(
                     f"node evidence_refs must be strings, got one: {evidence_refs!r}"
                 )
+            if isinstance(evidence_refs, (set, frozenset, Mapping)):  # no fixed order
+                raise ValueError(f"node evidence_refs must be in order, got a "
+                                 f"{type(evidence_refs).__name__}")
             try:
                 evidence_refs = tuple(evidence_refs)
             except TypeError:  # not iterable: refused below, as one ref
@@ -376,11 +380,11 @@ def _graph_of(columns: tuple[list[Any], ...], edges: object) -> PipelineGraph:
 class WeightScheme:
     """Per-leaf weighting for the overall index: equal, or an explicit map.
 
-    Equal weighting is semantically an explicit ``1/M`` vector over the M
-    leaves; :meth:`resolve` produces exactly those floats so both schemes
-    share one arithmetic path. Explicit weights are kept as floats in a
-    read-only mapping over a private copy; a value past the float range, such
-    as a huge integer, reads as ``±inf``, as ``1e400`` does. :meth:`explicit`
+    Equal weighting is semantically an explicit ``1/M`` vector over the M leaves:
+    one rule (``_column``) gives either scheme's weights in leaf order, which
+    scoring reads and :meth:`resolve` keys by id. Explicit weights are kept as
+    floats in a read-only mapping over a private copy; a value past the float range,
+    such as a huge integer, reads as ``±inf``, as ``1e400`` does. :meth:`explicit`
     converts each key with ``str()``, and each weight other than an ``int`` or
     ``float`` with ``float()``. Weights that are not a mapping raise ``ValueError``.
     """
@@ -426,9 +430,13 @@ class WeightScheme:
 
     def resolve(self, leaf_ids: Sequence[str]) -> dict[str, float]:
         """Weight per leaf id; raises KeyError if an explicit map lacks one."""
+        return dict(zip(leaf_ids, self._column(leaf_ids)))
+
+    def _column(self, leaf_ids: Sequence[str]) -> Sequence[float]:
+        """The weights of ``leaf_ids``, in order; KeyError as :meth:`resolve`."""
         if self.weights is None:
-            return dict.fromkeys(leaf_ids, 1.0 / len(leaf_ids))
-        return dict(zip(leaf_ids, map(getitem, repeat(self.weights), leaf_ids)))
+            return (1.0 / len(leaf_ids),) * len(leaf_ids)
+        return list(map(getitem, repeat(self.weights), leaf_ids))
 
 
 def _as_float(value: object) -> float:
@@ -613,23 +621,24 @@ def validate_assessment(assessment: Assessment) -> ValidationResult:
 def _assessment_violations(assessment: Assessment) -> tuple[str, ...]:
     """Judgement coverage and weight checks, reported after the graph's."""
     index = assessment.graph._index
-    leaves = set(index.leaves)
-    violations = _coverage("judgement", set(assessment.judgements), leaves, index.by_id)
+    violations = _coverage("judgement", assessment.judgements, index)
 
     weights = assessment.weights.weights
     if weights is not None:
-        uncovered = _coverage("weight", set(weights), leaves, index.by_id)
+        uncovered = _coverage("weight", weights, index)
         violations.extend(uncovered)
-        for nid in sorted(weights):
-            value = weights[nid]
-            if not math.isfinite(value):
-                violations.append(f"non-finite weight for {nid}")
-            elif value < 0:
-                violations.append(f"negative weight for {nid}")
+        values = weights.values()
+        if not all(map(math.isfinite, values)) or min(values, default=0.0) < 0:
+            for nid in sorted(weights):
+                value = weights[nid]
+                if not math.isfinite(value):
+                    violations.append(f"non-finite weight for {nid}")
+                elif value < 0:
+                    violations.append(f"negative weight for {nid}")
         try:
-            total = math.fsum(weights.values())
+            total = math.fsum(values)
         except (OverflowError, ValueError):  # a finite overflow, or inf + -inf
-            total = sum(weights.values())
+            total = sum(values)
         if not math.isfinite(total) or abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
             violations.append(f"weights sum {total!r}, expected 1 within 1e-9")
         elif uncovered:
@@ -638,13 +647,15 @@ def _assessment_violations(assessment: Assessment) -> tuple[str, ...]:
     return tuple(violations)
 
 
-def _coverage(
-    what: str, keys: set[str], leaves: set[str], known: Mapping[str, object]
-) -> list[str]:
-    """Where ``keys`` miss a leaf or name a non-leaf or an unknown node."""
-    lines = [f"missing {what} for {nid}" for nid in sorted(leaves - keys)]
-    for nid in sorted(keys - leaves):
-        if nid in known:
+def _coverage(what: str, keys: Mapping[str, object], index: _GraphIndex) -> list[str]:
+    """Where ``keys`` miss a leaf or name a non-leaf or an unknown node; as
+    many keys as leaves, with each leaf among them, prove none in one C pass."""
+    if len(keys) == len(index.leaves) and all(map(keys.__contains__, index.leaves)):
+        return []
+    given, leaves = set(keys), set(index.leaves)
+    lines = [f"missing {what} for {nid}" for nid in sorted(leaves - given)]
+    for nid in sorted(given - leaves):
+        if nid in index.by_id:
             lines.append(f"{what} on non-leaf node {nid}")
         else:
             lines.append(f"{what} for unknown node {nid}")

@@ -227,8 +227,8 @@ def render_machine(
     _require("assessment", assessment, Assessment, "an Assessment", ReportError)
     if scope_node is not None:
         _require("scope_node", scope_node, str, "a string", ReportError)
-    # Not functools.cache: the weight column prints 0.0 and -0.0 apart, and
-    # a cache would merge the equal keys.
+    # Not functools.cache: each column prints 0.0 and -0.0 apart, and a cache
+    # would merge the equal keys.
     tails: dict[tuple[float, float, float, float], str] = {}
     rows = []
     for node_id, quantity, quality, visibility, weight in report._cells():
@@ -241,7 +241,7 @@ def render_machine(
                 f'\n        "visibility_index": {_sig15(visibility)!r},'
                 f'\n        "weight": {_sig15(weight)!r}\n      }}'
             )
-            if weight:  # 0.0 and -0.0 are equal keys but print differently
+            if all(key):  # 0.0 and -0.0 are equal keys but print differently
                 tails[key] = tail
         rows.append(f'{{\n        "node": {encode_basestring(node_id)}{tail}')
     scope = scope_node if scope_node is not None else "overall"

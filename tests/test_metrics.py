@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import operator
 import pickle
 import random
 from dataclasses import replace
@@ -542,6 +543,58 @@ class TestDerivedAssetVisibility:
         )
         with pytest.raises(DegenerateWeightsError, match="sum to 0"):
             derived_asset_visibility(weighted, "LD")
+
+
+def bits(weights):
+    """Each weight's exact bits; ``-0.0`` and ``0.0`` differ."""
+    return [weight.hex() for weight in weights]
+
+
+def weights_by_hand(scheme, leaf_ids):
+    """``1/m`` for each of m leaves, or each leaf's explicit weight, in order."""
+    if scheme.is_equal:
+        return [1.0 / len(leaf_ids)] * len(leaf_ids)
+    return [scheme.weights[nid] for nid in leaf_ids]
+
+
+class TestWeightColumn:
+    """Scoring reads the weight column, which ``resolve`` keys by id: the same
+    floats, bit for bit, as the weights written out by hand, for equal,
+    explicit and renormalised weights."""
+
+    def test_column_is_resolve_bit_for_bit(self):
+        rng = random.Random(3303)
+        signed = helpers.example_assessment(
+            weights=WeightScheme({"DS": 1.0, "H1": -0.0, "H2": 0.0})
+        )
+        assessments = [signed] + [helpers.random_assessment(rng) for _ in range(200)]
+        seen = set()
+        for assessment in assessments:
+            scheme, graph = assessment.weights, assessment.graph
+            scored = [nid for nid, kind in graph._index.by_id.items() if kind in (
+                model.NodeKind.DERIVED_ASSET, model.NodeKind.OUTPUT_ASSET)]
+            for node_id in scored:
+                leaf_ids = graph._leaf_sets[node_id]
+                column = scheme._column(leaf_ids)
+                assert bits(column) == bits(weights_by_hand(scheme, leaf_ids))
+                assert bits(column) == bits(scheme.resolve(leaf_ids).values())
+                assert list(scheme.resolve(leaf_ids)) == list(leaf_ids)
+                report = derived_asset_visibility(assessment, node_id)
+                weights = list(map(operator.itemgetter(4), report._cells()))
+                assert bits(weights) == bits(resolved_weights(assessment, leaf_ids))
+                whole = len(leaf_ids) == len(graph._index.leaves)
+                seen.add("equal" if scheme.is_equal else
+                         "explicit" if whole else "renormalised")
+            report = overall_visibility(assessment)
+            weights = map(operator.itemgetter(4), report._cells())
+            assert bits(weights) == bits(weights_by_hand(scheme, graph._index.leaves))
+        assert seen == {"equal", "explicit", "renormalised"}
+        ld = derived_asset_visibility(signed, "LD")
+        assert bits(map(operator.itemgetter(4), ld._cells())) == bits([1.0, -0.0])
+
+    def test_a_missing_explicit_weight_is_a_key_error(self):
+        with pytest.raises(KeyError, match="'b'"):
+            WeightScheme({"a": 1.0})._column(["a", "b"])
 
 
 class TestRank:

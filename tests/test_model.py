@@ -271,6 +271,25 @@ class TestContributionNode:
         with pytest.raises(ValueError, match=message):
             ContributionNode("DS", "DataSource", "x", evidence_refs=refs)
 
+    @pytest.mark.parametrize(
+        "refs",
+        [
+            {"ref-a", "ref-b", "ref-c"},
+            frozenset({"ref-a", "ref-b"}),
+            {"r1": 1, "r2": 2},
+            MappingProxyType({"r1": 1}),
+        ],
+        ids=["set", "frozenset", "dict", "mappingproxy"],
+    )
+    def test_unordered_evidence_refs_are_refused_by_type(self, refs):
+        # A set used to keep its hash-seeded order, so one node was written
+        # differently from run to run; a mapping used to become its keys.
+        message = f"^node evidence_refs must be in order, got a {type(refs).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            ContributionNode("DS", "DataSource", "x", evidence_refs=refs)
+        with pytest.raises(ValueError, match=message):
+            replace(node("DS"), evidence_refs=refs)
+
     def test_non_iterable_evidence_refs_are_refused_as_a_ref(self):
         # tuple() raises TypeError here; the constructor raises ValueError.
         message = "^node evidence ref must be a string, got 5$"
@@ -838,10 +857,12 @@ class TestNodeColumns:
             ("description", ["d"], "nodes[0].description: must be a string"),
             ("evidence_refs", "doc.pdf", "nodes[0].evidence_refs: must be an array of strings"),
             ("evidence_refs", ["a", 5], "nodes[0].evidence_refs: must be an array of strings"),
+            ("evidence_refs", {"r": "a"}, "nodes[0].evidence_refs: must be an array of strings"),
             ("kind", "Wizard", "nodes[0].kind: must be one of DataSource, DerivedAsset, "
              "HumanContributor, OutputAsset, got 'Wizard'"),
         ],
-        ids=["list-id", "list-label", "list-description", "str-refs", "int-ref", "kind"],
+        ids=["list-id", "list-label", "list-description", "str-refs", "int-ref",
+             "object-refs", "kind"],
     )
     def test_the_reader_declines_what_the_constructor_refuses(
         self, samples_dir, key, value, violation
@@ -1235,6 +1256,133 @@ class TestAssessmentViolationsAtOnce:
         )
 
 
+    @pytest.mark.parametrize(
+        ("weights", "violations"),
+        [
+            (
+                {"DS": math.nan, "H1": -math.inf, "H2": -0.0, "LD": math.inf, "ZZ": -0.25},
+                (
+                    "weight on non-leaf node LD",
+                    "weight for unknown node ZZ",
+                    "non-finite weight for DS",
+                    "non-finite weight for H1",
+                    "non-finite weight for LD",
+                    "negative weight for ZZ",
+                    "weights sum nan, expected 1 within 1e-9",
+                ),
+            ),
+            ({"DS": math.nan, "H1": 0.5, "H2": 0.5},
+             ("non-finite weight for DS", "weights sum nan, expected 1 within 1e-9")),
+            ({"DS": math.inf, "H1": 0.5, "H2": 0.5},
+             ("non-finite weight for DS", "weights sum inf, expected 1 within 1e-9")),
+            ({"DS": -math.inf, "H1": 0.5, "H2": 0.5},
+             ("non-finite weight for DS", "weights sum -inf, expected 1 within 1e-9")),
+            ({"DS": 1.5, "H1": -0.5, "H2": -0.0}, ("negative weight for H1",)),
+            ({"DS": 1.0, "H1": -0.0, "H2": 0.0}, ()),
+            ({}, (
+                "missing weight for DS",
+                "missing weight for H1",
+                "missing weight for H2",
+                "weights sum 0.0, expected 1 within 1e-9",
+            )),
+        ],
+        ids=["all", "nan", "inf", "-inf", "negative", "signed-zero", "empty"],
+    )
+    def test_refused_weights(self, weights, violations):
+        # -0.0 is not negative; each refused weight is named in id order.
+        a = helpers.example_assessment(weights=WeightScheme(weights))
+        assert validate_assessment(a).violations == violations
+
+
+def assessment_violations_by_sets(assessment: Assessment) -> tuple[str, ...]:
+    """The judgement and weight checks as set differences and one walk over
+    every weight: the reference for the one-pass proofs of ``_coverage`` and
+    the weight check."""
+    index = assessment.graph._index
+    leaves = set(index.leaves)
+
+    def coverage(what, keys):
+        keys = set(keys)
+        lines = [f"missing {what} for {nid}" for nid in sorted(leaves - keys)]
+        for nid in sorted(keys - leaves):
+            known = nid in index.by_id
+            lines.append(f"{what} on non-leaf node {nid}" if known
+                         else f"{what} for unknown node {nid}")
+        return lines
+
+    violations = coverage("judgement", assessment.judgements)
+    weights = assessment.weights.weights
+    if weights is not None:
+        uncovered = coverage("weight", weights)
+        violations.extend(uncovered)
+        for nid in sorted(weights):
+            if not math.isfinite(weights[nid]):
+                violations.append(f"non-finite weight for {nid}")
+            elif weights[nid] < 0:
+                violations.append(f"negative weight for {nid}")
+        try:
+            total = math.fsum(weights.values())
+        except (OverflowError, ValueError):
+            total = sum(weights.values())
+        if not math.isfinite(total) or abs(total - 1.0) > model.WEIGHT_SUM_TOLERANCE:
+            violations.append(f"weights sum {total!r}, expected 1 within 1e-9")
+        elif uncovered:
+            violations.append(f"weights sum {total!r} but key set incomplete")
+    return tuple(violations)
+
+
+class TestCoverageProof:
+    """``_coverage`` proves exact coverage in one pass and builds sets only to
+    name a fault; the weight check walks the weights only when one is refused.
+    Both against the set walk, on seeded key sets and weights."""
+
+    WEIGHTS = (0.5, 0.25, 1 / 3, 0.0, -0.0, 5e-324, -0.25, math.nan, math.inf, -math.inf)
+
+    @staticmethod
+    def key_sets(rng, index):
+        """Key sets by shape: exact, missing a leaf, with a non-leaf or an
+        unknown id added, and as many keys as leaves but not the leaves."""
+        non_leaves = list(index.reverse)
+        shuffled = rng.sample(index.leaves, len(index.leaves))
+        swap = rng.choice(non_leaves + ["X", "L99"])
+        return {
+            "exact": shuffled,
+            "missing": shuffled[1:],
+            "non-leaf": shuffled + [rng.choice(non_leaves)],
+            "unknown": shuffled + ["X"],
+            "same-length": shuffled[1:] + [swap],
+            "empty": [],
+        }
+
+    def test_against_the_set_walk(self):
+        rng = random.Random(3302)
+        shapes, outcomes = set(), set()
+        for _ in range(300):
+            base = helpers.random_assessment(rng)
+            index = base.graph._index
+            judged = self.key_sets(rng, index)
+            weighted = self.key_sets(rng, index)
+            for shape, keys in judged.items():
+                mapping = MappingProxyType(dict.fromkeys(keys, helpers.THREES))
+                expected = assessment_violations_by_sets(replace(base, judgements=mapping))
+                for what in ("judgement", "weight"):
+                    assert model._coverage(what, mapping, index) == [
+                        line.replace("judgement", what) for line in expected
+                    ]
+                shapes.add(shape)
+                outcomes.add(bool(expected))
+            for shape, keys in weighted.items():
+                if rng.random() < 0.5:
+                    values = [rng.choice(self.WEIGHTS) for _ in keys]
+                else:
+                    values = [1 / len(keys)] * len(keys) if keys else []
+                a = replace(base, weights=WeightScheme(dict(zip(keys, values))))
+                assert model._assessment_violations(a) == assessment_violations_by_sets(a)
+                outcomes.add(bool(assessment_violations_by_sets(a)))
+        assert shapes == {"exact", "missing", "non-leaf", "unknown", "same-length", "empty"}
+        assert outcomes == {True, False}
+
+
 class TestValidateAssessment:
     def test_valid(self, first_party_later):
         assert validate_assessment(first_party_later).ok
@@ -1497,6 +1645,11 @@ class TestWeightScheme:
         scheme = WeightScheme.explicit({"a": 0.75, "b": 0.25})
         assert scheme.resolve(["a", "b"]) == {"a": 0.75, "b": 0.25}
         assert not scheme.is_equal
+
+    def test_a_missing_explicit_weight_is_a_key_error(self):
+        scheme = WeightScheme({"a": 1.0})
+        with pytest.raises(KeyError, match="'b'"):
+            scheme.resolve(["a", "b"])
 
     def test_equal_is_marked(self):
         assert WeightScheme.equal().is_equal

@@ -531,6 +531,23 @@ class TestRenderMachine:
                 line.strip() for line in results.splitlines() if '"weight"' in line
             ] == ['"weight": 1.0', f'"weight": {order[0]!r}', f'"weight": {order[1]!r}']
 
+    @pytest.mark.parametrize("signs", [(0.0, -0.0), (-0.0, 0.0)], ids=["+-", "-+"])
+    @pytest.mark.parametrize("column", [1, 2, 3, 4])
+    def test_signed_zero_indices_keep_their_sign(self, first_party_later, column, signs):
+        # Rows equal but for a signed zero index used to share one written tail.
+        rows = []
+        for node_id, zero in zip(("DS", "H1"), signs):
+            values = [2.0, 2.0, 2.0, 0.5]
+            values[column - 1] = zero
+            rows.append(NodeVisibility(node_id, *values))
+        report = VisibilityReport(per_node=tuple(rows), overall=2.0, leaf_count=2)
+        doc = json.loads(render_machine(report, first_party_later).body)
+        field = NodeVisibility._fields[column]
+        read = [row[field] for row in doc["results"]["per_node"]]
+        assert [math.copysign(1.0, value) for value in read] == [
+            math.copysign(1.0, zero) for zero in signs
+        ]
+
 
 def hand_built(report: VisibilityReport) -> VisibilityReport:
     """A plain report of ``report``'s rows, which builds them if unread."""
