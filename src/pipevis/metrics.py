@@ -26,10 +26,11 @@ import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from itertools import repeat
-from operator import attrgetter, getitem, itemgetter, mul, truediv
+from operator import itemgetter, mul, truediv
 from typing import NamedTuple
 
 from .model import (
+    _gather,
     _init_args,
     Assessment,
     Judgement,
@@ -227,17 +228,17 @@ _quantity, _quality, _visibility = map(itemgetter, range(3))
 
 
 def _weighted_report(
-    assessment: Assessment, leaf_ids: Sequence[str], weights: Iterable[float]
+    assessment: Assessment,
+    leaf_ids: Sequence[str],
+    indices: Sequence[tuple[float, float, float]],
+    weights: Iterable[float],
 ) -> VisibilityReport:
-    """Report on ``leaf_ids`` (sorted) and their weights, in order, and their sum.
+    """Report on ``leaf_ids`` (sorted), their indices and their weights, in
+    order, and the weighted sum, taken in C.
 
-    Each leaf's indices are its judgement's own, so a hand-built judgement or
-    a subclass reads the same row as the parsed one. Each step runs in C, with
-    ``getitem`` for the read-only mapping. The report keeps the columns, and
-    builds its rows from them when ``per_node`` is first read.
+    The report keeps the columns, and builds its rows from them when
+    ``per_node`` is first read.
     """
-    judged = map(getitem, repeat(assessment.judgements), leaf_ids)
-    indices = list(map(attrgetter("_indices"), judged))
     weights = tuple(weights)
     report = object.__new__(VisibilityReport)
     vars(report).update(
@@ -257,8 +258,7 @@ def overall_visibility(assessment: Assessment) -> VisibilityReport:
     violation) if the assessment does not validate.
     """
     _require_valid(assessment)
-    leaf_ids = assessment.graph._index.leaves
-    return _weighted_report(assessment, leaf_ids, assessment.weights._column(leaf_ids))
+    return _weighted_report(assessment, *assessment._leaf_columns)
 
 
 def derived_asset_visibility(assessment: Assessment, node_id: str) -> VisibilityReport:
@@ -269,8 +269,10 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
     the leaves (equal weighting becomes 1/m over the m ancestors). Scoring
     the output node is identical to scoring the whole pipeline. The leaf
     ancestors of every node are collected on the first call for a graph, as
-    sorted tuples, so a later call only looks its node's up. A ``node_id``
-    that is not a string is an unknown node.
+    the ranks of its leaves in id order (a sorted tuple, or a bitset when
+    dense), and each report column is gathered by those ranks from the
+    assessment's leaf columns, so no call looks a judgement up or walks the
+    graph. A ``node_id`` that is not a string is an unknown node.
     """
     _require_valid(assessment)
     graph = assessment.graph
@@ -280,14 +282,17 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
     if kind not in (NodeKind.DERIVED_ASSET, NodeKind.OUTPUT_ASSET):
         raise LeafNodeError(node_id, kind)
 
-    leaf_ids = graph._leaf_sets[node_id]
-    weights = assessment.weights._column(leaf_ids)
-    if not assessment.weights.is_equal and len(leaf_ids) < len(graph._index.leaves):
+    members = graph._leaf_sets[node_id]
+    leaf_ids, indices, weights = _gather(members, assessment._leaf_columns)
+    scheme = assessment.weights
+    if scheme.is_equal:
+        weights = scheme._column(leaf_ids)
+    elif len(leaf_ids) < len(graph._index.leaves):
         total = math.fsum(weights)
         if total <= 0:
             raise DegenerateWeightsError(node_id, leaf_ids)
         weights = list(map(truediv, weights, repeat(total)))
-    return _weighted_report(assessment, leaf_ids, weights)
+    return _weighted_report(assessment, leaf_ids, indices, weights)
 
 
 def rank(assessments: Iterable[Assessment]) -> list[RankEntry]:

@@ -17,11 +17,13 @@ its nodes only when ``nodes`` is first read. A graph is immutable, so one index
 -- its id map, reverse adjacency, leaf ids, violations and the order in which
 its one depth-first walk closes nodes -- is derived once per graph, on first
 use, by one function. That walk, Tarjan's search from the output, also finds
-the cycles and the nodes with a path to the output. The leaf ancestors of its nodes are derived
-from that order, as sorted tuples, on the first derived-asset score. An
-:class:`Assessment` is immutable too (its judgements and explicit weights are
-read-only mappings), so its violations are computed once per assessment, and
-each :class:`Judgement` derives its indices once.
+the cycles and the nodes with a path to the output. The leaf ancestors of its
+nodes are derived from that order on the first derived-asset score, each as
+the leaves' ranks in id order: a sorted tuple when small, an ``int`` bitset
+when dense. An :class:`Assessment` is immutable too (its judgements and
+explicit weights are read-only mappings), so its violations and its leaf
+columns are computed once per assessment, and each :class:`Judgement` derives
+its indices once.
 
 A :class:`ContributionNode`, a :class:`Judgement` and a :class:`WeightScheme`
 each check their own fields' types in their constructor, so a value built by
@@ -34,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from collections import defaultdict
+from collections import defaultdict, deque
 from collections.abc import Callable, Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass, fields
@@ -293,10 +295,12 @@ class PipelineGraph:
     Its node fields are kept as columns in id order (``_columns``: ids, kinds,
     labels, descriptions, evidence refs), taken from the given nodes, which are
     kept; a parsed graph (:func:`_graph_of`) builds ``nodes`` on first read.
-    The columns give its index (:class:`_GraphIndex`) and the leaf ancestors,
-    each derived once, on first use, and kept outside equality, hashing and
-    repr. Those read ``nodes``, and so do copying, unpickling and
-    :func:`dataclasses.replace`, which yield a graph that derives anew.
+    The columns give its index (:class:`_GraphIndex`) and the leaf ancestors
+    (:func:`_leaf_sets_of`: per node, the ranks of its leaves in the index's
+    leaf order, as a sorted tuple or a bitset), each derived once, on first
+    use, and kept outside equality, hashing and repr. Those read ``nodes``,
+    and so do copying, unpickling and :func:`dataclasses.replace`, which
+    yield a graph that derives anew.
     """
 
     nodes: tuple[ContributionNode, ...]
@@ -333,7 +337,7 @@ class PipelineGraph:
         return _index_graph(self)
 
     @cached_property
-    def _leaf_sets(self) -> dict[str, tuple[str, ...]]:
+    def _leaf_sets(self) -> dict[str, tuple[int, ...] | int]:
         return _leaf_sets_of(self._index)
 
     def node_by_id(self, node_id: str) -> ContributionNode | None:
@@ -429,13 +433,15 @@ class WeightScheme:
         return self.weights is None
 
     def resolve(self, leaf_ids: Sequence[str]) -> dict[str, float]:
-        """Weight per leaf id; raises KeyError if an explicit map lacks one."""
+        """Weight per leaf id, in order: ``1/M`` each of M leaves, or each
+        explicit weight. No leaves resolve to ``{}`` under either scheme.
+        Raises ``KeyError`` if an explicit map lacks one of the leaves."""
         return dict(zip(leaf_ids, self._column(leaf_ids)))
 
     def _column(self, leaf_ids: Sequence[str]) -> Sequence[float]:
-        """The weights of ``leaf_ids``, in order; KeyError as :meth:`resolve`."""
+        """The weights of ``leaf_ids``, in order, as :meth:`resolve` keys them."""
         if self.weights is None:
-            return (1.0 / len(leaf_ids),) * len(leaf_ids)
+            return (1.0 / len(leaf_ids),) * len(leaf_ids) if leaf_ids else ()
         return list(map(getitem, repeat(self.weights), leaf_ids))
 
 
@@ -453,9 +459,9 @@ class Assessment:
 
     Judgements are kept in a read-only mapping over a private copy;
     judgements that are not a mapping raise ``ValueError``. The
-    violations are derived once, on first use, and kept on the instance
-    outside equality, repr and pickling; :func:`dataclasses.replace` yields
-    an assessment that is checked anew.
+    violations, and once they are none the leaf columns, are derived once, on
+    first use, and kept on the instance outside equality, repr and pickling;
+    :func:`dataclasses.replace` yields an assessment that is checked anew.
     """
 
     graph: PipelineGraph
@@ -492,6 +498,17 @@ class Assessment:
     @cached_property
     def _violations(self) -> tuple[str, ...]:
         return validate_graph(self.graph).violations + _assessment_violations(self)
+
+    @cached_property
+    def _leaf_columns(
+        self,
+    ) -> tuple[tuple[str, ...], list[tuple[float, float, float]], Sequence[float]]:
+        """The leaf ids in id order, their judgements' indices and their
+        weights: what scoring gathers from, read once the assessment is valid."""
+        leaves = self.graph._index.leaves
+        judged = map(getitem, repeat(self.judgements), leaves)
+        indices = list(map(attrgetter("_indices"), judged))
+        return leaves, indices, self.weights._column(leaves)
 
 
 @dataclass(frozen=True)
@@ -717,26 +734,73 @@ def _depth_first(
     return sorted(components), order, order[:from_output]
 
 
-def _leaf_sets_of(index: _GraphIndex) -> dict[str, tuple[str, ...]]:
-    """The leaf ancestors of each node of a valid graph, as a sorted tuple
-    without repeats; a leaf is its own.
+#: A leaf set of more than ``len(leaves) // _DENSE`` members is a bitset: an
+#: int spends 4 bytes on each 30 bits and a tuple 8 bytes on each member, so
+#: past that many the bitset is no bigger.
+_DENSE = 60
 
-    One pass over the index's finish order, which is upstream-first: a node
-    with one source shares its tuple (a 400-deep one-source chain over 20,000
-    leaves takes 6 ms, not 600), any other merges its sources' tuples, so no
-    node is walked again and no score sorts. On a cyclic graph it raises
-    ``KeyError``, so derived-asset scoring asks only after the check.
+
+def _leaf_sets_of(index: _GraphIndex) -> dict[str, tuple[int, ...] | int]:
+    """The leaf ancestors of each node of a valid graph, as a set of *ranks*,
+    positions in ``index.leaves``; a leaf is its own.
+
+    A set of at most ``len(leaves) // _DENSE`` members is a sorted tuple of
+    its ranks, without repeats; a larger one is an ``int`` with bit ``rank``
+    set for each member. One pass over the index's finish order, which is
+    upstream-first: a node with one source shares its set, so a one-source
+    chain holds one, and any other ORs its sources' bitsets and adds their
+    tuples' ranks, a few by shifts and more as one ``bytearray`` of flags
+    that ``int`` reads in C. So no node is walked again and no score sorts.
+    On a cyclic graph it raises ``KeyError``, so derived-asset scoring asks
+    only after the check.
     """
     leaves, reverse = index.leaves, index.reverse
-    sets: dict[str, tuple[str, ...]] = dict(zip(leaves, zip(leaves)))
+    dense = len(leaves) // _DENSE
+    ranks = range(len(leaves))
+    sets: dict[str, tuple[int, ...] | int] = dict(
+        zip(leaves, zip(ranks) if dense else map((1).__lshift__, ranks))
+    )
     for node in index.order:
         sources = reverse[node]
         if len(sources) == 1:
             sets[node] = sets[sources[0]]
-        else:
-            merged = dict.fromkeys(chain.from_iterable(map(sets.__getitem__, sources)))
-            sets[node] = tuple(sorted(merged))
+            continue
+        bits, members = 0, []
+        for source_set in map(sets.__getitem__, sources):
+            if type(source_set) is int:
+                bits |= source_set
+            else:
+                members += source_set
+        if not bits:
+            members = set(members)
+            if len(members) <= dense:
+                sets[node] = tuple(sorted(members))
+                continue
+        if len(members) <= dense:  # a few: each shift costs the set's width
+            for rank in members:
+                bits |= 1 << rank
+        else:  # one flag per leaf, read in C as the bitset's binary digits
+            flags = bytearray(b"0") * len(leaves)
+            deque(map(flags.__setitem__, members, repeat(ord("1"))), 0)
+            bits |= int(flags[::-1], 2)
+        sets[node] = bits
     return sets
+
+
+#: Bytes ``0`` and ``1`` to the flags 0 and 1 that ``compress`` reads.
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _gather(
+    members: tuple[int, ...] | int, columns: Sequence[Sequence[Any]]
+) -> list[list[Any]]:
+    """Each of ``columns``, which are in leaf order, at the ranks of one set
+    of :func:`_leaf_sets_of`: by rank for a tuple, and for a bitset by
+    ``compress`` over its bits as flags, lowest first, in C."""
+    if type(members) is int:
+        flags = bin(members).encode()[:1:-1].translate(_FLAGS)
+        return [list(compress(column, flags)) for column in columns]
+    return [list(map(column.__getitem__, members)) for column in columns]
 
 
 #: Canonical 1-4 scale descriptions for judging documentation on each

@@ -199,6 +199,37 @@ def shared_ancestor_assessment(
         targets = rng.sample(chain, min(len(chain), rng.randint(1, 3)))
         edges.extend((leaf, dst) for dst in targets)
     edges.append((rng.choice(leaf_ids), derived[0]))
+    return leaf_assessment(rng, leaf_ids, derived, edges)
+
+
+def grouped_assessment(rng: random.Random, leaves: int, group: int) -> Assessment:
+    """A valid assessment whose leaves, shuffled, feed derived nodes ``group``
+    at a time, and every derived node feeds ``OUT``: one derived node per
+    leaf when ``group`` is 1, leaves in pairs when it is 2. Each derived
+    node's leaf set is as small as ``group``."""
+    leaf_ids = [f"L{i:04d}" for i in range(leaves)]
+    shuffled = rng.sample(leaf_ids, leaves)
+    derived = [f"D{i:04d}" for i in range(-(-leaves // group))]
+    edges = [(leaf, derived[k // group]) for k, leaf in enumerate(shuffled)]
+    edges += [(did, "OUT") for did in derived]
+    return leaf_assessment(rng, leaf_ids, derived, edges)
+
+
+def chain_assessment(rng: random.Random, steps: int) -> Assessment:
+    """A valid assessment whose derived nodes form a chain into ``OUT``, with
+    one more leaf joining at each step: the leaf sets grow by one a step."""
+    leaf_ids = [f"L{i:04d}" for i in range(steps)]
+    derived = [f"D{i:04d}" for i in range(steps)]
+    joining = rng.sample(leaf_ids, steps)
+    edges = list(zip(joining, derived)) + list(zip(derived, derived[1:] + ["OUT"]))
+    return leaf_assessment(rng, leaf_ids, derived, edges)
+
+
+def leaf_assessment(
+    rng: random.Random, leaf_ids: list[str], derived: list[str], edges: list
+) -> Assessment:
+    """A valid assessment of data-source leaves, derived nodes and ``OUT``,
+    with random judgements and explicit weights."""
     kinds = {"DATA_SOURCE": leaf_ids, "DERIVED_ASSET": derived, "OUTPUT_ASSET": ["OUT"]}
     nodes = [
         ContributionNode(id=nid, kind=NodeKind[kind], label=nid)
@@ -214,6 +245,21 @@ def shared_ancestor_assessment(
     )
     assert validate_assessment(assessment).ok
     return assessment
+
+
+def leaf_ranks(graph: PipelineGraph, node_id: str) -> list[int]:
+    """The ranks, positions in the graph's sorted leaf ids, that ``node_id``'s
+    stored leaf set holds: a tuple's in its order, a bitset's set bits upward."""
+    members = graph._leaf_sets[node_id]
+    if type(members) is int:
+        return [rank for rank in range(members.bit_length()) if members >> rank & 1]
+    return list(members)
+
+
+def leaf_ids_of(graph: PipelineGraph, node_id: str) -> list[str]:
+    """The leaf ids that ``node_id``'s stored leaf set names, in its order."""
+    leaves = graph.leaf_ids()
+    return [leaves[rank] for rank in leaf_ranks(graph, node_id)]
 
 
 def slots(doc):

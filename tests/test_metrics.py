@@ -8,6 +8,7 @@ import math
 import operator
 import pickle
 import random
+import sys
 from dataclasses import replace
 from decimal import Decimal, getcontext
 from functools import partial
@@ -236,7 +237,7 @@ def scored_reports(samples_dir):
                     yield (
                         f"{label}:{node.id}",
                         partial(derived_asset_visibility, a, node.id),
-                        eager_report(a, a.graph._leaf_sets[node.id]),
+                        eager_report(a, helpers.leaf_ids_of(a.graph, node.id)),
                     )
             yield (
                 f"{label}:baseline",
@@ -568,13 +569,17 @@ class TestWeightColumn:
             weights=WeightScheme({"DS": 1.0, "H1": -0.0, "H2": 0.0})
         )
         assessments = [signed] + [helpers.random_assessment(rng) for _ in range(200)]
+        # Leaf sets that are sorted tuples of ranks, and bitsets past them.
+        for group in (1, 2):
+            grouped = helpers.grouped_assessment(rng, 130, group)
+            assessments += [grouped, replace(grouped, weights=WeightScheme.equal())]
         seen = set()
         for assessment in assessments:
             scheme, graph = assessment.weights, assessment.graph
             scored = [nid for nid, kind in graph._index.by_id.items() if kind in (
                 model.NodeKind.DERIVED_ASSET, model.NodeKind.OUTPUT_ASSET)]
             for node_id in scored:
-                leaf_ids = graph._leaf_sets[node_id]
+                leaf_ids = helpers.leaf_ids_of(graph, node_id)
                 column = scheme._column(leaf_ids)
                 assert bits(column) == bits(weights_by_hand(scheme, leaf_ids))
                 assert bits(column) == bits(scheme.resolve(leaf_ids).values())
@@ -950,6 +955,38 @@ def flooded_report(
     )
 
 
+def scored_ids(graph: PipelineGraph) -> list[str]:
+    return [nid for nid, kind in graph._index.by_id.items() if kind in SCORED_KINDS]
+
+
+def assert_every_scored_node_matches_a_flood(explicit: model.Assessment) -> None:
+    """Each derived and output report equals a flood's, exactly, under the
+    assessment's explicit weights and under equal weights."""
+    equal = replace(explicit, weights=WeightScheme.equal())
+    for assessment in (explicit, equal):
+        for node_id in scored_ids(assessment.graph):
+            expected = flooded_report(assessment, node_id)
+            assert derived_asset_visibility(assessment, node_id) == expected, node_id
+
+
+#: Leaf counts around the first four sizes of the bitset rule, ``len(leaves)
+#: // 60``: with 59 leaves every set is a bitset, with 60 a single leaf is a
+#: tuple, with 120 two, and with 1,000 sixteen.
+LEAF_COUNTS = [59, 60, 61, 63, 64, 65, 119, 120, 121, 130, 1000]
+
+
+#: Shapes whose derived nodes hold few leaves, and their leaf counts.
+SMALL_SETS = [(shape, leaves) for shape in ("pairs", "one-per-leaf")
+              for leaves in (59, 130, 1000)] + [("chain", 300)]
+
+
+def small_set_assessment(shape: str, leaves: int) -> model.Assessment:
+    rng = random.Random(f"{shape}:{leaves}")
+    if shape == "chain":
+        return helpers.chain_assessment(rng, leaves)
+    return helpers.grouped_assessment(rng, leaves, 2 if shape == "pairs" else 1)
+
+
 class TestSharedAncestors:
     def test_every_scored_node_matches_a_flood(self):
         rng = random.Random(1717)
@@ -961,33 +998,81 @@ class TestSharedAncestors:
             sources = [src for src, _ in graph.edges]
             shared += any(sources.count(src) > 1 for src in graph.leaf_ids())
             shared += any(sources.count(f"D{i:02d}") > 1 for i in range(depth))
-            scored = [f"D{i:02d}" for i in range(depth)] + ["OUT"]
-            equal = replace(explicit, weights=WeightScheme.equal())
-            for assessment in (explicit, equal):
-                for node_id in scored:
-                    expected = flooded_report(assessment, node_id)
-                    assert derived_asset_visibility(assessment, node_id) == expected
+            assert_every_scored_node_matches_a_flood(explicit)
         # Leaves and derived nodes feeding several nodes, in most graphs.
         assert shared > 60
 
+    @pytest.mark.parametrize("leaves", LEAF_COUNTS)
+    def test_leaf_counts_on_both_sides_of_the_bitset_rule(self, leaves):
+        rng = random.Random(3410 + leaves)
+        for depth in (1, 12):
+            explicit = helpers.shared_ancestor_assessment(rng, depth, leaves)
+            assert_every_scored_node_matches_a_flood(explicit)
+            kinds = set(map(type, explicit.graph._leaf_sets.values()))
+            assert kinds == ({int} if leaves < 60 else {tuple, int})
+
+    @pytest.mark.parametrize("shape, leaves", SMALL_SETS, ids=str)
+    def test_small_set_shapes(self, shape, leaves):
+        explicit = small_set_assessment(shape, leaves)
+        assert_every_scored_node_matches_a_flood(explicit)
+        graph = explicit.graph
+        kinds = {type(graph._leaf_sets[nid]) for nid in scored_ids(graph)}
+        assert kinds == ({int} if leaves < 60 else {tuple, int})
+
+
+def leaf_set_graphs():
+    """Graphs of every shape the leaf-set tests read, bitsets and tuples."""
+    rng = random.Random(1717)
+    for k in range(60):
+        depth = 40 if k % 4 == 0 else rng.randint(1, 39)
+        yield helpers.shared_ancestor_assessment(rng, depth).graph
+    for leaves in LEAF_COUNTS:
+        yield helpers.shared_ancestor_assessment(random.Random(leaves), 12, leaves).graph
+    for shape, leaves in SMALL_SETS:
+        yield small_set_assessment(shape, leaves).graph
+
 
 class TestLeafSetsAreSortedTuples:
+    """Each node's stored leaf set names its leaf ancestors, sorted, without
+    repeats: a small set as a sorted tuple of ranks, a larger one as a bitset."""
+
     def test_every_node_has_its_leaf_ancestors_sorted_without_repeats(self):
-        rng = random.Random(1717)
-        for k in range(60):
-            depth = 40 if k % 4 == 0 else rng.randint(1, 39)
-            graph = helpers.shared_ancestor_assessment(rng, depth).graph
+        for graph in leaf_set_graphs():
             reverse = graph._index.reverse
             leaf_sets = graph._leaf_sets
             assert leaf_sets.keys() == graph._index.by_id.keys()
-            for node_id, leaf_ids in leaf_sets.items():
-                assert type(leaf_ids) is tuple
-                assert list(leaf_ids) == sorted(set(leaf_ids))
+            for node_id, members in leaf_sets.items():
+                leaf_ids = helpers.leaf_ids_of(graph, node_id)
+                assert leaf_ids == sorted(set(leaf_ids))
+                if type(members) is tuple:
+                    assert list(members) == sorted(set(members))
+                else:
+                    assert type(members) is int
+                    assert 0 < members < 1 << len(graph.leaf_ids())
                 reached = flooded(reverse, node_id)
                 assert set(leaf_ids) == reached.difference(reverse)
                 sources = reverse.get(node_id, ())
                 if len(sources) == 1:
-                    assert leaf_ids is leaf_sets[sources[0]]
+                    assert members is leaf_sets[sources[0]]
+
+
+class TestLeafSetSizes:
+    """A set is a sorted tuple of its ranks up to ``len(leaves) // 60``
+    members and a bitset past them, and by ``sys.getsizeof`` no set is bigger
+    than the tuple of its ranks plus ``SLACK`` bytes."""
+
+    SLACK = 0
+
+    def test_each_set_is_no_bigger_than_its_tuple(self):
+        bitsets = 0
+        for graph in leaf_set_graphs():
+            dense = len(graph.leaf_ids()) // 60
+            for node_id, members in graph._leaf_sets.items():
+                ranks = tuple(helpers.leaf_ranks(graph, node_id))
+                assert (type(members) is tuple) == (len(ranks) <= dense), node_id
+                assert sys.getsizeof(members) <= sys.getsizeof(ranks) + self.SLACK
+                bitsets += type(members) is int and len(ranks) > 1
+        assert bitsets > 1000
 
 
 class TestLeafSetsOncePerGraph:

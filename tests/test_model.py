@@ -1651,6 +1651,11 @@ class TestWeightScheme:
         with pytest.raises(KeyError, match="'b'"):
             scheme.resolve(["a", "b"])
 
+    def test_no_leaves_resolve_to_nothing_under_either_scheme(self):
+        for scheme in (WeightScheme.equal(), WeightScheme({}), WeightScheme({"a": 1.0})):
+            assert scheme.resolve([]) == {}
+            assert list(scheme._column([])) == []
+
     def test_equal_is_marked(self):
         assert WeightScheme.equal().is_equal
 
