@@ -6,9 +6,10 @@ standard output only; every diagnostic goes to standard error, violations
 one per line with a machine-greppable ``violation:`` prefix. Both streams
 are written as UTF-8, whatever their own encoding.
 
-Documents are read from file paths or standard input (``-``); every path is
-opened before any document is read. Options are parsed by :mod:`argparse`
-and never abbreviated. :mod:`logging` is imported only under ``--lenient``.
+Documents are read from file paths or standard input (``-``, given at most
+once); every path is opened before any document is read. Options are parsed
+by :mod:`argparse` and never abbreviated. :mod:`logging` is imported only
+under ``--lenient``.
 """
 
 from __future__ import annotations
@@ -251,6 +252,8 @@ def main(args: list[str] | None = None, prog_name: str = "pipevis") -> None:
     if options.lenient:
         _configure_logging()
     try:
+        if options.paths.count("-") > 1:
+            raise _UsageError("standard input ('-') can be read only once")
         with ExitStack() as stack:
             options.streams = [_open(path, stack) for path in options.paths]
             options.run(options)

@@ -207,18 +207,18 @@ def _init_args(instance: object) -> tuple[type, tuple[object, ...]]:
     )
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ContributionNode:
     """One contribution to the pipeline: a source, a person, or an asset.
 
-    A graph holds one per node, so the class keeps no ``__dict__`` and has one
-    hand-written constructor: the parser, :func:`dataclasses.replace`, copying
-    and unpickling all build a node through it. It raises ``ValueError``,
-    naming the field, unless ``id``, ``label`` and each evidence ref are
-    ``str``, ``kind`` is a ``NodeKind`` or its value and ``description`` is
-    ``None`` or a ``str``, or if ``evidence_refs`` is a set or a mapping, whose
-    order is not the caller's. It looks ``kind`` up and makes ``evidence_refs``
-    a tuple only when they are not already so, and stores each field in its slot.
+    A graph holds one per node, so the class keeps no ``__dict__``. The
+    parser, :func:`dataclasses.replace`, copying and unpickling all build a
+    node through its constructor. It raises ``ValueError``, naming the field,
+    unless ``id``, ``label`` and each evidence ref are ``str``, ``kind`` is a
+    ``NodeKind`` or its value and ``description`` is ``None`` or a ``str``, or
+    if ``evidence_refs`` is a set or a mapping, whose order is not the
+    caller's. It looks ``kind`` up and makes ``evidence_refs`` a tuple only
+    when they are not already so.
     """
 
     id: str
@@ -227,53 +227,33 @@ class ContributionNode:
     description: str | None = None
     evidence_refs: tuple[str, ...] = ()
 
-    def __init__(
-        self,
-        id: str,
-        kind: NodeKind,
-        label: str,
-        description: str | None = None,
-        evidence_refs: tuple[str, ...] = (),
-    ) -> None:
-        if not isinstance(id, str):
-            raise ValueError(f"node id must be a string, got {id!r}")
-        if type(kind) is not NodeKind:
-            _require("node kind", kind, _is_kind, _KIND)
-            kind = _KINDS[kind]
-        if not isinstance(label, str):
-            raise ValueError(f"node label must be a string, got {label!r}")
-        if description is not None and not isinstance(description, str):
-            raise ValueError(f"node description must be a string, got {description!r}")
-        if type(evidence_refs) is not tuple:
-            if isinstance(evidence_refs, _UNSPLIT):
-                raise ValueError(
-                    f"node evidence_refs must be strings, got one: {evidence_refs!r}"
-                )
-            if isinstance(evidence_refs, (set, frozenset, Mapping)):  # no fixed order
+    def __post_init__(self) -> None:
+        _require("node id", self.id, str, "a string")
+        if type(self.kind) is not NodeKind:
+            _require("node kind", self.kind, _is_kind, _KIND)
+            object.__setattr__(self, "kind", _KINDS[self.kind])
+        _require("node label", self.label, str, "a string")
+        if self.description is not None:
+            _require("node description", self.description, str, "a string")
+        refs = self.evidence_refs
+        if type(refs) is not tuple:
+            if isinstance(refs, _UNSPLIT):
+                raise ValueError(f"node evidence_refs must be strings, got one: "
+                                 f"{refs!r}")
+            if isinstance(refs, (set, frozenset, Mapping)):  # no fixed order
                 raise ValueError(f"node evidence_refs must be in order, got a "
-                                 f"{type(evidence_refs).__name__}")
+                                 f"{type(refs).__name__}")
             try:
-                evidence_refs = tuple(evidence_refs)
+                refs = tuple(refs)
             except TypeError:  # not iterable: refused below, as one ref
-                evidence_refs = (evidence_refs,)
-        for ref in evidence_refs:
-            if not isinstance(ref, str):
-                raise ValueError(f"node evidence ref must be a string, got {ref!r}")
-        _set_id(self, id)
-        _set_kind(self, kind)
-        _set_label(self, label)
-        _set_description(self, description)
-        _set_evidence_refs(self, evidence_refs)
+                refs = (refs,)
+            object.__setattr__(self, "evidence_refs", refs)
+        for ref in refs:
+            _require("node evidence ref", ref, str, "a string")
 
     __reduce__ = _init_args
 
 
-# Slot setters, unguarded when frozen: they take 30% less time than object.__setattr__.
-_set_id = ContributionNode.id.__set__
-_set_kind = ContributionNode.kind.__set__
-_set_label = ContributionNode.label.__set__
-_set_description = ContributionNode.description.__set__
-_set_evidence_refs = ContributionNode.evidence_refs.__set__
 #: The getters of a node's fields, in field order: a graph's columns.
 _FIELDS = tuple(map(attrgetter, ContributionNode.__match_args__))
 

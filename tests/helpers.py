@@ -282,6 +282,20 @@ def with_bare_token(doc: dict, field: str, token: str) -> str:
     return json.dumps(doc).replace('"@token"', token)
 
 
+def count_nodes(monkeypatch) -> list[ContributionNode]:
+    """The nodes built from here on, through ``monkeypatch``: a list that each
+    run of the ``ContributionNode`` constructor appends its node to."""
+    built: list[ContributionNode] = []
+    init = ContributionNode.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ContributionNode, "__init__", counted)
+    return built
+
+
 class CliResult(NamedTuple):
     exit_code: int
     stdout: str

@@ -324,6 +324,21 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "derived-asset scoring" in result.stderr
 
+    @pytest.mark.parametrize(
+        "paths", [["-", "-"], ["-", "later", "-"], ["-", "-", "/no/such/file.json"]],
+        ids=["twice", "around_a_file", "before_opening"],
+    )
+    def test_standard_input_given_twice_is_usage_error(self, samples, paths):
+        # The second read used to find stdin empty and blame "<stdin>" for it.
+        paths = [samples.get(path, path) for path in paths]
+        blob = Path(samples["later"]).read_bytes()
+        result = invoke(["compare", *paths], input=blob)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == (
+            "pipevis compare: error: standard input ('-') can be read only once"
+        )
+
     def test_malformed_set_flag_is_usage_error(self, samples):
         assert invoke(["whatif", samples["later"], "--set", "DS"]).exit_code == 2
 
@@ -456,3 +471,35 @@ class TestExitCodes:
         result = invoke(["score", broken_doc])
         assert result.stdout == ""
         assert "violation:" in result.stderr
+
+
+class TestNoNodeBuilt:
+    """A command reads a parsed graph's node columns and builds no node."""
+
+    @pytest.mark.parametrize(
+        ("args", "code"),
+        [
+            (["score", "later"], 0),
+            (["score", "--format", "machine", "later"], 0),
+            (["score", "--node", "LD", "later"], 0),
+            (["compare", "minimal", "later", "documented"], 0),
+            (["whatif", "later", "--set", "DS:1,1,1"], 0),
+            (["rubric"], 0),
+            (["validate", "cycle"], 1),
+        ],
+        ids=["score", "machine", "node", "compare", "whatif", "rubric", "cycle"],
+    )
+    def test_each_command_builds_no_node(
+        self, monkeypatch, tmp_path, samples, args, code
+    ):
+        doc = json.loads(Path(samples["later"]).read_bytes())
+        doc["edges"].append({"from": "M", "to": "LD"})
+        cycle = tmp_path / "cycle.json"
+        cycle.write_text(json.dumps(doc))
+        paths = {**samples, "cycle": str(cycle)}
+        built = helpers.count_nodes(monkeypatch)
+        result = invoke([paths.get(arg, arg) for arg in args])
+        assert result.exit_code == code
+        if code:
+            assert result.stderr == "violation: cycle detected: LD,M\n"
+        assert built == []

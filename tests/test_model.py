@@ -38,6 +38,7 @@ from pipevis import (
     overall_visibility,
     parse_document,
     render_machine,
+    render_sensitivity,
     render_table,
     sensitivity,
     serialize_document,
@@ -908,6 +909,31 @@ class TestNodeColumns:
         assert graph.nodes is nodes and len(built) == 2007
         assert graph.node_by_id("D03") is nodes[[node.id for node in nodes].index("D03")]
         assert nodes == assessment.graph.nodes
+
+    def test_a_what_if_review_of_a_parsed_document_builds_no_node(self, monkeypatch):
+        """The rest of a review: a changed copy written out, a what-if rendered,
+        and a derived report written with its scope."""
+        data = serialize_document(
+            helpers.shared_ancestor_assessment(random.Random(3235), 6, 200)
+        )
+        built = helpers.count_nodes(monkeypatch)
+        parsed = parse_document(data)
+        leaves = parsed.graph.leaf_ids()
+        rest = 0.5 / (len(leaves) - 1)
+        weights = WeightScheme.explicit(
+            {leaf: 0.5 if leaf == "L000" else rest for leaf in leaves}
+        )
+        changes = {"L000": helpers.ALL_FOUR, "L001": helpers.THREES}
+        result = sensitivity(parsed, changes, weights=weights)
+        assert render_sensitivity(result).body
+        modified = replace(
+            parsed, judgements={**parsed.judgements, **changes}, weights=weights
+        )
+        written = parse_document(serialize_document(modified))
+        assert written.weights == weights and written.judgements == modified.judgements
+        report = derived_asset_visibility(parsed, "D03")
+        assert '"D03"' in render_machine(report, parsed, scope_node="D03").body
+        assert built == [] and "nodes" not in vars(parsed.graph)
 
 
 class TestValidateGraph:
