@@ -78,6 +78,13 @@ def _load(stream: IO[bytes], lenient: bool, label: str | None = None) -> Assessm
         sys.exit(1)
 
 
+def _level(part: str) -> int | str:
+    """An optional ``-`` and ASCII digits as an int, else ``part`` as typed:
+    ``int()`` would also read "+1", " 1 ", "1_0" and other scripts' digits."""
+    digits = part.removeprefix("-")
+    return int(part) if digits.isascii() and digits.isdigit() else part
+
+
 def _parse_set_spec(spec: str) -> tuple[str, Judgement]:
     node_id, sep, scores = spec.rpartition(":")
     if not sep or not node_id:
@@ -86,7 +93,7 @@ def _parse_set_spec(spec: str) -> tuple[str, Judgement]:
     if len(parts) != 3:
         raise _UsageError(f"malformed --set {spec!r}: expected three scores Q,A,F")
     try:
-        judgement = Judgement(*map(int, parts))  # quantity, accuracy, freshness
+        judgement = Judgement(*map(_level, parts))  # quantity, accuracy, freshness
     except ValueError as exc:
         raise _UsageError(f"malformed --set {spec!r}: {exc}") from None
     return node_id, judgement
@@ -97,6 +104,9 @@ def _parse_weight_item(item: str) -> tuple[str, float]:
     if not sep or not key:
         raise _UsageError(f"malformed --weights entry {item!r}: expected id=number")
     try:
+        # As typed: float() would also read "1_0", " 1" and other scripts' digits.
+        if "_" in value or value.strip() != value or not value.isascii():
+            raise ValueError
         return key, float(value)
     except ValueError:
         raise _UsageError(
@@ -259,7 +269,7 @@ def main(args: list[str] | None = None, prog_name: str = "pipevis") -> None:
             options.run(options)
     except _UsageError as exc:
         options.parser.error(str(exc))
-    except Exception as exc:  # pragma: no cover - defensive catch-all
+    except Exception as exc:  # a bug: the only exit 3
         _write(sys.stderr, f"error: internal error: {exc}\n")
         sys.exit(3)
 

@@ -14,7 +14,9 @@ index and equal weighting is bit-identical to an explicit 1/M vector.
 A scored report keeps its leaf ids, indices and weights as columns and
 builds its ``per_node`` rows on the first read, so a caller that reads only
 ``overall`` and ``leaf_count`` pays for no rows; the renderers and
-:func:`rank` read the columns without building rows. Equality, hashing, repr,
+:func:`rank` read the columns without building rows. A derived-asset score
+gathers only its leaves' visibility indices (and explicit weights); its report
+gathers their ids and indices by rank when first read. Equality, hashing, repr,
 :func:`dataclasses.replace`, copies and pickles read the rows, so they see
 a plain report; they go through the constructor, which checks each field's
 type, while scoring builds its reports past it.
@@ -156,11 +158,15 @@ class VisibilityReport:
         return rows
 
     def _cells(self) -> Iterator[tuple[str, float, float, float, float]]:
-        """Each row's five fields; a scored report's are zipped in C, unbuilt."""
+        """Each row's five fields; a scored report's are zipped in C, unbuilt,
+        and a derived one's ids and indices gathered at its ranks once."""
         columns = vars(self).get("_columns")
         if columns is None:
             return iter(self.per_node)
-        leaf_ids, indices, weights = columns
+        members, leaf_ids, indices, weights = columns
+        if members is not None:  # gathered once, and swapped whole for threads
+            leaf_ids, indices = _gather(members, (leaf_ids, indices))
+            vars(self)["_columns"] = None, leaf_ids, indices, weights
         return zip(leaf_ids, map(_quantity, indices), map(_quality, indices),
                    map(_visibility, indices), weights)
 
@@ -229,23 +235,23 @@ _quantity, _quality, _visibility = map(itemgetter, range(3))
 
 def _weighted_report(
     assessment: Assessment,
-    leaf_ids: Sequence[str],
-    indices: Sequence[tuple[float, float, float]],
+    visibilities: Iterable[float],
     weights: Iterable[float],
+    members: tuple[int, ...] | int | None,
 ) -> VisibilityReport:
-    """Report on ``leaf_ids`` (sorted), their indices and their weights, in
-    order, and the weighted sum, taken in C.
+    """Report on the sum of ``visibilities`` times ``weights``, in order,
+    taken in C, over the leaves at ranks ``members`` (``None``: every leaf).
 
-    The report keeps the columns, and builds its rows from them when
-    ``per_node`` is first read.
+    The report keeps the weights, the ranks and the assessment's leaf ids and
+    indices, and builds its rows from them when ``per_node`` is first read.
     """
     weights = tuple(weights)
     report = object.__new__(VisibilityReport)
     vars(report).update(
-        overall=math.fsum(map(mul, map(_visibility, indices), weights)),
-        leaf_count=len(indices),
+        overall=math.fsum(map(mul, visibilities, weights)),
+        leaf_count=len(weights),
         display_precision=assessment.display_precision,
-        _columns=(leaf_ids, indices, weights),
+        _columns=(members, *assessment._leaf_columns[:2], weights),
     )
     return report
 
@@ -258,7 +264,8 @@ def overall_visibility(assessment: Assessment) -> VisibilityReport:
     violation) if the assessment does not validate.
     """
     _require_valid(assessment)
-    return _weighted_report(assessment, *assessment._leaf_columns)
+    _, indices, weights = assessment._leaf_columns
+    return _weighted_report(assessment, map(_visibility, indices), weights, None)
 
 
 def derived_asset_visibility(assessment: Assessment, node_id: str) -> VisibilityReport:
@@ -270,9 +277,10 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
     the output node is identical to scoring the whole pipeline. The leaf
     ancestors of every node are collected on the first call for a graph, as
     the ranks of its leaves in id order (a sorted tuple, or a bitset when
-    dense), and each report column is gathered by those ranks from the
-    assessment's leaf columns, so no call looks a judgement up or walks the
-    graph. A ``node_id`` that is not a string is an unknown node.
+    dense). A score gathers by those ranks only the leaves' visibility indices
+    (a column the assessment derives once) and explicit weights, so no call
+    looks a judgement up or walks the graph; its report gathers their ids and
+    indices when first read. A ``node_id`` that is not a string is unknown.
     """
     _require_valid(assessment)
     graph = assessment.graph
@@ -283,16 +291,19 @@ def derived_asset_visibility(assessment: Assessment, node_id: str) -> Visibility
         raise LeafNodeError(node_id, kind)
 
     members = graph._leaf_sets[node_id]
-    leaf_ids, indices, weights = _gather(members, assessment._leaf_columns)
     scheme = assessment.weights
     if scheme.is_equal:
-        weights = scheme._column(leaf_ids)
-    elif len(leaf_ids) < len(graph._index.leaves):
-        total = math.fsum(weights)
-        if total <= 0:
-            raise DegenerateWeightsError(node_id, leaf_ids)
-        weights = list(map(truediv, weights, repeat(total)))
-    return _weighted_report(assessment, leaf_ids, indices, weights)
+        [visibilities] = _gather(members, [assessment._visibilities])
+        weights = scheme._column(visibilities)  # 1/m each: reads only the count
+    else:
+        leaf_ids, _, weights = assessment._leaf_columns
+        visibilities, weights = _gather(members, [assessment._visibilities, weights])
+        if len(weights) < len(leaf_ids):
+            total = math.fsum(weights)
+            if total <= 0:
+                raise DegenerateWeightsError(node_id, *_gather(members, [leaf_ids]))
+            weights = map(truediv, weights, repeat(total))
+    return _weighted_report(assessment, visibilities, weights, members)
 
 
 def rank(assessments: Iterable[Assessment]) -> list[RankEntry]:

@@ -490,6 +490,11 @@ class Assessment:
         indices = list(map(attrgetter("_indices"), judged))
         return leaves, indices, self.weights._column(leaves)
 
+    @cached_property
+    def _visibilities(self) -> list[float]:
+        """The leaves' visibility indices in id order, for derived scores."""
+        return list(map(itemgetter(2), self._leaf_columns[1]))
+
 
 @dataclass(frozen=True)
 class ValidationResult:
@@ -718,6 +723,9 @@ def _depth_first(
 #: int spends 4 bytes on each 30 bits and a tuple 8 bytes on each member, so
 #: past that many the bitset is no bigger.
 _DENSE = 60
+#: A merge sets up to this many ranks by shifts, more by flags: shifts won at
+#: every size measured to 64 (8 of 226 leaves: 1.1 vs 4.2 us; 64 of 20,000: 14 vs 50).
+_SHIFTS = 64
 
 
 def _leaf_sets_of(index: _GraphIndex) -> dict[str, tuple[int, ...] | int]:
@@ -729,8 +737,9 @@ def _leaf_sets_of(index: _GraphIndex) -> dict[str, tuple[int, ...] | int]:
     set for each member. One pass over the index's finish order, which is
     upstream-first: a node with one source shares its set, so a one-source
     chain holds one, and any other ORs its sources' bitsets and adds their
-    tuples' ranks, a few by shifts and more as one ``bytearray`` of flags
-    that ``int`` reads in C. So no node is walked again and no score sorts.
+    tuples' ranks: up to ``_SHIFTS`` by shifts, each costing the set's width,
+    and more as one ``bytearray`` of flags over every leaf that ``int`` reads
+    in C. So no node is walked again and no score sorts.
     On a cyclic graph it raises ``KeyError``, so derived-asset scoring asks
     only after the check.
     """
@@ -756,7 +765,7 @@ def _leaf_sets_of(index: _GraphIndex) -> dict[str, tuple[int, ...] | int]:
             if len(members) <= dense:
                 sets[node] = tuple(sorted(members))
                 continue
-        if len(members) <= dense:  # a few: each shift costs the set's width
+        if len(members) <= _SHIFTS:  # a few: each shift costs the set's width
             for rank in members:
                 bits |= 1 << rank
         else:  # one flag per leaf, read in C as the bitset's binary digits

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import helpers
+from pipevis import cli
 
 invoke = helpers.run_cli
 
@@ -377,6 +378,55 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.splitlines()[-1] == f"pipevis whatif: error: {error}"
+
+    @pytest.mark.parametrize(
+        ("flags", "error"),
+        [
+            (["--set", "DS:\u0661,1,1"],
+             "malformed --set 'DS:\u0661,1,1': quantity must be an integer, got '\u0661'"),
+            (["--set", "DS:+1,1,1"],
+             "malformed --set 'DS:+1,1,1': quantity must be an integer, got '+1'"),
+            (["--set", "DS: 1 ,1,1"],
+             "malformed --set 'DS: 1 ,1,1': quantity must be an integer, got ' 1 '"),
+            (["--set", "DS:1_0,1,1"],
+             "malformed --set 'DS:1_0,1,1': quantity must be an integer, got '1_0'"),
+            (["--set", "DS:1,1,\uff13"],
+             "malformed --set 'DS:1,1,\uff13': freshness must be an integer, got '\uff13'"),
+            (["--weights", "DS=0.5,H1=0.25,H2=2_5e-1"],
+             "malformed --weights entry 'H2=2_5e-1': '2_5e-1' is not a number"),
+            (["--weights", "DS= 0.5,H1=0.25,H2=0.25"],
+             "malformed --weights entry 'DS= 0.5': ' 0.5' is not a number"),
+            (["--weights", "DS=0.5,H1=0.25,H2=\u0660.\u0662\u0665"],
+             "malformed --weights entry 'H2=\u0660.\u0662\u0665': "
+             "'\u0660.\u0662\u0665' is not a number"),
+            (["--set", "DS:5,2,3"],
+             "malformed --set 'DS:5,2,3': quantity must be between 1 and 4, got 5"),
+        ],
+        ids=["arabic_indic_level", "plus_level", "spaced_level", "underscore_level",
+             "fullwidth_level", "underscore_weight", "spaced_weight",
+             "arabic_indic_weight", "level_past_the_range"],
+    )
+    def test_a_flag_value_is_read_as_typed(self, samples, flags, error):
+        result = invoke(["whatif", samples["later"], *flags])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1] == f"pipevis whatif: error: {error}"
+
+    def test_ascii_numbers_are_still_read(self, samples):
+        flags = ["--set", "DS:04,4,4", "--weights", "DS=5e-1,H1=+0.25,H2=.25"]
+        result = invoke(["whatif", samples["later"], *flags])
+        expected = invoke(["whatif", samples["later"], "--set", "DS:4,4,4",
+                           "--weights", "DS=0.5,H1=0.25,H2=0.25"])
+        assert result == expected
+        assert result.exit_code == 0
+
+    def test_an_internal_error_is_exit_3(self, monkeypatch):
+        def render_rubric():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "render_rubric", render_rubric)
+        result = invoke(["rubric"])
+        assert result == (3, "", "error: internal error: boom\n")
 
     def test_degenerate_derived_weights_are_data_error(self, samples):
         doc = json.loads(Path(samples["later"]).read_bytes())

@@ -12,6 +12,7 @@ import sys
 from dataclasses import replace
 from decimal import Decimal, getcontext
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -987,6 +988,33 @@ def small_set_assessment(shape: str, leaves: int) -> model.Assessment:
     return helpers.grouped_assessment(rng, leaves, 2 if shape == "pairs" else 1)
 
 
+#: Member counts about ``model._SHIFTS``, the most ranks a merge sets by shifts.
+MERGE_SIZES = [63, 64, 65]
+
+
+def merge_assessment(members: int) -> model.Assessment:
+    """400 leaves, so each leaf's set is the tuple of its rank and a set of
+    more than 6 is a bitset, and merges of ``members`` ranks: ``T`` of that
+    many leaves; ``X`` of ``B``, a bitset of 100 leaves, and that many leaves,
+    some of them ``B``'s too; ``Y`` of ``B`` and tuple-held derived nodes
+    ``S*`` of up to 6 leaves each, that many ranks with repeats among them;
+    ``Z`` of the ``S*`` alone. Every node also feeds ``OUT``."""
+    rng = random.Random(f"merge:{members}")
+    leaf_ids = [f"L{i:03d}" for i in range(400)]
+    chunks = [6] * (members // 6) + [members % 6] * bool(members % 6)
+    shared = [f"S{k:02d}" for k in range(len(chunks))]
+    edges = [(leaf, "B") for leaf in leaf_ids[:100]]
+    edges += [(leaf, "T") for leaf in rng.sample(leaf_ids, members)]
+    edges += [(leaf, "X") for leaf in rng.sample(leaf_ids[50:], members)]
+    for sid, size in zip(shared, chunks):
+        edges += [(leaf, sid) for leaf in rng.sample(leaf_ids[:40], size)]
+        edges += [(sid, "Y"), (sid, "Z")]
+    edges += [("B", "X"), ("B", "Y")]
+    derived = ["B", "T", "X", "Y", "Z", *shared]
+    edges += [(nid, "OUT") for nid in leaf_ids + derived]
+    return helpers.leaf_assessment(rng, leaf_ids, derived, edges)
+
+
 class TestSharedAncestors:
     def test_every_scored_node_matches_a_flood(self):
         rng = random.Random(1717)
@@ -1019,6 +1047,15 @@ class TestSharedAncestors:
         kinds = {type(graph._leaf_sets[nid]) for nid in scored_ids(graph)}
         assert kinds == ({int} if leaves < 60 else {tuple, int})
 
+    @pytest.mark.parametrize("members", MERGE_SIZES)
+    def test_merges_about_the_shift_rule(self, members):
+        explicit = merge_assessment(members)
+        assert_every_scored_node_matches_a_flood(explicit)
+        sets = explicit.graph._leaf_sets
+        assert {type(sets[nid]) for nid in "BTXYZ"} == {int}
+        assert type(sets["S00"]) is tuple
+        assert len(helpers.leaf_ranks(explicit.graph, "T")) == members
+
 
 def leaf_set_graphs():
     """Graphs of every shape the leaf-set tests read, bitsets and tuples."""
@@ -1030,6 +1067,8 @@ def leaf_set_graphs():
         yield helpers.shared_ancestor_assessment(random.Random(leaves), 12, leaves).graph
     for shape, leaves in SMALL_SETS:
         yield small_set_assessment(shape, leaves).graph
+    for members in MERGE_SIZES:
+        yield merge_assessment(members).graph
 
 
 class TestLeafSetsAreSortedTuples:
@@ -1104,3 +1143,92 @@ class TestLeafSetsOncePerGraph:
         render_machine(report, assessment)
         render_table(report, assessment.judgements)
         assert builds == []
+
+
+def review_pool(seed: int) -> list:
+    """The documents of the benchmark's ``review_deep`` pool."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import generate
+    finally:
+        del sys.path[0]
+    return generate.review_pool(seed)
+
+
+class TestDerivedScoresGatherLess:
+    """A derived score gathers its leaves' visibility indices, and their
+    weights when explicit; its report gathers their ids and indices once, at
+    the first read of its rows or cells."""
+
+    @pytest.fixture
+    def gathered(self, monkeypatch):
+        """The number of columns each gather takes, in call order."""
+        calls = []
+        gather = model._gather
+
+        def counted(members, columns):
+            calls.append(len(columns))
+            return gather(members, columns)
+
+        monkeypatch.setattr(metrics, "_gather", counted)
+        return calls
+
+    @pytest.mark.parametrize("first", ["_cells", "per_node"])
+    def test_one_column_under_equal_weights_and_two_under_explicit(
+        self, gathered, first
+    ):
+        explicit = merge_assessment(64)
+        equal = replace(explicit, weights=WeightScheme.equal())
+        for assessment, columns in ((equal, 1), (explicit, 2)):
+            for node_id in scored_ids(assessment.graph):
+                del gathered[:]
+                report = derived_asset_visibility(assessment, node_id)
+                assert gathered == [columns], node_id
+                expected = flooded_report(assessment, node_id).per_node
+                if first == "per_node":
+                    assert report.per_node == expected, node_id
+                else:
+                    assert tuple(report._cells()) == expected, node_id
+                assert gathered == [columns, 2], node_id
+                assert tuple(report._cells()) == report.per_node == expected
+                render_table(report, assessment.judgements)
+                render_machine(report, assessment, scope_node=node_id)
+                assert gathered == [columns, 2], node_id
+
+    def test_the_overall_gathers_nothing_and_derives_no_column(self, gathered):
+        for assessment in (merge_assessment(65), helpers.later_assessment()):
+            report = overall_visibility(assessment)
+            render_machine(report, assessment)
+            rank([assessment])
+            assert report.per_node
+            assert gathered == []
+            assert "_visibilities" not in vars(assessment)
+
+    def test_unread_reports_of_the_review_pool_match_eager_ones(self):
+        scored = 0
+        for doc in review_pool(1):
+            if doc.violations:
+                continue
+            assessment = parse_document(doc.data)
+            for node_id in scored_ids(assessment.graph):
+                report = derived_asset_visibility(assessment, node_id)
+                leaf_ids = helpers.leaf_ids_of(assessment.graph, node_id)
+                expected = eager_report(assessment, leaf_ids)
+                assert report.overall.hex() == expected.overall.hex(), node_id
+                assert report.leaf_count == expected.leaf_count, node_id
+                assert "per_node" not in vars(report), node_id
+                assert report._columns[0] is not None  # not yet gathered
+                scored += 1
+        assert scored > 700
+
+    @pytest.mark.parametrize("node_id", ["S00", "T"])
+    def test_degenerate_weights_name_the_leaves(self, node_id):
+        assessment = merge_assessment(65)
+        zero = set(helpers.leaf_ids_of(assessment.graph, node_id))
+        others = [leaf for leaf in assessment.graph.leaf_ids() if leaf not in zero]
+        weights = {leaf: 0.0 for leaf in zero}
+        weights.update(dict.fromkeys(others, 1 / len(others)))
+        weighted = replace(assessment, weights=WeightScheme.explicit(weights))
+        with pytest.raises(DegenerateWeightsError) as excinfo:
+            derived_asset_visibility(weighted, node_id)
+        assert excinfo.value.leaf_ids == tuple(sorted(zero))
